@@ -73,15 +73,37 @@ def _file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _lock_holder_is_dead(lock: Path) -> bool:
+    """True when the lock names a PID that no process has any more."""
+    try:
+        pid = int(lock.read_text())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):  # another user's process; not a PID
+        pass
+    return False
+
+
 @contextmanager
 def _dir_lock(out: Path):
     lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {out} is locked by another run (remove {lock} if stale)"
-        ) from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_holder_is_dead(lock):
+                raise ConfigError(
+                    f"output directory {out} is locked by another run (remove {lock} if stale)"
+                ) from None
+            _log(f"removing stale lock {lock}: its process is gone")
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)

@@ -5,6 +5,11 @@ bandwidths found by binary search on the conditional-distribution
 entropy, symmetrized joint probabilities, Student-t low-dimensional
 affinities, and plain momentum gradient descent with an early
 exaggeration phase.  Everything is deterministic for a given seed.
+
+Memory: the descent holds the n x n joint affinities P, an exaggerated
+copy of P during the early-exaggeration phase only, two n x n work
+buffers reused by every iteration, and one buffer with an entry per
+nonzero of P for the KL terms.  An iteration allocates no n x n array.
 """
 
 from __future__ import annotations
@@ -125,24 +130,6 @@ def joint_probabilities(features: np.ndarray, perplexity: float) -> np.ndarray:
     return (cond + cond.T) / (2.0 * n)
 
 
-def _q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Student-t affinities of the embedding: returns (Q, unnormalized W)."""
-    W = 1.0 / (1.0 + _pairwise_sq_distances(Y))
-    np.fill_diagonal(W, 0.0)
-    Q = W / W.sum()
-    return Q, W
-
-
-def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    mask = P > 0
-    return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], _TINY))))
-
-
-def _gradient(P_eff: np.ndarray, Q: np.ndarray, W: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    M = (P_eff - Q) * W
-    return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
-
-
 def tsne(
     features: np.ndarray,
     perplexity: float = 30.0,
@@ -182,11 +169,41 @@ def tsne(
     velocity = np.zeros_like(Y)
     trace = np.empty(iterations)
 
+    # Every n x n intermediate goes into D or W, allocated once.  The ufunc
+    # calls keep the operations of the allocating form, and their order,
+    # so coordinates and trace stay bit-identical to it.
+    idx = np.flatnonzero(P > 0)
+    Pm = P.ravel()[idx]
+    Qm = np.empty_like(Pm)
+    D = np.empty((n, n))
+    W = np.empty((n, n))
+    P_eff = P * early_exaggeration if exaggeration_iters > 0 else P
+
     for it in range(iterations):
-        Q, W = _q_matrix(Y)
-        trace[it] = _kl_divergence(P, Q)
-        P_eff = P * early_exaggeration if it < exaggeration_iters else P
-        grad = _gradient(P_eff, Q, W, Y)
+        if it == exaggeration_iters:
+            P_eff = P  # frees the exaggerated copy
+        sq = np.sum(Y * Y, axis=1)
+        np.matmul(Y, Y.T, out=D)
+        np.multiply(2.0, D, out=D)
+        np.add(sq[:, None], sq[None, :], out=W)
+        np.subtract(W, D, out=D)
+        np.maximum(D, 0.0, out=D)
+        np.fill_diagonal(D, 0.0)
+        np.add(1.0, D, out=D)
+        np.divide(1.0, D, out=W)
+        np.fill_diagonal(W, 0.0)
+        np.divide(W, W.sum(), out=D)  # D = Q
+
+        np.take(D, idx, out=Qm)
+        np.maximum(Qm, _TINY, out=Qm)
+        np.divide(Pm, Qm, out=Qm)
+        np.log(Qm, out=Qm)
+        np.multiply(Pm, Qm, out=Qm)
+        trace[it] = float(Qm.sum())
+
+        np.subtract(P_eff, D, out=D)
+        np.multiply(D, W, out=D)  # D = M
+        grad = 4.0 * (D.sum(axis=1)[:, None] * Y - D @ Y)
         momentum = initial_momentum if it < momentum_switch else final_momentum
         velocity = momentum * velocity - lr * grad
         Y = Y + velocity

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,13 +194,38 @@ class TestCliErrors:
                      "--methods", "voodoo"])
         assert code == 2
 
-    def test_lock_contention_exits_2(self, tmp_path):
+    def test_lock_contention_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_CONFIG)
         out = tmp_path / "o"
         out.mkdir()
-        (out / ".lock").write_text("123")
+        (out / ".lock").write_text(str(os.getpid()))  # a live process
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "locked by another run" in err and "\n" not in err
+
+    @pytest.mark.parametrize("content", ["", "not-a-pid"])
+    def test_unreadable_lock_exits_2(self, tmp_path, capsys, content):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / ".lock").write_text(content)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "locked by another run" in err and "\n" not in err
+        assert (out / ".lock").read_text() == content
+
+    def test_stale_lock_of_dead_process_is_taken(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        out = tmp_path / "o"
+        out.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped, so its PID names no process
+        (out / ".lock").write_text(str(child.pid))
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert not (out / ".lock").exists()
 
     def test_lock_released_after_run(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -16,6 +16,35 @@ def _sq_dists(X):
     return np.sum(diff * diff, axis=-1)
 
 
+def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
+                    momentum_switch, early_exaggeration=12.0,
+                    initial_momentum=0.5, final_momentum=0.8):
+    """The allocating descent loop that ``tsne`` must reproduce bit for bit."""
+    P = joint_probabilities(X, perplexity)
+    lr = X.shape[0] / early_exaggeration
+    Y = 1e-4 * keyed_rng(seed).standard_normal((X.shape[0], 2))
+    velocity = np.zeros_like(Y)
+    trace = np.empty(iterations)
+    for it in range(iterations):
+        sq = np.sum(Y * Y, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        W = 1.0 / (1.0 + d2)
+        np.fill_diagonal(W, 0.0)
+        Q = W / W.sum()
+        mask = P > 0
+        trace[it] = float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
+        P_eff = P * early_exaggeration if it < exaggeration_iters else P
+        M = (P_eff - Q) * W
+        grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+        momentum = initial_momentum if it < momentum_switch else final_momentum
+        velocity = momentum * velocity - lr * grad
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+    return Y, trace, P
+
+
 class TestPca:
     def test_matches_eigh_oracle(self):
         rng = keyed_rng(12)
@@ -94,7 +123,7 @@ class TestJointProbabilities:
     def test_symmetric_and_normalized(self):
         rng = keyed_rng(24)
         X = rng.normal(size=(18, 3))
-        P = joint_probabilities(_sq_dists(X), 5.0)
+        P = joint_probabilities(X, 5.0)
         np.testing.assert_allclose(P, P.T, atol=1e-15)
         assert P.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(P >= 0)
@@ -142,6 +171,27 @@ class TestTsne:
         X = keyed_rng(30).normal(size=(10, 3))
         with pytest.raises((ConfigError, DataError)):
             tsne(X, perplexity=5, iterations=10, seed=0)  # needs n > 15
+
+    @pytest.mark.parametrize(
+        "shift, iterations, exaggeration_iters, momentum_switch",
+        [
+            (60.0, 40, 25, 25),  # far-apart blobs: P has exact off-diagonal zeros
+            (0.0, 60, 20, 35),  # both phase switches inside the run
+            (0.0, 15, 30, 10),  # the run ends during early exaggeration
+        ],
+    )
+    def test_matches_reference_loop_bitwise(self, shift, iterations, exaggeration_iters,
+                                            momentum_switch):
+        rng = keyed_rng(32)
+        X = np.vstack([rng.normal(size=(14, 3)), rng.normal(size=(14, 3)) + shift])
+        args = dict(perplexity=4, iterations=iterations, seed=3,
+                    exaggeration_iters=exaggeration_iters, momentum_switch=momentum_switch)
+        ref_Y, ref_trace, P = _reference_tsne(X, **args)
+        if shift:
+            assert np.count_nonzero(P == 0.0) > P.shape[0]  # more zeros than the diagonal
+        emb = tsne(X, **args)
+        assert np.array_equal(emb.coordinates, ref_Y)
+        assert np.array_equal(emb.objective_trace, ref_trace)
 
     def test_perplexity_floor(self):
         X = keyed_rng(31).normal(size=(20, 3))
