@@ -10,10 +10,9 @@ out splits, MLP training, and the evaluation protocol.
 __version__ = "0.1.0"
 
 from .clustering import ClusterLabels, SplitSpec, dbscan, make_cluster_splits
-from .dataset import Dataset, ScalerParams, fit_scaler, generate_synthetic, load_dataset, standardize
+from .dataset import Dataset, ScalerParams, fit_scaler, generate_synthetic, load_dataset
 from .embedding import Embedding, pca, tsne
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError, UqshiftError
-from .estimates import UqEstimate
 from .evaluation import boxplot_stats, cross_cluster_table, r_squared, removal_curve
 from .mlp import HyperparamGrid, MlpModel, hyperparameter_search, predict, train_mlp
 from .uq_ad import AdModel, ad_dd_score, ad_ld_score, fit_ad, standard_normal_quantile
@@ -36,7 +35,6 @@ __all__ = [
     "ScalerParams",
     "SplitSpec",
     "TrainingDivergedError",
-    "UqEstimate",
     "UqshiftError",
     "ad_dd_score",
     "ad_ld_score",
@@ -57,7 +55,6 @@ __all__ = [
     "removal_curve",
     "rio_predict",
     "standard_normal_quantile",
-    "standardize",
     "train_mlp",
     "tsne",
 ]

@@ -6,6 +6,11 @@ directory, writes its own outputs there, and appends one manifest line
 line and outputs already exist is skipped.  Two runs with the same
 configuration and seed produce byte-identical output trees; wall-clock
 durations therefore go to stderr, never into the tree.
+
+The R^2 matrix, the removal curves and the box-plot statistics have one
+derivation, ``_eval_tables``, from the per-point tables: ``eval`` writes
+what it returns, and ``report`` re-derives it from the persisted
+``cross_predictions.csv`` and ``uq_scores.csv`` and compares every file.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .clustering import (
     write_split_csv,
 )
 from .config import RunConfig, config_hash, load_config, stage_config_text
-from .csvio import parse_float, read_csv, write_csv
+from .csvio import format_value, parse_float, read_csv, write_csv
 from .dataset import (
     Dataset,
     SyntheticConfig,
@@ -48,11 +53,10 @@ from .errors import ConfigError, DataError, NumericalError, UqshiftError
 from .evaluation import (
     cross_cluster_table,
     novelty_separation,
-    r_squared,
     removal_curve,
     uq_summary_stats,
 )
-from .embedding import pca, tsne
+from .embedding import pca, sq_distances, tsne
 from .mlp import HyperparamGrid, hyperparameter_search, load_model, predict, save_model
 from .rng import derive_seed
 from .uq_ad import ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
@@ -60,6 +64,7 @@ from .uq_dropout import McDropoutConfig, mc_dropout
 from .uq_rio import KernelConfig, fit_rio, rio_predict
 
 _METHOD_COLUMNS = ("dropout", "ad_dd", "ad_ld", "rio")
+_SCORE_COLUMNS = ["id", "group", "actual", "predicted"]
 _STAGE_SEEDS = {"synth": 0, "split_embed": 1, "split_sample": 2, "train": 3, "uq_dropout": 4, "uq_rio": 5}
 
 
@@ -117,9 +122,15 @@ def _manifest_entries(out: Path) -> list[dict]:
     if not path.exists():
         return []
     entries = []
-    for line in path.read_text().splitlines():
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
         if line.strip():
-            entries.append(json.loads(line))
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                entry = None
+            if not isinstance(entry, dict):
+                raise DataError(f"{path}: line {n} is not a JSON object")
+            entries.append(entry)
     return entries
 
 
@@ -173,12 +184,6 @@ def _load_labels_csv(out: Path, data: Dataset) -> ClusterLabels:
     return load_external_labels(out / "split" / "labels.csv", data)
 
 
-def _heldout_rows(labels: ClusterLabels, split) -> np.ndarray:
-    held_back = set(split.train_idx.tolist()) | set(split.valid_idx.tolist())
-    members = labels.members(split.train_cluster)
-    return np.array([r for r in members if r not in held_back], dtype=int)
-
-
 # ------------------------------------------------------------------ stages
 
 def cmd_synth(cfg: RunConfig, out: Path) -> None:
@@ -206,9 +211,7 @@ def cmd_synth(cfg: RunConfig, out: Path) -> None:
 def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
     """eps from the data: factor times the median distance to the
     neighbor that would make a point core."""
-    sq = np.sum(coords * coords, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T), 0.0)
-    dists = np.sqrt(np.sort(d2, axis=1))
+    dists = np.sqrt(np.sort(sq_distances(coords), axis=1))
     rank = min(min_pts - 1, coords.shape[0] - 1)
     eps = factor * float(np.median(dists[:, rank]))
     if eps <= 0:
@@ -323,7 +326,7 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
 
         def fn(k=k, split_path=split_path):
             data = load_dataset(dataset_path)
-            split = read_split_csv(split_path, data.ids, k, cfg.get("run", "seed"))
+            split = read_split_csv(split_path, data.ids, k)
             grid = _grid_from_config(cfg)
             section = cfg["train"]
             batch = section["batch_size"] or None
@@ -401,9 +404,8 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
         def fn(k=k, split_path=split_path, model_path=model_path):
             data = load_dataset(dataset_path)
             labels = _load_labels_csv(out, data)
-            split = read_split_csv(split_path, data.ids, k, cfg.get("run", "seed"))
-            heldout = _heldout_rows(labels, split)
-            scored = np.sort(np.concatenate([heldout, split.test_idx])).astype(int)
+            split = read_split_csv(split_path, data.ids, k)
+            _, scored = split.scored_rows(labels)
             if scored.size == 0:
                 raise DataError(f"split {k} has no rows to score")
             ids = [data.ids[i] for i in scored]
@@ -413,9 +415,8 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
             base = out / "uq" / f"split_{k}"
 
             if "dropout" in methods:
-                model = load_model(model_path)
-                estimates = mc_dropout(
-                    model,
+                means, stds = mc_dropout(
+                    load_model(model_path),
                     X_query,
                     McDropoutConfig(
                         passes=section["passes"],
@@ -423,14 +424,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                     ),
                 )
                 path = base / "uq_dropout.csv"
-                write_csv(
-                    path,
-                    ["id", "pred_mean", "pred_std"],
-                    [
-                        (rid, est.point_mean, est.uncertainty)
-                        for rid, est in zip(ids, estimates)
-                    ],
-                )
+                write_csv(path, ["id", "pred_mean", "pred_std"], zip(ids, means, stds))
                 outputs.append(path)
 
             if "ad" in methods:
@@ -468,7 +462,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                     max_iter=section["rio_max_iter"],
                     seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["uq_rio"], k),
                 )
-                estimates = rio_predict(
+                residual_mean, residual_std = rio_predict(
                     rio_model,
                     model.scaler.transform(X_query),
                     yhat_query,
@@ -478,16 +472,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                 write_csv(
                     path,
                     ["id", "yhat", "residual_mean", "residual_std", "corrected_pred"],
-                    [
-                        (
-                            rid,
-                            float(yhat_query[i]),
-                            est.residual_mean,
-                            est.uncertainty,
-                            est.point_mean,
-                        )
-                        for i, (rid, est) in enumerate(zip(ids, estimates))
-                    ],
+                    zip(ids, yhat_query, residual_mean, residual_std, yhat_query + residual_mean),
                 )
                 outputs.append(path)
             return outputs
@@ -504,27 +489,69 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
 def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, float]]:
     """{output_name: {id: value}} for the requested columns of one uq CSV."""
     header, rows = read_csv(path)
-    idx = {}
-    for col in columns:
+    for col in ("id", *columns):
         if col not in header:
             raise DataError(f"{path}: missing column {col!r}")
-        idx[col] = header.index(col)
     id_pos = header.index("id")
-    out: dict[str, dict[str, float]] = {name: {} for name in columns.values()}
-    for row in rows:
-        rid = row[id_pos]
-        for col, name in columns.items():
-            out[name][rid] = parse_float(row[idx[col]], f"{path} id {rid}")
-    return out
+    return {
+        name: {
+            row[id_pos]: parse_float(row[header.index(col)], f"{path} id {row[id_pos]}")
+            for row in rows
+        }
+        for col, name in columns.items()
+    }
+
+
+def _eval_tables(section: dict, target: np.ndarray, labels: ClusterLabels, splits: dict,
+                 predictions: dict, scores_header: list[str], scores_rows: list) -> dict:
+    """{file name: (header, rows)} for r2_matrix.csv, every
+    removal_curve_<method>.csv and boxplot_stats.csv.
+
+    The inputs are the per-point tables: the full-data predictions
+    {split id: vector} of cross_predictions.csv and the rows of
+    uq_scores.csv with their numeric cells as floats.  Curves and box
+    plots use the test rows only.
+    """
+    table, clusters = cross_cluster_table(predictions, target, labels, list(splits.values()))
+    tables = {
+        "r2_matrix.csv": (
+            ["train_cluster", *[str(c) for c in clusters]],
+            [(c, *["" if math.isnan(v) else v for v in row]) for c, row in zip(clusters, table)],
+        )
+    }
+    width = len(_SCORE_COLUMNS)
+    test = [row for row in scores_rows if row[1] == "test"]
+    actual = np.array([row[2] for row in test])
+    predicted = np.array([row[3] for row in test])
+    values = {
+        name: np.array([row[width + i] for row in test])
+        for i, name in enumerate(scores_header[width:])
+    }
+    for name, uncertainty in values.items():
+        curve = removal_curve(
+            uncertainty, actual, predicted,
+            step_fraction=section["step_fraction"],
+            min_remaining=section["min_remaining"],
+        )
+        tables[f"removal_curve_{name}.csv"] = (
+            ["fraction_removed", "r2", "n_remaining"],
+            [(p.fraction_removed, p.r2, p.n_remaining) for p in curve.points],
+        )
+    stats, _ = uq_summary_stats(values, actual, predicted)
+    tables["boxplot_stats.csv"] = (
+        ["method", "median", "q1", "q3", "whisker_low", "whisker_high", "n_outliers"],
+        [
+            (name, s.median, s.q1, s.q3, s.whisker_low, s.whisker_high, s.n_outliers)
+            for name, s in stats.items()
+        ],
+    )
+    return tables
 
 
 def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     dataset_path = out / "data" / "dataset.csv"
     labels_path = out / "split" / "labels.csv"
     all_ids = _split_ids(out)
-    if not all_ids:
-        raise DataError("no split files found; run the split stage first")
-    section = cfg["eval"]
     uq_section = cfg["uq"]
 
     for k in _select_split_ids(out, split_id):
@@ -550,72 +577,23 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         def fn(k=k, split_paths=split_paths, model_paths=model_paths, present=present):
             data = load_dataset(dataset_path)
             labels = _load_labels_csv(out, data)
-            splits = {
-                j: read_split_csv(path, data.ids, j, cfg.get("run", "seed"))
-                for j, path in split_paths.items()
+            splits = {j: read_split_csv(path, data.ids, j) for j, path in split_paths.items()}
+            predictions = {
+                j: predict(load_model(path), data.features) for j, path in model_paths.items()
             }
-            models = {j: load_model(path) for j, path in model_paths.items()}
-            base = out / "eval" / f"split_{k}"
-            outputs: list[Path] = []
-
-            # cross-cluster R^2 matrix and the per-point predictions it
-            # derives from
-            predictions = {j: predict(models[j], data.features) for j in all_ids}
-            predict_fns = {j: (lambda X, j=j: predict(models[j], X)) for j in all_ids}
-            table, clusters = cross_cluster_table(
-                predict_fns, data, labels, list(splits.values())
-            )
-            matrix_path = base / "r2_matrix.csv"
-            write_csv(
-                matrix_path,
-                ["train_cluster", *[str(c) for c in clusters]],
-                [
-                    (
-                        ci,
-                        *[
-                            "" if math.isnan(table[i, j]) else table[i, j]
-                            for j in range(len(clusters))
-                        ],
-                    )
-                    for i, ci in enumerate(clusters)
-                ],
-            )
-            outputs.append(matrix_path)
-
-            cross_path = base / "cross_predictions.csv"
-            write_csv(
-                cross_path,
-                ["id", "cluster", "actual", *[f"pred_{j}" for j in all_ids]],
-                [
-                    (
-                        data.ids[i],
-                        int(labels.labels[i]),
-                        float(data.target[i]),
-                        *[float(predictions[j][i]) for j in all_ids],
-                    )
-                    for i in range(data.n)
-                ],
-            )
-            outputs.append(cross_path)
-
-            # per-point uncertainty table for the selected split
             split = splits[k]
-            heldout = _heldout_rows(labels, split)
-            scored = np.sort(np.concatenate([heldout, split.test_idx])).astype(int)
+            heldout, scored = split.scored_rows(labels)
             ids = [data.ids[i] for i in scored]
-            test_set = set(split.test_idx.tolist())
-            groups = ["test" if i in test_set else "heldout" for i in scored]
-            deterministic_pred = predictions[k][scored]
+            in_cluster = ~np.isin(scored, split.test_idx)
 
             column_specs = {
-                "dropout": ("uq_dropout.csv", {"pred_std": "dropout"}),
-                "ad": ("uq_ad.csv", {"ad_dd": "ad_dd", "ad_ld": "ad_ld"}),
-                "rio": ("uq_rio.csv", {"residual_std": "rio"}),
+                "dropout": {"pred_std": "dropout"},
+                "ad": {"ad_dd": "ad_dd", "ad_ld": "ad_ld"},
+                "rio": {"residual_std": "rio"},
             }
             scores: dict[str, dict[str, float]] = {}
-            for method, (fname, columns) in column_specs.items():
-                if method in present:
-                    scores.update(_read_uq_table(present[method], columns))
+            for method, path in present.items():
+                scores.update(_read_uq_table(path, column_specs[method]))
             for name, mapping in scores.items():
                 missing = [rid for rid in ids if rid not in mapping]
                 if missing:
@@ -623,64 +601,42 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
                         f"uq outputs for split {k} are stale: {name} misses id {missing[0]}"
                     )
             method_names = [m for m in _METHOD_COLUMNS if m in scores]
-
-            uq_scores_path = base / "uq_scores.csv"
-            write_csv(
-                uq_scores_path,
-                ["id", "group", "actual", "predicted", *method_names],
-                [
-                    (
-                        rid,
-                        groups[i],
-                        float(data.target[scored[i]]),
-                        float(deterministic_pred[i]),
-                        *[scores[name][rid] for name in method_names],
-                    )
-                    for i, rid in enumerate(ids)
-                ],
-            )
-            outputs.append(uq_scores_path)
-
-            # removal curves and boxplots on the test rows only
-            test_mask = np.array([g == "test" for g in groups])
-            test_rows = scored[test_mask]
-            actual = data.target[test_rows]
-            predicted = predictions[k][test_rows]
-            test_ids = [ids[i] for i in range(len(ids)) if test_mask[i]]
-            for name in method_names:
-                values = np.array([scores[name][rid] for rid in test_ids])
-                curve = removal_curve(
-                    values, actual, predicted,
-                    step_fraction=section["step_fraction"],
-                    min_remaining=section["min_remaining"],
+            scores_header = [*_SCORE_COLUMNS, *method_names]
+            scores_rows = [
+                (
+                    rid,
+                    "heldout" if in_cluster[i] else "test",
+                    float(data.target[r]),
+                    float(predictions[k][r]),
+                    *[scores[name][rid] for name in method_names],
                 )
-                curve_path = base / f"removal_curve_{name}.csv"
-                write_csv(
-                    curve_path,
-                    ["fraction_removed", "r2", "n_remaining"],
-                    [(p.fraction_removed, p.r2, p.n_remaining) for p in curve.points],
-                )
-                outputs.append(curve_path)
-
-            stats, _ = uq_summary_stats(
-                {name: np.array([scores[name][rid] for rid in test_ids]) for name in method_names},
-                actual,
-                predicted,
-            )
-            box_path = base / "boxplot_stats.csv"
-            write_csv(
-                box_path,
-                ["method", "median", "q1", "q3", "whisker_low", "whisker_high", "n_outliers"],
-                [
-                    (name, s.median, s.q1, s.q3, s.whisker_low, s.whisker_high, s.n_outliers)
-                    for name, s in stats.items()
-                ],
-            )
-            outputs.append(box_path)
+                for i, (rid, r) in enumerate(zip(ids, scored))
+            ]
+            tables = {
+                "cross_predictions.csv": (
+                    ["id", "cluster", "actual", *[f"pred_{j}" for j in all_ids]],
+                    [
+                        (
+                            data.ids[i],
+                            int(labels.labels[i]),
+                            float(data.target[i]),
+                            *[float(predictions[j][i]) for j in all_ids],
+                        )
+                        for i in range(data.n)
+                    ],
+                ),
+                "uq_scores.csv": (scores_header, scores_rows),
+                **_eval_tables(cfg["eval"], data.target, labels, splits, predictions,
+                               scores_header, scores_rows),
+            }
+            base = out / "eval" / f"split_{k}"
+            outputs: list[Path] = []
+            for name, (header, rows) in tables.items():
+                outputs.append(base / name)
+                write_csv(outputs[-1], header, rows)
 
             novelty = None
             if "ad_dd" in scores:
-                in_cluster = np.array([g == "heldout" for g in groups])
                 dd_values = np.array([scores["ad_dd"][rid] for rid in ids])
                 in_rate, out_rate = novelty_separation(
                     dd_values, in_cluster, uq_section["alpha"]
@@ -712,108 +668,74 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         _run_stage(out, f"eval:{k}", stage_config_text(cfg, "eval"), inputs, fn)
 
 
+def _read_predictions(path: Path, ids) -> dict[int, np.ndarray]:
+    """{split id: full-data prediction vector} from cross_predictions.csv."""
+    header, rows = read_csv(path)
+    try:
+        cols = {int(h[len("pred_"):]): c for c, h in enumerate(header) if h.startswith("pred_")}
+    except ValueError:
+        raise DataError(f"{path}: prediction columns must be named pred_<split id>") from None
+    row_of = {rid: i for i, rid in enumerate(ids)}
+    preds = {j: np.full(len(ids), np.nan) for j in cols}
+    for r, row in enumerate(rows, start=1):
+        if row[0] not in row_of:
+            raise DataError(f"{path}: row {r}: unknown id {row[0]!r}")
+        for j, c in cols.items():
+            preds[j][row_of[row[0]]] = parse_float(row[c], f"{path}: row {r}")
+    return preds
+
+
+def _read_scores(path: Path) -> tuple[list[str], list[tuple]]:
+    """uq_scores.csv with its numeric cells parsed."""
+    header, rows = read_csv(path)
+    width = len(_SCORE_COLUMNS)
+    if header[:width] != _SCORE_COLUMNS or not set(header[width:]) <= set(_METHOD_COLUMNS):
+        raise DataError(f"{path}: unexpected header {','.join(header)}")
+    return header, [
+        (row[0], row[1], *[parse_float(cell, f"{path}: row {r}") for cell in row[2:]])
+        for r, row in enumerate(rows, start=1)
+    ]
+
+
+def _matches(path: Path, header: list[str], rows: list) -> bool:
+    """True when the file holds this header and these rows: each cell the
+    same text, or two numbers within 1e-12."""
+    stored_header, stored_rows = read_csv(path)
+    if stored_header != header or len(stored_rows) != len(rows):
+        return False
+    for r, (stored, derived) in enumerate(zip(stored_rows, rows), start=1):
+        for cell, value in zip(stored, derived):
+            if cell == format_value(value):
+                continue
+            if isinstance(value, str):
+                return False
+            if not abs(parse_float(cell, f"{path}: row {r}") - value) <= 1e-12:
+                return False
+    return True
+
+
 def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     """Re-derive the evaluation artifacts from the persisted per-point
     tables and check them against the written files (tolerance 1e-12)."""
-    dataset_path = out / "data" / "dataset.csv"
-    data = load_dataset(dataset_path)
+    data = load_dataset(out / "data" / "dataset.csv")
     labels = _load_labels_csv(out, data)
-    all_ids = _split_ids(out)
-    section = cfg["eval"]
-    tol = 1e-12
+    selected = _select_split_ids(out, split_id)
+    splits = {
+        j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in _split_ids(out)
+    }
     failures: list[str] = []
-
-    for k in _select_split_ids(out, split_id):
+    for k in selected:
         base = out / "eval" / f"split_{k}"
         if not base.exists():
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
-        splits = {
-            j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j, cfg.get("run", "seed"))
-            for j in all_ids
-        }
-        row_of = {rid: i for i, rid in enumerate(data.ids)}
-
-        # matrix from cross_predictions.csv
-        header, rows = read_csv(base / "cross_predictions.csv")
-        pred_cols = {int(h.split("_", 1)[1]): header.index(h) for h in header if h.startswith("pred_")}
-        preds = {j: np.empty(data.n) for j in pred_cols}
-        for row in rows:
-            i = row_of[row[0]]
-            for j, col in pred_cols.items():
-                preds[j][i] = parse_float(row[col], f"cross_predictions id {row[0]}")
-        clusters = sorted(splits.keys())
-        recomputed = np.full((len(clusters), len(clusters)), np.nan)
-        for a, ci in enumerate(clusters):
-            split = splits[ci]
-            held_back = set(split.train_idx.tolist()) | set(split.valid_idx.tolist())
-            for b, cj in enumerate(clusters):
-                rows_j = labels.members(cj)
-                if ci == cj:
-                    rows_j = np.array([r for r in rows_j if r not in held_back], dtype=int)
-                if rows_j.size < 2:
-                    continue
-                recomputed[a, b] = r_squared(data.target[rows_j], preds[ci][rows_j])
-        header, rows = read_csv(base / "r2_matrix.csv")
-        stored = np.full_like(recomputed, np.nan)
-        for a, row in enumerate(rows):
-            for b in range(len(clusters)):
-                cell = row[b + 1]
-                if cell != "":
-                    stored[a, b] = parse_float(cell, f"r2_matrix row {row[0]}")
-        same_nan = np.isnan(stored) == np.isnan(recomputed)
-        close = np.abs(np.nan_to_num(stored) - np.nan_to_num(recomputed)) <= tol
-        if not (same_nan.all() and close.all()):
-            failures.append(f"split {k}: r2_matrix.csv does not match its per-point table")
-        else:
-            _log(f"[report:{k}] r2_matrix OK")
-
-        # curves and boxplots from uq_scores.csv
-        header, rows = read_csv(base / "uq_scores.csv")
-        col = {name: header.index(name) for name in header}
-        method_names = [m for m in _METHOD_COLUMNS if m in col]
-        test_rows = [row for row in rows if row[col["group"]] == "test"]
-        actual = np.array([parse_float(r[col["actual"]], "uq_scores") for r in test_rows])
-        predicted = np.array([parse_float(r[col["predicted"]], "uq_scores") for r in test_rows])
-        for name in method_names:
-            values = np.array([parse_float(r[col[name]], "uq_scores") for r in test_rows])
-            curve = removal_curve(
-                values, actual, predicted,
-                step_fraction=section["step_fraction"],
-                min_remaining=section["min_remaining"],
-            )
-            header_c, rows_c = read_csv(base / f"removal_curve_{name}.csv")
-            ok = len(rows_c) == len(curve.points)
-            if ok:
-                for point, row_c in zip(curve.points, rows_c):
-                    ok &= abs(point.fraction_removed - float(row_c[0])) <= tol
-                    ok &= abs(point.r2 - float(row_c[1])) <= tol
-                    ok &= point.n_remaining == int(row_c[2])
-            if not ok:
-                failures.append(f"split {k}: removal_curve_{name}.csv does not match")
+        predictions = _read_predictions(base / "cross_predictions.csv", data.ids)
+        tables = _eval_tables(cfg["eval"], data.target, labels, splits, predictions,
+                              *_read_scores(base / "uq_scores.csv"))
+        for name, (header, rows) in tables.items():
+            if _matches(base / name, header, rows):
+                _log(f"[report:{k}] {name} OK")
             else:
-                _log(f"[report:{k}] removal_curve_{name} OK")
-
-        stats, _ = uq_summary_stats(
-            {
-                name: np.array([parse_float(r[col[name]], "uq_scores") for r in test_rows])
-                for name in method_names
-            },
-            actual,
-            predicted,
-        )
-        header_b, rows_b = read_csv(base / "boxplot_stats.csv")
-        stored_stats = {row[0]: [float(v) for v in row[1:]] for row in rows_b}
-        ok = set(stored_stats) == set(stats)
-        if ok:
-            for name, s in stats.items():
-                got = stored_stats[name]
-                want = [s.median, s.q1, s.q3, s.whisker_low, s.whisker_high, float(s.n_outliers)]
-                ok &= all(abs(a - b) <= tol for a, b in zip(got, want))
-        if not ok:
-            failures.append(f"split {k}: boxplot_stats.csv does not match")
-        else:
-            _log(f"[report:{k}] boxplot_stats OK")
-
+                failures.append(f"split {k}: {name} does not match")
     if failures:
         raise NumericalError("report verification failed: " + "; ".join(failures))
     print("report: all evaluation artifacts verified")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset
+from .embedding import sq_distances
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
@@ -61,7 +62,6 @@ class SplitSpec:
     valid_idx: np.ndarray
     test_idx: np.ndarray
     train_cluster: int
-    seed: int
 
     def __post_init__(self):
         arrays = {}
@@ -75,6 +75,14 @@ class SplitSpec:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def scored_rows(self, labels: ClusterLabels) -> tuple[np.ndarray, np.ndarray]:
+        """(heldout, scored), both ascending: heldout is the training
+        cluster's rows outside train and valid, scored is heldout plus
+        the test rows."""
+        members = labels.members(self.train_cluster)
+        heldout = members[~np.isin(members, np.concatenate([self.train_idx, self.valid_idx]))]
+        return heldout, np.sort(np.concatenate([heldout, self.test_idx]))
 
 
 def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
@@ -93,10 +101,7 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
     if min_pts < 1:
         raise ConfigError(f"min_pts must be >= 1, got {min_pts}")
     n = X.shape[0]
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    within = d2 <= eps * eps
+    within = sq_distances(X) <= eps * eps
     neighbors = [np.flatnonzero(within[i]) for i in range(n)]  # sorted by index
     core = np.array([len(nb) >= min_pts for nb in neighbors])
 
@@ -168,15 +173,7 @@ def make_cluster_splits(
             if len(eligible) > 1
             else np.empty(0, dtype=int)
         )
-        splits.append(
-            SplitSpec(
-                train_idx=train_idx,
-                valid_idx=valid_idx,
-                test_idx=test_idx,
-                train_cluster=c,
-                seed=seed,
-            )
-        )
+        splits.append(SplitSpec(train_idx, valid_idx, test_idx, train_cluster=c))
     return splits
 
 
@@ -235,7 +232,7 @@ def write_split_csv(split: SplitSpec, ids, path: str | Path) -> None:
                 writer.writerow([ids[int(i)], role])
 
 
-def read_split_csv(path: str | Path, ids, train_cluster: int, seed: int) -> SplitSpec:
+def read_split_csv(path: str | Path, ids, train_cluster: int) -> SplitSpec:
     path = Path(path)
     if not path.exists():
         raise DataError(f"split file not found: {path}")
@@ -249,6 +246,8 @@ def read_split_csv(path: str | Path, ids, train_cluster: int, seed: int) -> Spli
         for r, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if len(row) < 2:
+                raise DataError(f"{path}: row {r}: expected 'id,role'")
             rid, role = row[0].strip(), row[1].strip()
             if rid not in index_of:
                 raise DataError(f"{path}: row {r}: unknown id {rid!r}")
@@ -260,5 +259,4 @@ def read_split_csv(path: str | Path, ids, train_cluster: int, seed: int) -> Spli
         valid_idx=np.sort(np.array(buckets["valid"], dtype=int)),
         test_idx=np.sort(np.array(buckets["test"], dtype=int)),
         train_cluster=train_cluster,
-        seed=seed,
     )

@@ -203,12 +203,6 @@ def canonical_text(config: RunConfig, skip: tuple[tuple[str, str], ...] = ()) ->
     return "\n".join(lines)
 
 
-def save_config(config: RunConfig, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_text(config))
-
-
 def config_hash(config: RunConfig) -> str:
     """Semantic identity of the run: canonical text minus out/jobs."""
     text = canonical_text(config, skip=(("run", "out"), ("run", "jobs")))

@@ -8,6 +8,7 @@ and lets the report verifier recompute metrics to machine precision.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,6 +36,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Header and non-empty rows; every row must be as wide as the header."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
@@ -45,11 +47,19 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         rows = [row for row in reader if row]
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
     return header, rows
 
 
 def parse_float(text: str, where: str) -> float:
+    """The float in text.  NaN is refused: no stage writes one, so a NaN
+    read back marks a damaged file."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise DataError(f"{where}: non-numeric value {text!r}") from None
+        value = math.nan
+    if math.isnan(value):
+        raise DataError(f"{where}: non-numeric value {text!r}")
+    return value

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +18,6 @@ import numpy as np
 from .csvio import format_value
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Which CSV columns hold the row id and the regression target."""
-
-    id_column: str = "id"
-    target_column: str = "target"
 
 
 @dataclass(frozen=True)
@@ -70,23 +62,12 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, rows) -> "Dataset":
-        """New dataset holding the given rows, in the given order."""
-        rows = np.asarray(rows, dtype=int)
-        return Dataset(
-            ids=tuple(self.ids[i] for i in rows),
-            features=self.features[rows],
-            feature_names=self.feature_names,
-            target=self.target[rows],
-        )
-
 
 @dataclass(frozen=True)
 class ScalerParams:
     """Per-column centering/scaling parameters.
 
-    Constant columns are flagged; they standardize to zero and invert
-    back to their original constant value.
+    Constant columns are flagged; they standardize to zero.
     """
 
     means: np.ndarray
@@ -111,13 +92,6 @@ class ScalerParams:
         out = (X - self.means) / self.stddevs
         if self.constant_mask.any():
             out[:, self.constant_mask] = 0.0
-        return out
-
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = X * self.stddevs + self.means
-        if self.constant_mask.any():
-            out[:, self.constant_mask] = self.means[self.constant_mask]
         return out
 
 
@@ -146,20 +120,6 @@ def fit_scaler(X: np.ndarray) -> ScalerParams:
         # non-constant column with zero std cannot occur; guard anyway
         raise DataError("zero standard deviation on a non-constant column")
     return ScalerParams(means=means, stddevs=stds, constant_mask=constant)
-
-
-def standardize(data: Dataset) -> tuple[Dataset, ScalerParams]:
-    """Column-wise z-scoring of the feature matrix (target untouched)."""
-    if data.n < 2:
-        raise DataError("standardization requires at least two rows")
-    scaler = fit_scaler(data.features)
-    scaled = Dataset(
-        ids=data.ids,
-        features=scaler.transform(data.features),
-        feature_names=data.feature_names,
-        target=data.target,
-    )
-    return scaled, scaler
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -195,8 +155,9 @@ def rank_correlated_features(data: Dataset, threshold: float) -> CorrelationRank
     return CorrelationRanking(entries=tuple(kept), threshold=float(threshold))
 
 
-def load_dataset(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dataset:
-    """Read a dataset CSV, validating every cell.
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a dataset CSV with an ``id`` and a ``target`` column, the
+    rest being features, validating every cell.
 
     Errors carry the 1-based data row number and the column name so bad
     cells can be located directly in the file.
@@ -212,13 +173,13 @@ def load_dataset(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dat
             raise DataError(f"{path}: file is empty") from None
         raw_rows = [row for row in reader if row]
 
-    for col in (schema.id_column, schema.target_column):
+    for col in ("id", "target"):
         if col not in header:
             raise DataError(f"{path}: required column {col!r} missing from header")
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
-    id_pos = header.index(schema.id_column)
-    tgt_pos = header.index(schema.target_column)
+    id_pos = header.index("id")
+    tgt_pos = header.index("target")
     feature_names = [h for i, h in enumerate(header) if i not in (id_pos, tgt_pos)]
     feature_pos = [i for i in range(len(header)) if i not in (id_pos, tgt_pos)]
     if not feature_names:
@@ -236,7 +197,7 @@ def load_dataset(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dat
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         rid = row[id_pos].strip()
         if not rid:
-            raise DataError(f"{path}: row {r}, column {schema.id_column!r}: missing id")
+            raise DataError(f"{path}: row {r}, column 'id': missing id")
         if rid in seen:
             raise DataError(
                 f"{path}: duplicate id {rid!r} on rows {seen[rid]} and {r}"
@@ -245,7 +206,7 @@ def load_dataset(path: str | Path, schema: ColumnSchema = ColumnSchema()) -> Dat
         ids.append(rid)
         for k, (pos, name) in enumerate(zip(feature_pos, feature_names)):
             features[r - 1, k] = _parse_cell(row[pos], path, r, name)
-        target[r - 1] = _parse_cell(row[tgt_pos], path, r, schema.target_column)
+        target[r - 1] = _parse_cell(row[tgt_pos], path, r, "target")
     return Dataset(ids=tuple(ids), features=features, feature_names=tuple(feature_names), target=target)
 
 
@@ -259,13 +220,13 @@ def _parse_cell(text: str, path: Path, row: int, column: str) -> float:
     return value
 
 
-def save_dataset(data: Dataset, path: str | Path, schema: ColumnSchema = ColumnSchema()) -> None:
+def save_dataset(data: Dataset, path: str | Path) -> None:
     """Write a dataset CSV that loads back bit-identically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([schema.id_column, schema.target_column, *data.feature_names])
+        writer.writerow(["id", "target", *data.feature_names])
         for i in range(data.n):
             row = [data.ids[i], format_value(float(data.target[i]))]
             row.extend(format_value(float(v)) for v in data.features[i])

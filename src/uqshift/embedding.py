@@ -73,11 +73,15 @@ def pca(features: np.ndarray, n_components: int) -> tuple[Embedding, np.ndarray,
     return emb, basis, variances
 
 
-def _pairwise_sq_distances(X: np.ndarray) -> np.ndarray:
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B
+    (default A), clipped at zero.  The diagonal of A against itself is
+    left as computed, not forced to zero."""
+    B = A if B is None else B
+    sq_a = np.sum(A * A, axis=1)
+    sq_b = sq_a if B is A else np.sum(B * B, axis=1)
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
     return d2
 
 
@@ -124,7 +128,8 @@ def conditional_probabilities(
 
 def joint_probabilities(features: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint affinity matrix P (non-negative, sums to 1)."""
-    d2 = _pairwise_sq_distances(np.asarray(features, dtype=float))
+    d2 = sq_distances(np.asarray(features, dtype=float))
+    np.fill_diagonal(d2, 0.0)
     cond, _ = conditional_probabilities(d2, perplexity)
     n = d2.shape[0]
     return (cond + cond.T) / (2.0 * n)

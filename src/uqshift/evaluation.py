@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .clustering import ClusterLabels, SplitSpec
-from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .uq_ad import standard_normal_quantile
 
@@ -42,36 +41,32 @@ def r_squared(actual: np.ndarray, predicted: np.ndarray) -> float:
 
 
 def cross_cluster_table(
-    models: Mapping[int, Callable[[np.ndarray], np.ndarray]],
-    data: Dataset,
+    predictions: Mapping[int, np.ndarray],
+    target: np.ndarray,
     labels: ClusterLabels,
     splits: Sequence[SplitSpec],
 ) -> tuple[np.ndarray, list[int]]:
     """K x K matrix of R^2 values across training clusters.
 
-    Entry (i, j) scores the model trained on cluster c_i against
-    cluster c_j's evaluation rows: the whole cluster off the diagonal,
-    and only rows outside train and valid on it.  Entries with fewer
-    than two evaluation rows are NaN (absent), never fabricated.
+    ``predictions[c]`` holds the predictions of the model trained on
+    cluster c for every row of the dataset, aligned with ``target``.
+    Entry (i, j) scores the model of cluster c_i against cluster c_j's
+    evaluation rows: the whole cluster off the diagonal, and only rows
+    outside train and valid on it.  Entries with fewer than two
+    evaluation rows are NaN (absent), never fabricated.
     """
     clusters = sorted(s.train_cluster for s in splits)
     by_cluster = {s.train_cluster: s for s in splits}
-    if sorted(models.keys()) != clusters:
-        raise DataError("models and splits must cover the same training clusters")
+    if sorted(predictions.keys()) != clusters:
+        raise DataError("predictions and splits must cover the same training clusters")
     k = len(clusters)
     table = np.full((k, k), np.nan)
     for i, ci in enumerate(clusters):
-        predict_fn = models[ci]
-        split = by_cluster[ci]
-        held_back = set(split.train_idx.tolist()) | set(split.valid_idx.tolist())
+        preds = np.asarray(predictions[ci], dtype=float)
         for j, cj in enumerate(clusters):
-            rows = labels.members(cj)
-            if ci == cj:
-                rows = np.array([r for r in rows if r not in held_back], dtype=int)
-            if rows.size < 2:
-                continue
-            preds = np.asarray(predict_fn(data.features[rows]), dtype=float)
-            table[i, j] = r_squared(data.target[rows], preds)
+            rows = by_cluster[ci].scored_rows(labels)[0] if ci == cj else labels.members(cj)
+            if rows.size >= 2:
+                table[i, j] = r_squared(target[rows], preds[rows])
     return table, clusters
 
 

@@ -10,7 +10,6 @@ therefore never depends on which other rows share the batch.
 
 from __future__ import annotations
 
-import copy
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from .dataset import ScalerParams, fit_scaler
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError
+from .evaluation import r_squared
 from .rng import derive_seed, keyed_rng
 
 _INIT_DOMAIN = 0
@@ -222,12 +222,6 @@ def predict(model: MlpModel, features: np.ndarray, dropout_active: bool = False,
     return forward(model.weights, model.biases, Xs, model.dropout_rate, masks)
 
 
-def _r_squared_or_error(actual: np.ndarray, predicted: np.ndarray) -> float:
-    from .evaluation import r_squared
-
-    return r_squared(actual, predicted)
-
-
 def train_mlp(
     train_features: np.ndarray,
     train_target: np.ndarray,
@@ -275,7 +269,7 @@ def train_mlp(
         return float(np.mean(diff * diff))
 
     def valid_score() -> float:
-        return _r_squared_or_error(yv, forward(weights, biases, Xvs))
+        return r_squared(yv, forward(weights, biases, Xvs))
 
     train_loss = [clean_loss()]
     valid_r2 = [valid_score()]
@@ -374,7 +368,7 @@ def hyperparameter_search(
         except TrainingDivergedError:
             return index, None, SearchRow(index, hidden, lr, None, None, True)
         train_pred = predict(result.model, np.asarray(train_features, dtype=float))
-        train_r2 = _r_squared_or_error(np.asarray(train_target, dtype=float), train_pred)
+        train_r2 = r_squared(np.asarray(train_target, dtype=float), train_pred)
         row = SearchRow(index, hidden, lr, train_r2,
                         float(result.valid_r2[result.best_epoch]), False)
         return index, result.model, row
@@ -430,21 +424,25 @@ def load_model(path: str | Path) -> MlpModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"model checkpoint not found: {path}")
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "uqshift-mlp" or payload.get("version") != 1:
-        raise DataError(f"{path}: not a recognized model checkpoint")
-    fit = FitConfig(**payload["fit"])
-    scaler = ScalerParams(
-        means=np.array(payload["scaler"]["means"], dtype=float),
-        stddevs=np.array(payload["scaler"]["stddevs"], dtype=float),
-        constant_mask=np.array(payload["scaler"]["constant_mask"], dtype=bool),
-    )
-    return MlpModel(
-        weights=[np.array(w, dtype=float) for w in payload["weights"]],
-        biases=[np.array(b, dtype=float) for b in payload["biases"]],
-        hidden_sizes=tuple(payload["hidden_sizes"]),
-        dropout_rate=float(payload["dropout_rate"]),
-        fit=fit,
-        scaler=scaler,
-    )
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("format") != "uqshift-mlp" or payload.get("version") != 1:
+            raise DataError(f"{path}: not a recognized model checkpoint")
+        scaler = payload["scaler"]
+        return MlpModel(
+            weights=[np.array(w, dtype=float) for w in payload["weights"]],
+            biases=[np.array(b, dtype=float) for b in payload["biases"]],
+            hidden_sizes=tuple(payload["hidden_sizes"]),
+            dropout_rate=float(payload["dropout_rate"]),
+            fit=FitConfig(**payload["fit"]),
+            scaler=ScalerParams(
+                means=np.array(scaler["means"], dtype=float),
+                stddevs=np.array(scaler["stddevs"], dtype=float),
+                constant_mask=np.array(scaler["constant_mask"], dtype=bool),
+            ),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"{path}: malformed model checkpoint ({type(exc).__name__}: {exc})"
+        ) from None

@@ -211,12 +211,3 @@ def ad_ld_scores(model: AdModel, X: np.ndarray) -> np.ndarray:
 
 def ad_ld_score(model: AdModel, x: np.ndarray) -> float:
     return float(ad_ld_scores(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def novelty_flag(model: AdModel, x: np.ndarray, alpha: float) -> tuple[bool, float]:
-    """Whether the query's distance-distribution score clears the
-    normal z threshold at miscoverage level alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    threshold = standard_normal_quantile(1.0 - alpha)
-    return ad_dd_score(model, x) > threshold, threshold

@@ -1,10 +1,10 @@
 """Monte Carlo dropout uncertainty.
 
-T stochastic forward passes with dropout left on; the per-point mean is
-the prediction and the population standard deviation over the passes is
-the uncertainty.  Pass t draws its masks from the stream keyed
-(seed, t, layer), so the estimate is invariant to pass order and to how
-points are batched.
+T stochastic forward passes with dropout left on; ``mc_dropout`` returns
+two arrays, the per-point mean (the prediction) and the population
+standard deviation over the passes (the uncertainty).  Pass t draws its
+masks from the stream keyed (seed, t, layer), so the estimate is
+invariant to pass order and to how points are batched.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .estimates import UqEstimate
 from .mlp import MlpModel, predict
 
 
@@ -28,8 +27,9 @@ class McDropoutConfig:
             raise ConfigError(f"passes must be >= 1, got {self.passes}")
 
 
-def mc_dropout(model: MlpModel, features: np.ndarray, config: McDropoutConfig) -> list[UqEstimate]:
-    """Per-point mean and spread over stochastic dropout passes.
+def mc_dropout(model: MlpModel, features: np.ndarray,
+               config: McDropoutConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point means and spreads over stochastic dropout passes.
 
     With dropout disabled on the model there is nothing stochastic to
     sample, so the result collapses to the deterministic prediction with
@@ -41,11 +41,13 @@ def mc_dropout(model: MlpModel, features: np.ndarray, config: McDropoutConfig) -
 
     if model.dropout_rate == 0.0:
         point = predict(model, X)
-        return [UqEstimate(float(p), 0.0, "dropout") for p in point]
+        return point, np.zeros_like(point)
 
     samples = np.empty((config.passes, X.shape[0]))
     for t in range(config.passes):
         samples[t] = predict(model, X, dropout_active=True, seed=config.seed, pass_index=t)
     means = samples.mean(axis=0)
     spreads = samples.std(axis=0)  # population convention
-    return [UqEstimate(float(m), float(s), "dropout") for m, s in zip(means, spreads)]
+    if not np.all(spreads >= 0.0):
+        raise DataError("dropout uncertainty must be non-negative, got NaN")
+    return means, spreads

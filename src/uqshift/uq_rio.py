@@ -7,8 +7,8 @@ signal variances, two length scales, and a noise variance) live in log
 space and are chosen by maximizing the log marginal likelihood with a
 quasi-Newton line-search optimizer from several seeded restarts.
 
-Predictions return the posterior residual mean, the noisy-target
-posterior standard deviation, and the corrected point prediction
+Predictions return two arrays, the posterior residual mean and the
+noisy-target posterior standard deviation; the corrected prediction is
 yhat + residual_mean.
 """
 
@@ -21,8 +21,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
+from .embedding import sq_distances
 from .errors import ConfigError, DataError, NumericalError
-from .estimates import UqEstimate
 
 _FAIL = 1e25
 _LOG_BOUNDS = (-12.0, 12.0)
@@ -71,14 +71,6 @@ class RioModel:
     chol: np.ndarray
     alpha: np.ndarray
     jitter_used: float
-
-
-def _cross_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    sq_a = np.sum(A * A, axis=1)
-    sq_b = np.sum(B * B, axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 def composite_kernel(xi: np.ndarray, yhat_i: float, xj: np.ndarray, yhat_j: float,
@@ -163,7 +155,7 @@ def log_marginal_likelihood(train_X, train_yhat, residuals, config: KernelConfig
     log signal_variance_out, log length_scale_out, log noise_variance.
     """
     X, yhat, r = _training_inputs(train_X, train_yhat, residuals)
-    D2x = _cross_sq_dists(X, X)
+    D2x = sq_distances(X)
     D2y = (yhat[:, None] - yhat[None, :]) ** 2
     return _lml_and_grad(D2x, D2y, r, config.to_log_vector(), config.jitter)
 
@@ -193,7 +185,7 @@ def fit_rio(
         raise ConfigError("n_starts must be >= 1")
     init = init or KernelConfig()
     r = y - yhat
-    D2x = _cross_sq_dists(X, X)
+    D2x = sq_distances(X)
     D2y = (yhat[:, None] - yhat[None, :]) ** 2
 
     def objective(theta):
@@ -248,13 +240,14 @@ def fit_rio(
     )
 
 
-def rio_predict(model: RioModel, test_X, test_yhat, include_noise: bool = True) -> list[UqEstimate]:
-    """Posterior residual means and spreads for new points.
+def rio_predict(model: RioModel, test_X, test_yhat,
+                include_noise: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior residual means and standard deviations for new points.
 
     ``include_noise`` keeps the observation noise inside the predictive
     variance (the default); pass False for the latent-residual spread.
     A variance below -1e-10 is an internal error; tiny negatives in
-    [-1e-10, 0] clamp to zero.
+    [-1e-10, 0] clamp to zero, and a NaN is a data error.
     """
     Xs = np.asarray(test_X, dtype=float)
     ys = np.asarray(test_yhat, dtype=float)
@@ -266,7 +259,7 @@ def rio_predict(model: RioModel, test_X, test_yhat, include_noise: bool = True) 
         raise DataError("test_yhat must be one value per test row")
 
     cfg = model.kernel
-    D2x = _cross_sq_dists(model.train_X, Xs)
+    D2x = sq_distances(model.train_X, Xs)
     D2y = (model.train_yhat[:, None] - ys[None, :]) ** 2
     Ks = (
         cfg.signal_variance_in * np.exp(-D2x / (2.0 * cfg.length_scale_in ** 2))
@@ -282,16 +275,7 @@ def rio_predict(model: RioModel, test_X, test_yhat, include_noise: bool = True) 
         raise NumericalError(
             f"posterior variance fell below tolerance: min {variance.min():.3e}"
         )
-    variance = np.maximum(variance, 0.0)
-
-    out = []
-    for j in range(Xs.shape[0]):
-        out.append(
-            UqEstimate(
-                point_mean=float(ys[j] + residual_mean[j]),
-                uncertainty=float(math.sqrt(variance[j])),
-                source="rio",
-                residual_mean=float(residual_mean[j]),
-            )
-        )
-    return out
+    std = np.sqrt(np.maximum(variance, 0.0))
+    if not np.all(std >= 0.0):
+        raise DataError("rio uncertainty must be non-negative, got NaN")
+    return residual_mean, std

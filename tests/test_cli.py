@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -173,6 +174,97 @@ class TestPipelineOutputs:
         code = main(["report", "--config", str(config), "--out", str(out)])
         assert code == 0
         assert "verified" in capsys.readouterr().out
+
+
+def _first(out, pattern):
+    return sorted(out.glob(pattern))[0]
+
+
+def _edit_csv(path, edit):
+    header, rows = read_csv(path)
+    edit(header, rows)
+    path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+
+
+def _drop_first_column(header, rows):
+    for cells in [header, *rows]:
+        del cells[0]
+
+
+def _truncate_row(header, rows):
+    rows[1][1:] = []
+
+
+def _drop_scaler(path):
+    payload = json.loads(path.read_text())
+    del payload["scaler"]
+    path.write_text(json.dumps(payload))
+
+
+# (stage to run, file glob in the finished tree, corruption)
+CORRUPTIONS = {
+    "unknown-id-in-cross-predictions": (
+        "report", "eval/split_*/cross_predictions.csv",
+        lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(0, "nobody"))),
+    "non-integer-pred-column": (
+        "report", "eval/split_*/cross_predictions.csv",
+        lambda p: _edit_csv(p, lambda h, rows: h.__setitem__(3, "pred_x"))),
+    "non-numeric-boxplot-cell": (
+        "report", "eval/split_*/boxplot_stats.csv",
+        lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(1, "abc"))),
+    "one-cell-removal-curve-row": (
+        "report", "eval/split_*/removal_curve_dropout.csv",
+        lambda p: _edit_csv(p, _truncate_row)),
+    "one-cell-split-row": (
+        "report", "split/split_*.csv", lambda p: _edit_csv(p, _truncate_row)),
+    "bad-manifest-line": (
+        "synth", "manifest.jsonl",
+        lambda p: p.write_text(p.read_text() + "{not json\n")),
+    "uq-table-without-id": (
+        "eval", "uq/split_*/uq_dropout.csv", lambda p: _edit_csv(p, _drop_first_column)),
+    "model-without-scaler": ("eval", "train/model_*.json", _drop_scaler),
+    "nan-uncertainty-in-uq-table": (
+        "eval", "uq/split_*/uq_dropout.csv",
+        lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(2, "nan"))),
+}
+
+
+class TestCorruptTree:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corruption_exits_3_with_one_line(self, pipeline, tmp_path, capsys, case):
+        config, finished = pipeline
+        out = tmp_path / "o"
+        shutil.copytree(finished, out)
+        stage, pattern, corrupt = CORRUPTIONS[case]
+        path = _first(out, pattern)
+        corrupt(path)
+        capsys.readouterr()
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("data error: ")]
+        assert errors == err.splitlines()[-1:]
+        assert path.name in errors[0]
+
+    @pytest.mark.parametrize("name", ["r2_matrix.csv", "removal_curve_rio.csv",
+                                      "boxplot_stats.csv"])
+    def test_report_catches_tampered_cell(self, pipeline, tmp_path, capsys, name):
+        config, finished = pipeline
+        out = tmp_path / "o"
+        shutil.copytree(finished, out)
+        path = _first(out, f"eval/split_*/{name}")
+
+        def nudge(header, rows):
+            # the first numeric cell past the label column
+            r, c = next((r, c) for r, row in enumerate(rows)
+                        for c, cell in enumerate(row) if c and cell)
+            rows[r][c] = repr(float(rows[r][c]) + 1e-9)
+
+        _edit_csv(path, nudge)
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{name} does not match" in err.splitlines()[-1]
 
 
 class TestCliErrors:

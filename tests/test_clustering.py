@@ -208,7 +208,7 @@ class TestClusterSplits:
         splits = make_cluster_splits(data, labels, 50, 10, 50, seed=7)
         path = tmp_path / "split_0.csv"
         write_split_csv(splits[0], data.ids, path)
-        back = read_split_csv(path, data.ids, 0, seed=7)
+        back = read_split_csv(path, data.ids, 0)
         np.testing.assert_array_equal(back.train_idx, splits[0].train_idx)
         np.testing.assert_array_equal(back.valid_idx, splits[0].valid_idx)
         np.testing.assert_array_equal(back.test_idx, splits[0].test_idx)

@@ -5,7 +5,6 @@ from uqshift.config import (
     config_hash,
     default_config,
     load_config,
-    save_config,
     stage_config_text,
 )
 from uqshift.errors import ConfigError
@@ -94,7 +93,7 @@ class TestHashing:
     def test_canonical_text_round_trips(self, tmp_path):
         cfg = load_config(None, {("run", "seed"): 5, ("synth", "noise"): 0.25})
         path = tmp_path / "saved.ini"
-        save_config(cfg, path)
+        path.write_text(canonical_text(cfg))
         back = load_config(path)
         assert canonical_text(back) == canonical_text(cfg)
 

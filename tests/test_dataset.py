@@ -11,7 +11,6 @@ from uqshift.dataset import (
     load_dataset,
     rank_correlated_features,
     save_dataset,
-    standardize,
 )
 from uqshift.errors import DataError
 
@@ -48,23 +47,10 @@ class TestScaler:
         out = scaler.transform(X)
         np.testing.assert_array_equal(out[:, 0], np.zeros(3))
 
-    def test_inverse_restores_constant_to_mean(self):
-        X = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]])
-        scaler = fit_scaler(X)
-        restored = scaler.inverse(scaler.transform(X))
-        np.testing.assert_allclose(restored, X, atol=1e-12)
-
     def test_transform_new_rows(self):
         X = np.array([[0.0], [2.0]])
         scaler = fit_scaler(X)  # mean 1, std 1
         np.testing.assert_allclose(scaler.transform(np.array([[3.0]])), [[2.0]])
-
-    def test_standardize_returns_dataset(self):
-        data = _tiny()
-        std, scaler = standardize(data)
-        assert isinstance(std, Dataset)
-        np.testing.assert_allclose(std.features.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(std.features.std(axis=0), 1.0, atol=1e-12)
 
 
 class TestDatasetValidation:
@@ -90,12 +76,6 @@ class TestDatasetValidation:
         data = _tiny()
         with pytest.raises(ValueError):
             data.features[0, 0] = 9.0
-
-    def test_subset(self):
-        data = _tiny(n=5)
-        sub = data.subset(np.array([3, 1]))
-        assert sub.ids == (data.ids[3], data.ids[1])
-        np.testing.assert_array_equal(sub.features, data.features[[3, 1]])
 
 
 class TestCsvRoundTrip:

@@ -13,6 +13,7 @@ from uqshift.evaluation import (
     uq_summary_stats,
 )
 from uqshift.rng import keyed_rng
+from uqshift.uq_ad import ad_dd_scores, fit_ad, standard_normal_quantile
 
 
 class TestRSquared:
@@ -167,44 +168,40 @@ class TestCrossClusterTable:
                 valid_idx=members[20:25],
                 test_idx=np.flatnonzero(labels != c),
                 train_cluster=c,
-                seed=0,
             ))
         return data, cl, splits
 
     def test_perfect_model_scores_one_everywhere(self):
         data, cl, splits = self._fixture()
-        oracle = {c: (lambda X: X @ np.array([1.0, -1.0])) for c in range(3)}
-        table, clusters = cross_cluster_table(oracle, data, cl, splits)
+        oracle = {c: data.target.copy() for c in range(3)}
+        table, clusters = cross_cluster_table(oracle, data.target, cl, splits)
         assert clusters == [0, 1, 2]
         np.testing.assert_allclose(table, np.ones((3, 3)), atol=1e-12)
 
     def test_bad_model_goes_negative_off_diagonal(self):
         data, cl, splits = self._fixture()
-        fns = {c: (lambda X: np.full(X.shape[0], 100.0)) for c in range(3)}
-        table, _ = cross_cluster_table(fns, data, cl, splits)
+        preds = {c: np.full(data.n, 100.0) for c in range(3)}
+        table, _ = cross_cluster_table(preds, data.target, cl, splits)
         assert np.all(table < 0)
 
     def test_diagonal_excludes_train_and_valid_rows(self):
         data, cl, splits = self._fixture()
-        seen_sizes = {}
-
-        def make_fn(c):
-            def fn(X):
-                seen_sizes.setdefault(c, []).append(X.shape[0])
-                return X @ np.array([1.0, -1.0])
-            return fn
-
-        fns = {c: make_fn(c) for c in range(3)}
-        cross_cluster_table(fns, data, cl, splits)
-        # the diagonal entry evaluates on 30 - 20 - 5 = 5 rows
-        for c in range(3):
-            assert 5 in seen_sizes[c]
+        preds = {}
+        for split in splits:
+            # exact on the 30 - 20 - 5 = 5 held-out rows, garbage on
+            # train and valid: only the held-out rows may reach the diagonal
+            p = data.target.copy()
+            p[split.train_idx] = 1e6
+            p[split.valid_idx] = -1e6
+            preds[split.train_cluster] = p
+        table, _ = cross_cluster_table(preds, data.target, cl, splits)
+        np.testing.assert_array_equal(table, np.ones((3, 3)))
 
     def test_model_key_mismatch_rejected(self):
         data, cl, splits = self._fixture()
-        fns = {0: lambda X: X[:, 0], 1: lambda X: X[:, 0]}
+        preds = {0: data.target, 1: data.target}
         with pytest.raises(DataError):
-            cross_cluster_table(fns, data, cl, splits)
+            cross_cluster_table(preds, data.target, cl, splits)
 
 
 class TestNoveltySeparation:
@@ -214,6 +211,16 @@ class TestNoveltySeparation:
         in_rate, out_rate = novelty_separation(scores, in_cluster, alpha=0.05)
         assert in_rate == 0.0
         assert out_rate == 1.0
+
+    def test_flags_dd_scores_strictly_above_threshold(self):
+        model = fit_ad(np.array([[0.0], [1.0], [2.0], [3.0], [4.0]]), k=2)
+        scores = ad_dd_scores(model, np.array([[10.0], [2.0]]))
+        threshold = standard_normal_quantile(0.95)
+        assert scores[0] > threshold and scores[1] < threshold
+        in_rate, out_rate = novelty_separation(scores, np.array([False, True]), alpha=0.05)
+        assert (in_rate, out_rate) == (0.0, 1.0)
+        at_threshold = np.array([threshold, threshold])
+        assert novelty_separation(at_threshold, np.array([True, False]), 0.05) == (0.0, 0.0)
 
     def test_empty_group_is_none(self):
         scores = np.array([0.5, 0.2])

@@ -1,0 +1,14 @@
+"""The library example in README.md runs against the current API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs(capsys):
+    section = README.read_text().split("## Library use", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "README has no python block under '## Library use'"
+    exec(compile(match.group(1), str(README), "exec"), {})
+    assert capsys.readouterr().out.strip()

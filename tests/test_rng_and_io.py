@@ -71,3 +71,8 @@ class TestCsvRoundTrip:
     def test_parse_float_error_mentions_location(self):
         with pytest.raises(DataError, match="row 3"):
             parse_float("abc", "row 3, column 'f01'")
+
+    def test_parse_float_refuses_nan(self):
+        with pytest.raises(DataError):
+            parse_float("nan", "row 1")
+        assert parse_float("inf", "row 1") == float("inf")

@@ -12,7 +12,6 @@ from uqshift.uq_ad import (
     ad_ld_score,
     ad_ld_scores,
     fit_ad,
-    novelty_flag,
     standard_normal_quantile,
 )
 
@@ -199,17 +198,3 @@ class TestJaccard:
         with pytest.raises(ConfigError):
             fit_ad(LINE, k=1, metric="cosine")
 
-
-class TestNovelty:
-    def test_flag_uses_strict_threshold(self):
-        model = fit_ad(LINE, k=2)
-        novel, threshold = novelty_flag(model, np.array([10.0]), alpha=0.05)
-        assert threshold == pytest.approx(1.6448536269514722, abs=1e-12)
-        assert novel
-        inside, _ = novelty_flag(model, np.array([2.0]), alpha=0.05)
-        assert not inside
-
-    def test_alpha_half_threshold_zero(self):
-        model = fit_ad(LINE, k=2)
-        _, threshold = novelty_flag(model, np.array([2.0]), alpha=0.5)
-        assert abs(threshold) < 1e-15

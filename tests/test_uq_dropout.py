@@ -28,31 +28,30 @@ def _two_unit_model(dropout_rate):
 class TestMcDropout:
     def test_samples_live_on_mask_enumeration(self):
         model = _two_unit_model(0.5)
-        est = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=500, seed=0))[0]
+        mean, std = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=500, seed=0))
         # every possible mask outcome is one of {0, 2, 4}
-        assert 0.0 <= est.point_mean <= 4.0
-        assert est.uncertainty >= 0.0
-        assert est.source == "dropout"
+        assert 0.0 <= mean[0] <= 4.0
+        assert std[0] >= 0.0
 
     def test_sampling_statistics_within_three_se(self):
         model = _two_unit_model(0.5)
         T = 10000
-        est = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=T, seed=1))[0]
+        mean, std = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=T, seed=1))
         se_mean = np.sqrt(2.0) / np.sqrt(T)
-        assert abs(est.point_mean - 2.0) < 3 * se_mean
+        assert abs(mean[0] - 2.0) < 3 * se_mean
         se_std = np.sqrt(2.0) / np.sqrt(2 * T)
-        assert abs(est.uncertainty - np.sqrt(2.0)) < 3 * se_std
+        assert abs(std[0] - np.sqrt(2.0)) < 3 * se_std
 
     def test_zero_rate_uncertainty_is_exactly_zero(self):
         model = _two_unit_model(0.0)
-        est = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=64, seed=0))[0]
-        assert est.uncertainty == 0.0
-        assert est.point_mean == pytest.approx(2.0)
+        mean, std = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=64, seed=0))
+        assert std[0] == 0.0
+        assert mean[0] == pytest.approx(2.0)
 
     def test_single_pass_zero_uncertainty(self):
         model = _two_unit_model(0.5)
-        est = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=1, seed=4))[0]
-        assert est.uncertainty == 0.0
+        _, std = mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=1, seed=4))
+        assert std[0] == 0.0
 
     def test_deterministic(self):
         model = _two_unit_model(0.5)
@@ -60,15 +59,15 @@ class TestMcDropout:
         cfg = McDropoutConfig(passes=40, seed=9)
         a = mc_dropout(model, X, cfg)
         b = mc_dropout(model, X, cfg)
-        assert [e.point_mean for e in a] == [e.point_mean for e in b]
-        assert [e.uncertainty for e in a] == [e.uncertainty for e in b]
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_seed_changes_draws(self):
         model = _two_unit_model(0.5)
         X = np.array([[1.0]])
-        a = mc_dropout(model, X, McDropoutConfig(passes=11, seed=1))[0]
-        b = mc_dropout(model, X, McDropoutConfig(passes=11, seed=2))[0]
-        assert (a.point_mean, a.uncertainty) != (b.point_mean, b.uncertainty)
+        a = mc_dropout(model, X, McDropoutConfig(passes=11, seed=1))
+        b = mc_dropout(model, X, McDropoutConfig(passes=11, seed=2))
+        assert (a[0][0], a[1][0]) != (b[0][0], b[1][0])
 
     def test_uncertainty_shrinks_like_inverse_sqrt_t(self):
         # std of the SAMPLE MEAN over repeated estimates shrinks ~1/sqrt(T);
@@ -77,7 +76,7 @@ class TestMcDropout:
         X = np.array([[1.0]])
         for T in (100, 400, 1600):
             means = [
-                mc_dropout(model, X, McDropoutConfig(passes=T, seed=s))[0].point_mean
+                mc_dropout(model, X, McDropoutConfig(passes=T, seed=s))[0][0]
                 for s in range(30)
             ]
             spread = np.std(means)
@@ -88,13 +87,19 @@ class TestMcDropout:
     def test_one_estimate_per_row(self):
         model = _two_unit_model(0.5)
         X = np.array([[1.0], [2.0], [3.0]])
-        ests = mc_dropout(model, X, McDropoutConfig(passes=8, seed=0))
-        assert len(ests) == 3
+        mean, std = mc_dropout(model, X, McDropoutConfig(passes=8, seed=0))
+        assert mean.shape == std.shape == (3,)
 
     def test_rejects_empty_input(self):
         model = _two_unit_model(0.5)
         with pytest.raises(DataError):
             mc_dropout(model, np.zeros((0, 1)), McDropoutConfig(passes=4, seed=0))
+
+    def test_nan_spread_rejected(self):
+        model = _two_unit_model(0.5)
+        model.weights[1][0, 0] = np.nan
+        with pytest.raises(DataError):
+            mc_dropout(model, np.array([[1.0]]), McDropoutConfig(passes=4, seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
