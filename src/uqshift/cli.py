@@ -7,10 +7,16 @@ line and outputs already exist is skipped.  Two runs with the same
 configuration and seed produce byte-identical output trees; wall-clock
 durations therefore go to stderr, never into the tree.
 
-The R^2 matrix, the removal curves and the box-plot statistics have one
-derivation, ``_eval_tables``, from the per-point tables: ``eval`` writes
-what it returns, and ``report`` re-derives it from the persisted
-``cross_predictions.csv`` and ``uq_scores.csv`` and compares every file.
+Every file of eval/split_<k> has one derivation, ``_eval_artifacts``:
+the per-point tables cross_predictions.csv and uq_scores.csv come from
+the dataset, the models' predictions and the split's uq CSVs, and the
+R^2 matrix, the removal curves, the box-plot statistics and
+summary.json come from those tables.  ``eval`` writes what it returns.
+``report`` calls it on the persisted sources (the dataset, the split
+files, the ``pred_<k>`` columns of cross_predictions.csv and
+uq/split_<k>/uq_*.csv) under the current configuration and compares
+every file, summary.json and the per-point tables included; a file
+that differs by more than 1e-12 in any number exits 4 and is named.
 """
 
 from __future__ import annotations
@@ -502,22 +508,118 @@ def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, f
     }
 
 
-def _eval_tables(section: dict, target: np.ndarray, labels: ClusterLabels, splits: dict,
-                 predictions: dict, scores_header: list[str], scores_rows: list) -> dict:
-    """{file name: (header, rows)} for r2_matrix.csv, every
-    removal_curve_<method>.csv and boxplot_stats.csv.
+_UQ_FILES = {"dropout": "uq_dropout.csv", "ad": "uq_ad.csv", "rio": "uq_rio.csv"}
+_UQ_COLUMNS = {  # method: {uq CSV column: uq_scores.csv column}
+    "dropout": {"pred_std": "dropout"},
+    "ad": {"ad_dd": "ad_dd", "ad_ld": "ad_ld"},
+    "rio": {"residual_std": "rio"},
+}
 
-    The inputs are the per-point tables: the full-data predictions
-    {split id: vector} of cross_predictions.csv and the rows of
-    uq_scores.csv with their numeric cells as floats.  Curves and box
-    plots use the test rows only.
+
+def _uq_files(out: Path, k: int) -> dict[str, Path]:
+    """{method: path} of the uq CSVs that split k has."""
+    base = out / "uq" / f"split_{k}"
+    return {m: base / name for m, name in _UQ_FILES.items() if (base / name).exists()}
+
+
+def _score_table(data: Dataset, labels: ClusterLabels, split, prediction: np.ndarray,
+                 uq_files: dict[str, Path]) -> tuple[list[str], list[tuple]]:
+    """Header and rows of uq_scores.csv: every scored row of the split
+    with its group, actual and predicted value and each method's score."""
+    _, scored = split.scored_rows(labels)
+    ids = [data.ids[i] for i in scored]
+    in_cluster = ~np.isin(scored, split.test_idx)
+    scores: dict[str, dict[str, float]] = {}
+    for method, path in uq_files.items():
+        scores.update(_read_uq_table(path, _UQ_COLUMNS[method]))
+    for name, mapping in scores.items():
+        missing = [rid for rid in ids if rid not in mapping]
+        if missing:
+            raise DataError(
+                f"uq outputs for split {split.train_cluster} are stale: "
+                f"{name} misses id {missing[0]}"
+            )
+    method_names = [m for m in _METHOD_COLUMNS if m in scores]
+    rows = [
+        (
+            rid,
+            "heldout" if in_cluster[i] else "test",
+            float(data.target[r]),
+            float(prediction[r]),
+            *[scores[name][rid] for name in method_names],
+        )
+        for i, (rid, r) in enumerate(zip(ids, scored))
+    ]
+    return [*_SCORE_COLUMNS, *method_names], rows
+
+
+def _summary(cfg: RunConfig, split, labels: ClusterLabels, scores_header: list[str],
+             scores_rows: list[tuple]) -> dict:
+    """summary.json: the run's identity, the methods, the row counts and
+    the novelty rates of the ad_dd column, a heldout row being in-cluster."""
+    methods = scores_header[len(_SCORE_COLUMNS):]
+    novelty = None
+    if "ad_dd" in methods:
+        alpha = cfg["uq"]["alpha"]
+        column = scores_header.index("ad_dd")
+        in_rate, out_rate = novelty_separation(
+            np.array([row[column] for row in scores_rows]),
+            np.array([row[1] == "heldout" for row in scores_rows]),
+            alpha,
+        )
+        novelty = {
+            "alpha": alpha,
+            "threshold": standard_normal_quantile(1.0 - alpha),
+            "in_cluster_rate": in_rate,
+            "out_of_cluster_rate": out_rate,
+        }
+    return {
+        "config_hash": config_hash(cfg),
+        "seed": cfg.get("run", "seed"),
+        "split": split.train_cluster,
+        "package_version": __version__,
+        "methods": methods,
+        "n_train": int(split.train_idx.size),
+        "n_valid": int(split.valid_idx.size),
+        "n_heldout": int(split.scored_rows(labels)[0].size),
+        "n_test": int(split.test_idx.size),
+        "novelty": novelty,
+    }
+
+
+def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits: dict,
+                    predictions: dict, k: int, uq_files: dict[str, Path]):
+    """Every file of eval/split_<k>: {CSV name: (header, rows)} and the
+    summary.json dict.
+
+    The sources are the dataset, the full-data predictions {split id:
+    vector} and split k's uq CSVs.  They give the per-point tables
+    cross_predictions.csv and uq_scores.csv, and those give the rest:
+    r2_matrix.csv, every removal_curve_<method>.csv and
+    boxplot_stats.csv (curves and box plots use the test rows only).
     """
-    table, clusters = cross_cluster_table(predictions, target, labels, list(splits.values()))
+    split = splits[k]
+    split_ids = sorted(predictions)
+    scores_header, scores_rows = _score_table(data, labels, split, predictions[k], uq_files)
+    table, clusters = cross_cluster_table(predictions, data.target, labels, list(splits.values()))
     tables = {
+        "cross_predictions.csv": (
+            ["id", "cluster", "actual", *[f"pred_{j}" for j in split_ids]],
+            [
+                (
+                    data.ids[i],
+                    int(labels.labels[i]),
+                    float(data.target[i]),
+                    *[float(predictions[j][i]) for j in split_ids],
+                )
+                for i in range(data.n)
+            ],
+        ),
+        "uq_scores.csv": (scores_header, scores_rows),
         "r2_matrix.csv": (
             ["train_cluster", *[str(c) for c in clusters]],
             [(c, *["" if math.isnan(v) else v for v in row]) for c, row in zip(clusters, table)],
-        )
+        ),
     }
     width = len(_SCORE_COLUMNS)
     test = [row for row in scores_rows if row[1] == "test"]
@@ -530,8 +632,8 @@ def _eval_tables(section: dict, target: np.ndarray, labels: ClusterLabels, split
     for name, uncertainty in values.items():
         curve = removal_curve(
             uncertainty, actual, predicted,
-            step_fraction=section["step_fraction"],
-            min_remaining=section["min_remaining"],
+            step_fraction=cfg["eval"]["step_fraction"],
+            min_remaining=cfg["eval"]["min_remaining"],
         )
         tables[f"removal_curve_{name}.csv"] = (
             ["fraction_removed", "r2", "n_remaining"],
@@ -545,14 +647,13 @@ def _eval_tables(section: dict, target: np.ndarray, labels: ClusterLabels, split
             for name, s in stats.items()
         ],
     )
-    return tables
+    return tables, _summary(cfg, split, labels, scores_header, scores_rows)
 
 
 def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     dataset_path = out / "data" / "dataset.csv"
     labels_path = out / "split" / "labels.csv"
     all_ids = _split_ids(out)
-    uq_section = cfg["uq"]
 
     for k in _select_split_ids(out, split_id):
         split_paths = {j: out / "split" / f"split_{j}.csv" for j in all_ids}
@@ -562,13 +663,7 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
                 raise DataError(
                     f"evaluation needs every trained model; missing {path} (split {j})"
                 )
-        uq_dir = out / "uq" / f"split_{k}"
-        method_files = {
-            "dropout": uq_dir / "uq_dropout.csv",
-            "ad": uq_dir / "uq_ad.csv",
-            "rio": uq_dir / "uq_rio.csv",
-        }
-        present = {m: p for m, p in method_files.items() if p.exists()}
+        present = _uq_files(out, k)
         if not present:
             raise DataError(f"no uq outputs for split {k}; run the uq stage")
         inputs = [dataset_path, labels_path, *split_paths.values(), *model_paths.values(),
@@ -581,86 +676,13 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
             predictions = {
                 j: predict(load_model(path), data.features) for j, path in model_paths.items()
             }
-            split = splits[k]
-            heldout, scored = split.scored_rows(labels)
-            ids = [data.ids[i] for i in scored]
-            in_cluster = ~np.isin(scored, split.test_idx)
-
-            column_specs = {
-                "dropout": {"pred_std": "dropout"},
-                "ad": {"ad_dd": "ad_dd", "ad_ld": "ad_ld"},
-                "rio": {"residual_std": "rio"},
-            }
-            scores: dict[str, dict[str, float]] = {}
-            for method, path in present.items():
-                scores.update(_read_uq_table(path, column_specs[method]))
-            for name, mapping in scores.items():
-                missing = [rid for rid in ids if rid not in mapping]
-                if missing:
-                    raise DataError(
-                        f"uq outputs for split {k} are stale: {name} misses id {missing[0]}"
-                    )
-            method_names = [m for m in _METHOD_COLUMNS if m in scores]
-            scores_header = [*_SCORE_COLUMNS, *method_names]
-            scores_rows = [
-                (
-                    rid,
-                    "heldout" if in_cluster[i] else "test",
-                    float(data.target[r]),
-                    float(predictions[k][r]),
-                    *[scores[name][rid] for name in method_names],
-                )
-                for i, (rid, r) in enumerate(zip(ids, scored))
-            ]
-            tables = {
-                "cross_predictions.csv": (
-                    ["id", "cluster", "actual", *[f"pred_{j}" for j in all_ids]],
-                    [
-                        (
-                            data.ids[i],
-                            int(labels.labels[i]),
-                            float(data.target[i]),
-                            *[float(predictions[j][i]) for j in all_ids],
-                        )
-                        for i in range(data.n)
-                    ],
-                ),
-                "uq_scores.csv": (scores_header, scores_rows),
-                **_eval_tables(cfg["eval"], data.target, labels, splits, predictions,
-                               scores_header, scores_rows),
-            }
+            tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k, present)
             base = out / "eval" / f"split_{k}"
             outputs: list[Path] = []
             for name, (header, rows) in tables.items():
                 outputs.append(base / name)
                 write_csv(outputs[-1], header, rows)
-
-            novelty = None
-            if "ad_dd" in scores:
-                dd_values = np.array([scores["ad_dd"][rid] for rid in ids])
-                in_rate, out_rate = novelty_separation(
-                    dd_values, in_cluster, uq_section["alpha"]
-                )
-                novelty = {
-                    "alpha": uq_section["alpha"],
-                    "threshold": standard_normal_quantile(1.0 - uq_section["alpha"]),
-                    "in_cluster_rate": in_rate,
-                    "out_of_cluster_rate": out_rate,
-                }
-            summary = {
-                "config_hash": config_hash(cfg),
-                "seed": cfg.get("run", "seed"),
-                "split": k,
-                "package_version": __version__,
-                "methods": method_names,
-                "n_train": int(split.train_idx.size),
-                "n_valid": int(split.valid_idx.size),
-                "n_heldout": int(heldout.size),
-                "n_test": int(split.test_idx.size),
-                "novelty": novelty,
-            }
             summary_path = base / "summary.json"
-            summary_path.parent.mkdir(parents=True, exist_ok=True)
             summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
             outputs.append(summary_path)
             return outputs
@@ -668,13 +690,16 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         _run_stage(out, f"eval:{k}", stage_config_text(cfg, "eval"), inputs, fn)
 
 
-def _read_predictions(path: Path, ids) -> dict[int, np.ndarray]:
+def _read_predictions(path: Path, ids, split_ids: list[int]) -> dict[int, np.ndarray]:
     """{split id: full-data prediction vector} from cross_predictions.csv."""
     header, rows = read_csv(path)
     try:
         cols = {int(h[len("pred_"):]): c for c, h in enumerate(header) if h.startswith("pred_")}
     except ValueError:
         raise DataError(f"{path}: prediction columns must be named pred_<split id>") from None
+    if sorted(cols) != split_ids:
+        raise DataError(f"{path}: prediction columns {sorted(cols)} do not match "
+                        f"the splits {split_ids}")
     row_of = {rid: i for i, rid in enumerate(ids)}
     preds = {j: np.full(len(ids), np.nan) for j in cols}
     for r, row in enumerate(rows, start=1):
@@ -683,18 +708,6 @@ def _read_predictions(path: Path, ids) -> dict[int, np.ndarray]:
         for j, c in cols.items():
             preds[j][row_of[row[0]]] = parse_float(row[c], f"{path}: row {r}")
     return preds
-
-
-def _read_scores(path: Path) -> tuple[list[str], list[tuple]]:
-    """uq_scores.csv with its numeric cells parsed."""
-    header, rows = read_csv(path)
-    width = len(_SCORE_COLUMNS)
-    if header[:width] != _SCORE_COLUMNS or not set(header[width:]) <= set(_METHOD_COLUMNS):
-        raise DataError(f"{path}: unexpected header {','.join(header)}")
-    return header, [
-        (row[0], row[1], *[parse_float(cell, f"{path}: row {r}") for cell in row[2:]])
-        for r, row in enumerate(rows, start=1)
-    ]
 
 
 def _matches(path: Path, header: list[str], rows: list) -> bool:
@@ -714,9 +727,26 @@ def _matches(path: Path, header: list[str], rows: list) -> bool:
     return True
 
 
+def _same_json(stored, derived) -> bool:
+    """True when a parsed JSON value equals the derived one, numbers within 1e-12."""
+    if isinstance(derived, dict):
+        return (isinstance(stored, dict) and stored.keys() == derived.keys()
+                and all(_same_json(stored[key], value) for key, value in derived.items()))
+    if isinstance(derived, float):
+        return type(stored) in (int, float) and abs(stored - derived) <= 1e-12
+    return type(stored) is type(derived) and stored == derived
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        raise DataError(f"{path}: missing or not valid JSON") from None
+
+
 def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
-    """Re-derive the evaluation artifacts from the persisted per-point
-    tables and check them against the written files (tolerance 1e-12)."""
+    """Re-derive every file of eval/split_<k> from the persisted sources
+    and check it against the written one (numbers within 1e-12)."""
     data = load_dataset(out / "data" / "dataset.csv")
     labels = _load_labels_csv(out, data)
     selected = _select_split_ids(out, split_id)
@@ -728,11 +758,14 @@ def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         base = out / "eval" / f"split_{k}"
         if not base.exists():
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
-        predictions = _read_predictions(base / "cross_predictions.csv", data.ids)
-        tables = _eval_tables(cfg["eval"], data.target, labels, splits, predictions,
-                              *_read_scores(base / "uq_scores.csv"))
-        for name, (header, rows) in tables.items():
-            if _matches(base / name, header, rows):
+        predictions = _read_predictions(base / "cross_predictions.csv", data.ids, sorted(splits))
+        tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k,
+                                          _uq_files(out, k))
+        checks = [(name, _matches(base / name, header, rows))
+                  for name, (header, rows) in tables.items()]
+        checks.append(("summary.json", _same_json(_read_json(base / "summary.json"), summary)))
+        for name, ok in checks:
+            if ok:
                 _log(f"[report:{k}] {name} OK")
             else:
                 failures.append(f"split {k}: {name} does not match")

@@ -16,6 +16,8 @@ from .errors import DataError
 
 
 def format_value(value) -> str:
+    if type(value) is float:  # the common cell, before the attribute probe below
+        return repr(value)
     # numpy scalars first: np.float64 passes isinstance(..., float) but
     # repr()s as "np.float64(...)" under numpy 2
     if hasattr(value, "item"):

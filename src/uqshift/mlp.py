@@ -6,6 +6,15 @@ error.  Hidden activations use inverted dropout (kept units scaled by
 1/(1-p)) so inference needs no rescaling.  Dropout masks come from
 counter-based streams keyed by (seed, pass, layer); a per-point result
 therefore never depends on which other rows share the batch.
+
+Memory: a fit holds, beside the parameters and the best epoch's copy,
+Adam's two moment arrays and two step temporaries per parameter, and
+one (batch, width) buffer each for the uniform draws and the dropout
+mask of every hidden layer; all are allocated once per fit and reused
+by every step, whose Adam update allocates nothing (the backward pass
+still allocates its activations and gradients).  ``forward`` given one
+(rows, width) buffer per hidden layer and an output vector writes the
+pass into them, as every MC-dropout pass does.
 """
 
 from __future__ import annotations
@@ -139,28 +148,54 @@ def init_params(dim_in: int, hidden_sizes, seed: int) -> tuple[list[np.ndarray],
     return weights, biases
 
 
-def _inference_mask(seed: int, pass_index: int, layer: int, width: int, rate: float) -> np.ndarray:
-    rng = keyed_rng(seed, pass_index, layer)
-    return (rng.random(width) >= rate).astype(float)
-
-
-def _training_masks(seed: int, step: int, sizes, n_rows: int, rate: float) -> list[np.ndarray]:
+def inference_masks(model: MlpModel, seed: int, pass_index: int) -> list[np.ndarray]:
+    """One keep mask per hidden layer for pass ``pass_index``, shared by every row."""
     masks = []
-    for layer, width in enumerate(sizes):
-        rng = keyed_rng(seed, _TRAIN_MASK_DOMAIN, step, layer)
-        masks.append((rng.random((n_rows, width)) >= rate).astype(float))
+    for layer, width in enumerate(model.hidden_sizes):
+        rng = keyed_rng(seed, pass_index, layer)
+        masks.append((rng.random(width) >= model.dropout_rate).astype(float))
     return masks
 
 
-def forward(weights, biases, X: np.ndarray, dropout_rate: float = 0.0, masks=None) -> np.ndarray:
-    """Network output for standardized inputs; masks apply to hidden layers."""
+def _training_masks(seed: int, step: int, n_rows: int, rate: float,
+                    masks: list[np.ndarray], draws: list[np.ndarray]) -> list[np.ndarray]:
+    """One (n_rows, width) keep mask per hidden layer for this step.
+
+    ``masks`` and ``draws`` hold one (batch, width) buffer per layer; the
+    step's uniform draws and its masks are written into their first
+    n_rows rows, which are returned.
+    """
+    out = []
+    for layer, (mask, draw) in enumerate(zip(masks, draws)):
+        mask, draw = mask[:n_rows], draw[:n_rows]
+        keyed_rng(seed, _TRAIN_MASK_DOMAIN, step, layer).random(out=draw)
+        out.append(np.greater_equal(draw, rate, out=mask))
+    return out
+
+
+def forward(weights, biases, X: np.ndarray, dropout_rate: float = 0.0, masks=None,
+            buffers=None, out=None) -> np.ndarray:
+    """Network output for standardized inputs; masks apply to hidden layers.
+
+    ``buffers`` (one (rows, width) array per hidden layer) and ``out``
+    (one entry per row) receive the activations and the output in place;
+    without them the pass allocates its own.
+    """
     h = X
     keep = 1.0 - dropout_rate
     for i in range(len(weights) - 1):
-        h = np.maximum(h @ weights[i] + biases[i], 0.0)
+        h = np.matmul(h, weights[i], out=None if buffers is None else buffers[i])
+        h += biases[i]
+        np.maximum(h, 0.0, out=h)
         if masks is not None:
-            h = h * masks[i] / keep
-    return (h @ weights[-1] + biases[-1]).ravel()
+            h *= masks[i]
+            h /= keep
+    if out is None:
+        out = np.empty(X.shape[0])
+    column = out.reshape(-1, 1)
+    np.matmul(h, weights[-1], out=column)
+    column += biases[-1]
+    return out
 
 
 def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
@@ -199,6 +234,14 @@ def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
     return loss, g_w, g_b
 
 
+def standardized(model: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Raw features through the model's stored scaler, after a column check."""
+    X = np.asarray(features, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.dim_in:
+        raise DataError(f"expected features with {model.dim_in} columns, got shape {X.shape}")
+    return model.scaler.transform(X)
+
+
 def predict(model: MlpModel, features: np.ndarray, dropout_active: bool = False,
             seed: int | None = None, pass_index: int = 0) -> np.ndarray:
     """Predictions on raw features; the stored scaler is applied internally.
@@ -207,18 +250,12 @@ def predict(model: MlpModel, features: np.ndarray, dropout_active: bool = False,
     by (seed, pass_index, layer); the same key always gives the same
     pass, independent of how rows are batched.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.dim_in:
-        raise DataError(f"expected features with {model.dim_in} columns, got shape {X.shape}")
-    Xs = model.scaler.transform(X)
+    Xs = standardized(model, features)
     if not dropout_active or model.dropout_rate == 0.0:
         return forward(model.weights, model.biases, Xs)
     if seed is None:
         raise ConfigError("dropout_active predictions require a seed")
-    masks = [
-        _inference_mask(seed, pass_index, layer, width, model.dropout_rate)
-        for layer, width in enumerate(model.hidden_sizes)
-    ]
+    masks = inference_masks(model, seed, pass_index)
     return forward(model.weights, model.biases, Xs, model.dropout_rate, masks)
 
 
@@ -259,8 +296,11 @@ def train_mlp(
     Xvs = scaler.transform(Xv)
 
     weights, biases = init_params(X.shape[1], hidden, seed)
-    adam_m = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
-    adam_v = [np.zeros_like(w) for w in weights] + [np.zeros_like(b) for b in biases]
+    params = weights + biases
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    adam_a = [np.empty_like(p) for p in params]
+    adam_b = [np.empty_like(p) for p in params]
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
     adam_t = 0
 
@@ -280,6 +320,8 @@ def train_mlp(
 
     n = X.shape[0]
     effective_batch = n if not batch_size else min(batch_size, n)
+    mask_buffers = [np.empty((effective_batch, width)) for width in hidden]
+    draw_buffers = [np.empty((effective_batch, width)) for width in hidden]
     step = 0
     for epoch in range(1, epochs + 1):
         if effective_batch >= n:
@@ -289,7 +331,8 @@ def train_mlp(
             batches = [perm[s:s + effective_batch] for s in range(0, n, effective_batch)]
         for rows in batches:
             masks = (
-                _training_masks(seed, step, hidden, len(rows), dropout_rate)
+                _training_masks(seed, step, len(rows), dropout_rate,
+                                mask_buffers, draw_buffers)
                 if dropout_rate > 0.0
                 else None
             )
@@ -298,17 +341,24 @@ def train_mlp(
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            grads = g_w + g_b
-            params = weights + biases
             adam_t += 1
-            for p, g, m, v in zip(params, grads, adam_m, adam_v):
+            c1 = 1 - beta1 ** adam_t
+            c2 = 1 - beta2 ** adam_t
+            for p, g, m, v, a, b in zip(params, g_w + g_b, adam_m, adam_v, adam_a, adam_b):
                 m *= beta1
-                m += (1 - beta1) * g
+                np.multiply(g, 1 - beta1, out=a)
+                m += a
                 v *= beta2
-                v += (1 - beta2) * (g * g)
-                m_hat = m / (1 - beta1 ** adam_t)
-                v_hat = v / (1 - beta2 ** adam_t)
-                p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps_adam)
+                np.multiply(g, g, out=b)
+                b *= 1 - beta2
+                v += b
+                np.divide(m, c1, out=a)          # m_hat
+                a *= learning_rate
+                np.divide(v, c2, out=b)          # v_hat
+                np.sqrt(b, out=b)
+                b += eps_adam
+                a /= b
+                p -= a
             step += 1
         epoch_loss = clean_loss()
         if not np.isfinite(epoch_loss):
@@ -415,9 +465,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    path.write_text(json.dumps(payload) + "\n")
 
 
 def load_model(path: str | Path) -> MlpModel:

@@ -5,6 +5,12 @@ two arrays, the per-point mean (the prediction) and the population
 standard deviation over the passes (the uncertainty).  Pass t draws its
 masks from the stream keyed (seed, t, layer), so the estimate is
 invariant to pass order and to how points are batched.
+
+Memory: a call standardizes the features once and holds one (rows,
+width) activation buffer per hidden layer plus the (passes, rows)
+sample matrix; every pass writes into those buffers, its output layer
+straight into its row of the samples, so a pass allocates only its
+per-layer masks of one entry per unit.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .mlp import MlpModel, predict
+from .mlp import MlpModel, forward, inference_masks, predict, standardized
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,12 @@ def mc_dropout(model: MlpModel, features: np.ndarray,
         point = predict(model, X)
         return point, np.zeros_like(point)
 
+    Xs = standardized(model, X)
+    buffers = [np.empty((X.shape[0], width)) for width in model.hidden_sizes]
     samples = np.empty((config.passes, X.shape[0]))
     for t in range(config.passes):
-        samples[t] = predict(model, X, dropout_active=True, seed=config.seed, pass_index=t)
+        masks = inference_masks(model, config.seed, t)
+        forward(model.weights, model.biases, Xs, model.dropout_rate, masks, buffers, samples[t])
     means = samples.mean(axis=0)
     spreads = samples.std(axis=0)  # population convention
     if not np.all(spreads >= 0.0):

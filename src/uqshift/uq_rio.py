@@ -10,6 +10,15 @@ quasi-Newton line-search optimizer from several seeded restarts.
 Predictions return two arrays, the posterior residual mean and the
 noisy-target posterior standard deviation; the corrected prediction is
 yhat + residual_mean.
+
+Memory: a fit holds the two n x n squared-distance matrices (inputs and
+network outputs) and a workspace of seven more n x n buffers plus an
+identity: the two kernel terms, the covariance, its Cholesky factor and
+inverse, the gradient's weight matrix and one product buffer.  They are
+allocated once per fit and reused by every likelihood evaluation of
+every start, so an evaluation allocates no n x n array;
+``log_marginal_likelihood`` builds the same workspace for its single
+evaluation.
 """
 
 from __future__ import annotations
@@ -85,21 +94,60 @@ def composite_kernel(xi: np.ndarray, yhat_i: float, xj: np.ndarray, yhat_j: floa
     return term_in + term_out
 
 
-def _kernel_parts(D2x: np.ndarray, D2y: np.ndarray, theta: np.ndarray):
+class _Workspace:
+    """The squared distances and the n x n buffers of one fit's
+    likelihood evaluations.
+
+    ``L`` and ``A_inv`` are Fortran-ordered so LAPACK factors and solves
+    in place; the others are C-ordered, and the gradient's summed
+    products ``M * dK`` must stay so, because a sum walks memory in
+    layout order and a different walk changes the gradient's bits.
+    """
+
+    def __init__(self, X: np.ndarray, yhat: np.ndarray):
+        n = X.shape[0]
+        self.D2x = sq_distances(X)
+        self.D2y = (yhat[:, None] - yhat[None, :]) ** 2
+        self.eye = np.eye(n)
+        self.K_in, self.K_out, self.A, self.M, self.product = (
+            np.empty((n, n)) for _ in range(5)
+        )
+        self.L = np.empty((n, n), order="F")
+        self.A_inv = np.empty((n, n), order="F")
+
+
+def _diagonal(S: np.ndarray) -> np.ndarray:
+    """Writable view of a contiguous square matrix's diagonal."""
+    return S.ravel(order="K")[:: S.shape[0] + 1]
+
+
+def _kernel_parts(ws: _Workspace, theta: np.ndarray):
+    """Fill ws.K_in and ws.K_out for log parameters theta."""
     sv_in, ls_in, sv_out, ls_out, noise = np.exp(theta)
-    K_in = sv_in * np.exp(-D2x / (2.0 * ls_in * ls_in))
-    K_out = sv_out * np.exp(-D2y / (2.0 * ls_out * ls_out))
-    return K_in, K_out, sv_in, ls_in, sv_out, ls_out, noise
+    for K, D2, sv, ls in ((ws.K_in, ws.D2x, sv_in, ls_in), (ws.K_out, ws.D2y, sv_out, ls_out)):
+        np.negative(D2, out=K)
+        K /= 2.0 * ls * ls
+        np.exp(K, out=K)
+        K *= sv
+    return sv_in, ls_in, sv_out, ls_out, noise
 
 
-def _chol_with_escalation(A: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
-    """Cholesky of A + jitter*I, escalating jitter tenfold at most 3 times."""
-    n = A.shape[0]
+def _covariance(ws: _Workspace, noise) -> np.ndarray:
+    """ws.A = K_in + K_out + noise * I."""
+    np.add(ws.K_in, ws.K_out, out=ws.A)
+    _diagonal(ws.A)[:] += noise
+    return ws.A
+
+
+def _chol_with_escalation(A: np.ndarray, L: np.ndarray,
+                          base_jitter: float) -> tuple[np.ndarray, float]:
+    """Cholesky of A + jitter*I into L, escalating jitter tenfold at most 3 times."""
     jitter = base_jitter
     for _ in range(4):
+        np.copyto(L, A)  # a failed attempt leaves L half factored
+        _diagonal(L)[:] += jitter
         try:
-            L = cholesky(A + jitter * np.eye(n), lower=True)
-            return L, jitter
+            return cholesky(L, lower=True, overwrite_a=True), jitter
         except LinAlgError:
             jitter *= 10.0
     raise NumericalError(
@@ -107,30 +155,35 @@ def _chol_with_escalation(A: np.ndarray, base_jitter: float) -> tuple[np.ndarray
     )
 
 
-def _lml_and_grad(D2x: np.ndarray, D2y: np.ndarray, r: np.ndarray, theta: np.ndarray,
-                  jitter: float | None):
-    K_in, K_out, sv_in, ls_in, sv_out, ls_out, noise = _kernel_parts(D2x, D2y, theta)
+def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: float | None):
+    sv_in, ls_in, sv_out, ls_out, noise = _kernel_parts(ws, theta)
     n = r.shape[0]
-    A = K_in + K_out + noise * np.eye(n)
+    A = _covariance(ws, noise)
     base = jitter if jitter is not None else 1e-8 * (sv_in + sv_out)
-    L, _ = _chol_with_escalation(A, base)
+    L, _ = _chol_with_escalation(A, ws.L, base)
     alpha = cho_solve((L, True), r)
     value = (
         -0.5 * float(r @ alpha)
         - float(np.sum(np.log(np.diag(L))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    A_inv = cho_solve((L, True), np.eye(n))
-    M = np.outer(alpha, alpha) - A_inv
-    dK = (
-        K_in,                                # d/d log sv_in
-        K_in * (D2x / (ls_in * ls_in)),      # d/d log ls_in
-        K_out,                               # d/d log sv_out
-        K_out * (D2y / (ls_out * ls_out)),   # d/d log ls_out
-        noise * np.eye(n),                   # d/d log noise
-    )
-    grad = np.array([0.5 * float(np.sum(M * dKj)) for dKj in dK])
-    return value, grad
+    np.copyto(ws.A_inv, ws.eye)
+    A_inv = cho_solve((L, True), ws.A_inv, overwrite_b=True)
+    M = np.outer(alpha, alpha, out=ws.M)
+    M -= A_inv
+    P = ws.product
+    grad = []
+    for K, D2, ls in ((ws.K_in, ws.D2x, ls_in), (ws.K_out, ws.D2y, ls_out)):
+        np.multiply(M, K, out=P)        # d/d log signal variance: K
+        grad.append(0.5 * float(np.sum(P)))
+        np.divide(D2, ls * ls, out=P)   # d/d log length scale: K * D2 / ls^2
+        P *= K
+        P *= M
+        grad.append(0.5 * float(np.sum(P)))
+    np.multiply(noise, ws.eye, out=P)   # d/d log noise: noise * I
+    P *= M
+    grad.append(0.5 * float(np.sum(P)))
+    return value, np.array(grad)
 
 
 def _training_inputs(train_X, train_yhat, residuals=None):
@@ -155,9 +208,8 @@ def log_marginal_likelihood(train_X, train_yhat, residuals, config: KernelConfig
     log signal_variance_out, log length_scale_out, log noise_variance.
     """
     X, yhat, r = _training_inputs(train_X, train_yhat, residuals)
-    D2x = sq_distances(X)
-    D2y = (yhat[:, None] - yhat[None, :]) ** 2
-    return _lml_and_grad(D2x, D2y, r, config.to_log_vector(), config.jitter)
+    ws = _Workspace(X, yhat)
+    return _lml_and_grad(ws, r, config.to_log_vector(), config.jitter)
 
 
 def fit_rio(
@@ -185,12 +237,11 @@ def fit_rio(
         raise ConfigError("n_starts must be >= 1")
     init = init or KernelConfig()
     r = y - yhat
-    D2x = sq_distances(X)
-    D2y = (yhat[:, None] - yhat[None, :]) ** 2
+    ws = _Workspace(X, yhat)
 
     def objective(theta):
         try:
-            value, grad = _lml_and_grad(D2x, D2y, r, theta, init.jitter)
+            value, grad = _lml_and_grad(ws, r, theta, init.jitter)
         except NumericalError:
             return _FAIL, np.zeros(5)
         if not np.isfinite(value):
@@ -225,9 +276,8 @@ def fit_rio(
         raise NumericalError("every marginal-likelihood optimization start failed")
 
     kernel = KernelConfig.from_log_vector(best_theta, jitter=init.jitter)
-    K_in, K_out, sv_in, _, sv_out, _, noise = _kernel_parts(D2x, D2y, best_theta)
-    A = K_in + K_out + noise * np.eye(X.shape[0])
-    L, jitter_used = _chol_with_escalation(A, kernel.base_jitter())
+    noise = _kernel_parts(ws, best_theta)[-1]
+    L, jitter_used = _chol_with_escalation(_covariance(ws, noise), ws.L, kernel.base_jitter())
     alpha = cho_solve((L, True), r)
     return RioModel(
         train_X=X,

@@ -267,6 +267,48 @@ class TestCorruptTree:
         assert f"{name} does not match" in err.splitlines()[-1]
 
 
+def _edit_summary(path, key, value):
+    summary = json.loads(path.read_text())
+    (summary["novelty"] if key == "in_cluster_rate" else summary)[key] = value
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+
+
+def _set_heldout_predicted(header, rows):
+    row = next(row for row in rows if row[1] == "heldout")
+    row[header.index("predicted")] = "999.0"
+
+
+# (file glob in the finished tree, tampering that leaves the file well formed)
+TAMPERINGS = {
+    "summary-in-cluster-rate": (
+        "eval/split_*/summary.json", lambda p: _edit_summary(p, "in_cluster_rate", 0.9)),
+    "summary-n-test": ("eval/split_*/summary.json", lambda p: _edit_summary(p, "n_test", 1)),
+    "cross-predictions-actual": (
+        "eval/split_*/cross_predictions.csv",
+        lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(2, "123.0"))),
+    "uq-scores-heldout-predicted": (
+        "eval/split_*/uq_scores.csv", lambda p: _edit_csv(p, _set_heldout_predicted)),
+}
+
+
+class TestReportChecksSources:
+    @pytest.mark.parametrize("case", sorted(TAMPERINGS))
+    def test_tampered_file_exits_4_naming_it(self, pipeline, tmp_path, capsys, case):
+        config, finished = pipeline
+        out = tmp_path / "o"
+        shutil.copytree(finished, out)
+        pattern, tamper = TAMPERINGS[case]
+        path = _first(out, pattern)
+        tamper(path)
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("numerical failure: ")
+        assert f"{path.name} does not match" in last
+
+
 class TestCliErrors:
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "bad.ini"

@@ -1,11 +1,15 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from uqshift.dataset import ScalerParams
+from uqshift.dataset import ScalerParams, fit_scaler
 from uqshift.errors import NumericalError, TrainingDivergedError
+from uqshift.evaluation import r_squared
 from uqshift.mlp import (
+    _SHUFFLE_DOMAIN,
+    _TRAIN_MASK_DOMAIN,
     FitConfig,
     HyperparamGrid,
     MlpModel,
@@ -190,6 +194,93 @@ class TestTraining:
         np.testing.assert_allclose(result.model.scaler.means, shifted[:40].mean(axis=0))
 
 
+def _allocating_forward(weights, biases, X, dropout_rate=0.0, masks=None):
+    h = X
+    keep = 1.0 - dropout_rate
+    for i in range(len(weights) - 1):
+        h = np.maximum(h @ weights[i] + biases[i], 0.0)
+        if masks is not None:
+            h = h * masks[i] / keep
+    return (h @ weights[-1] + biases[-1]).ravel()
+
+
+def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=None):
+    """train_mlp as written before its reused buffers: fresh masks and
+    Adam temporaries every step.  Returns the best weights and biases,
+    the loss and R^2 traces and the best epoch."""
+    scaler = fit_scaler(X)
+    Xs, Xvs = scaler.transform(X), scaler.transform(Xv)
+    weights, biases = init_params(X.shape[1], hidden, seed)
+    params = weights + biases
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+
+    def clean_loss():
+        diff = _allocating_forward(weights, biases, Xs) - y
+        return float(np.mean(diff * diff))
+
+    losses = [clean_loss()]
+    scores = [r_squared(yv, _allocating_forward(weights, biases, Xvs))]
+    best = (0, [w.copy() for w in weights], [b.copy() for b in biases])
+    n = X.shape[0]
+    batch = n if not batch_size else min(batch_size, n)
+    t = 0
+    for epoch in range(1, epochs + 1):
+        perm = keyed_rng(seed, _SHUFFLE_DOMAIN, epoch).permutation(n) if batch < n else None
+        batches = [np.arange(n)] if perm is None else [perm[s:s + batch]
+                                                       for s in range(0, n, batch)]
+        for rows in batches:
+            masks = None
+            if rate > 0.0:
+                masks = [(keyed_rng(seed, _TRAIN_MASK_DOMAIN, t, layer)
+                          .random((len(rows), width)) >= rate).astype(float)
+                         for layer, width in enumerate(hidden)]
+            _, g_w, g_b = loss_and_gradients(weights, biases, Xs[rows], y[rows], rate, masks)
+            t += 1
+            for p, g, m, v in zip(params, g_w + g_b, adam_m, adam_v):
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * (g * g)
+                m_hat = m / (1 - 0.9 ** t)
+                v_hat = v / (1 - 0.999 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        losses.append(clean_loss())
+        scores.append(r_squared(yv, _allocating_forward(weights, biases, Xvs)))
+        if scores[-1] > scores[best[0]]:
+            best = (epoch, [w.copy() for w in weights], [b.copy() for b in biases])
+    return best[1], best[2], np.array(losses), np.array(scores), best[0]
+
+
+class TestReusedBuffersBitIdentity:
+    """Adam's in-place step and the reused masks give the old bits exactly."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("batch_size", [None, 16])  # 16: 50 rows end in a batch of 2
+    def test_train_matches_allocating_reference(self, rate, batch_size):
+        X, y = _linear_problem(14, n=70)
+        args = (X[:50], y[:50], X[50:], y[50:], (12, 7), rate, 0.01, 12, 3)
+        result = train_mlp(*args, batch_size=batch_size)
+        weights, biases, losses, scores, best_epoch = _allocating_train(
+            *args, batch_size=batch_size)
+        for got, want in zip(result.model.weights + result.model.biases, weights + biases):
+            assert np.array_equal(got, want)
+        assert np.array_equal(result.train_loss, losses)
+        assert np.array_equal(result.valid_r2, scores)
+        assert result.best_epoch == best_epoch
+
+    @pytest.mark.parametrize("hidden", [(5,), (5, 4), (5, 4, 3)])
+    def test_forward_into_buffers(self, hidden):
+        weights, biases = _random_net(15, [3, *hidden, 1])
+        X = keyed_rng(16).normal(size=(9, 3))
+        masks = [(keyed_rng(17, i).random(w) >= 0.3).astype(float) for i, w in enumerate(hidden)]
+        out = np.empty(9)
+        got = forward(weights, biases, X, 0.3, masks, [np.empty((9, w)) for w in hidden], out)
+        assert got is out
+        assert np.array_equal(got, _allocating_forward(weights, biases, X, 0.3, masks))
+        assert np.array_equal(forward(weights, biases, X), _allocating_forward(weights, biases, X))
+
+
 class TestPredictMasks:
     def _model(self):
         weights = [np.ones((1, 2)), np.ones((2, 1))]
@@ -324,3 +415,17 @@ class TestModelSerialization:
         payload = json.loads(path.read_text())
         assert payload["version"] == 1
         assert "weights" in payload and "scaler" in payload
+
+    def test_one_shot_write_matches_streamed_encoder(self, tmp_path):
+        X, y = _linear_problem(20, n=60)
+        result = train_mlp(
+            X[:40], y[:40], X[40:], y[40:],
+            hidden_sizes=(6, 3), dropout_rate=0.3,
+            learning_rate=0.01, epochs=3, seed=1,
+        )
+        path = tmp_path / "model.json"
+        save_model(result.model, path)
+        payload = json.loads(path.read_text())
+        streamed = io.StringIO()
+        json.dump(payload, streamed)  # the pure-Python encoder
+        assert path.read_text() == streamed.getvalue() + "\n"

@@ -3,7 +3,8 @@ import pytest
 
 from uqshift.dataset import ScalerParams
 from uqshift.errors import ConfigError, DataError
-from uqshift.mlp import FitConfig, MlpModel
+from uqshift.mlp import FitConfig, MlpModel, predict
+from uqshift.rng import keyed_rng
 from uqshift.uq_dropout import McDropoutConfig, mc_dropout
 
 
@@ -104,3 +105,49 @@ class TestMcDropout:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             McDropoutConfig(passes=0, seed=0)
+
+
+def _random_model(hidden_sizes, dropout_rate=0.3, dim=3):
+    rng = keyed_rng(77, len(hidden_sizes))
+    sizes = [dim, *hidden_sizes, 1]
+    return MlpModel(
+        weights=[rng.normal(size=(a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
+        biases=[rng.normal(size=b) * 0.1 for b in sizes[1:]],
+        hidden_sizes=tuple(hidden_sizes),
+        dropout_rate=dropout_rate,
+        fit=FitConfig(learning_rate=0.01, epochs=1, seed=0),
+        scaler=ScalerParams(means=rng.normal(size=dim), stddevs=rng.uniform(0.5, 2.0, dim),
+                            constant_mask=np.arange(dim) == dim - 1),
+    )
+
+
+def _allocating_pass(model, X, seed, t):
+    """One dropout pass as computed before the reused buffers."""
+    h = model.scaler.transform(X)
+    keep = 1.0 - model.dropout_rate
+    for layer, width in enumerate(model.hidden_sizes):
+        mask = (keyed_rng(seed, t, layer).random(width) >= model.dropout_rate).astype(float)
+        h = np.maximum(h @ model.weights[layer] + model.biases[layer], 0.0)
+        h = h * mask / keep
+    return (h @ model.weights[-1] + model.biases[-1]).ravel()
+
+
+class TestBufferedPassesBitIdentity:
+    @pytest.mark.parametrize("hidden_sizes", [(9,), (9, 5), (9, 5, 7)])
+    def test_matches_stacked_single_passes(self, hidden_sizes):
+        model = _random_model(hidden_sizes)
+        X = keyed_rng(78).normal(size=(11, 3))
+        passes, seed = 25, 6
+        mean, std = mc_dropout(model, X, McDropoutConfig(passes=passes, seed=seed))
+        for one_pass in (
+            lambda t: predict(model, X, dropout_active=True, seed=seed, pass_index=t),
+            lambda t: _allocating_pass(model, X, seed, t),
+        ):
+            samples = np.stack([one_pass(t) for t in range(passes)])
+            assert np.array_equal(mean, samples.mean(axis=0))
+            assert np.array_equal(std, samples.std(axis=0))
+
+    def test_wrong_column_count_rejected(self):
+        model = _random_model((4,))
+        with pytest.raises(DataError, match="3 columns"):
+            mc_dropout(model, np.zeros((2, 2)), McDropoutConfig(passes=3, seed=0))

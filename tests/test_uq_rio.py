@@ -5,10 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from uqshift.embedding import sq_distances
 from uqshift.errors import ConfigError, NumericalError
 from uqshift.rng import keyed_rng
 from uqshift.uq_rio import (
     KernelConfig,
+    _lml_and_grad,
+    _Workspace,
     composite_kernel,
     fit_rio,
     log_marginal_likelihood,
@@ -187,3 +190,67 @@ class TestCholeskyEscalation:
         config = KernelConfig(noise_variance=1e-12, jitter=1e-12)
         model = fit_rio(X, yhat, y, init=config, n_starts=1, max_iter=5, seed=0)
         assert np.all(np.isfinite(model.alpha))
+
+
+def _allocating_lml_and_grad(D2x, D2y, r, theta, jitter):
+    """The likelihood as computed before the workspace: fresh n x n
+    temporaries for every evaluation.  Returns the jitter used too."""
+    sv_in, ls_in, sv_out, ls_out, noise = np.exp(theta)
+    K_in = sv_in * np.exp(-D2x / (2.0 * ls_in * ls_in))
+    K_out = sv_out * np.exp(-D2y / (2.0 * ls_out * ls_out))
+    n = r.shape[0]
+    A = K_in + K_out + noise * np.eye(n)
+    jitter = jitter if jitter is not None else 1e-8 * (sv_in + sv_out)
+    for _ in range(4):
+        try:
+            L = scipy.linalg.cholesky(A + jitter * np.eye(n), lower=True)
+            break
+        except scipy.linalg.LinAlgError:
+            jitter *= 10.0
+    else:
+        raise NumericalError("factorization failed")
+    alpha = scipy.linalg.cho_solve((L, True), r)
+    value = (
+        -0.5 * float(r @ alpha)
+        - float(np.sum(np.log(np.diag(L))))
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    M = np.outer(alpha, alpha) - scipy.linalg.cho_solve((L, True), np.eye(n))
+    dK = (K_in, K_in * (D2x / (ls_in * ls_in)), K_out, K_out * (D2y / (ls_out * ls_out)),
+          noise * np.eye(n))
+    return value, np.array([0.5 * float(np.sum(M * dKj)) for dKj in dK]), jitter
+
+
+class TestWorkspaceBitIdentity:
+    """The reused buffers give the allocating code's bits exactly."""
+
+    @staticmethod
+    def _distances(X, yhat):
+        return sq_distances(X), (yhat[:, None] - yhat[None, :]) ** 2
+
+    def test_random_parameters(self):
+        X, y, yhat = _problem(44, n=40, d=4)
+        r = y - yhat
+        D2x, D2y = self._distances(X, yhat)
+        ws = _Workspace(X, yhat)  # one workspace across evaluations, as in a fit
+        rng = keyed_rng(45)
+        for _ in range(20):
+            theta = rng.uniform(-3.0, 3.0, size=5)
+            value, grad = _lml_and_grad(ws, r, theta, None)
+            want_value, want_grad, _ = _allocating_lml_and_grad(D2x, D2y, r, theta, None)
+            assert np.array_equal(value, want_value)
+            assert np.array_equal(grad, want_grad)
+
+    def test_jitter_escalation(self):
+        rng = keyed_rng(43)
+        base = rng.normal(size=(10, 2))
+        X = np.vstack([base, base])
+        yhat = np.concatenate([base[:, 0], base[:, 0]])
+        r = 0.01 * rng.normal(size=20)
+        D2x, D2y = self._distances(X, yhat)
+        theta = np.log([1.0, 1.0, 1.0, 1.0, 1e-16])
+        want_value, want_grad, used = _allocating_lml_and_grad(D2x, D2y, r, theta, 1e-16)
+        assert used > 1e-16  # the input does force an escalation
+        value, grad = _lml_and_grad(_Workspace(X, yhat), r, theta, 1e-16)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
