@@ -347,6 +347,7 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
                 epochs=section["epochs"],
                 seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["train"], k),
                 jobs=cfg.get("run", "jobs"),
+                batch_size=batch,
             )
             model_path = out / "train" / f"model_{k}.json"
             save_model(model, model_path)

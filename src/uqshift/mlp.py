@@ -7,14 +7,19 @@ error.  Hidden activations use inverted dropout (kept units scaled by
 counter-based streams keyed by (seed, pass, layer); a per-point result
 therefore never depends on which other rows share the batch.
 
-Memory: a fit holds, beside the parameters and the best epoch's copy,
-Adam's two moment arrays and two step temporaries per parameter, and
-one (batch, width) buffer each for the uniform draws and the dropout
-mask of every hidden layer; all are allocated once per fit and reused
-by every step, whose Adam update allocates nothing (the backward pass
-still allocates its activations and gradients).  ``forward`` given one
-(rows, width) buffer per hidden layer and an output vector writes the
-pass into them, as every MC-dropout pass does.
+Memory: a fit holds every weight and bias as a view into one flat
+vector.  Adam's two moments, its two step temporaries, the gradient and
+the best epoch's copy are flat vectors of the same layout, so a step's
+Adam update is one pass of elementwise in-place operations over the
+whole vector.  The fit also holds, for the training rows, one (rows,
+width) activation and one delta array per hidden layer and two row
+vectors, which the backward pass and the clean train-loss pass share;
+(rows, width) buffers for the validation pass; and, for one batch, the
+batch's rows and targets and the uniform draws and dropout mask of each
+hidden layer.  All are allocated once per fit, and a step allocates
+nothing of a layer's size.  ``forward`` given one (rows, width) buffer
+per hidden layer and an output vector writes the pass into them, as
+every MC-dropout pass does.
 """
 
 from __future__ import annotations
@@ -198,39 +203,67 @@ def forward(weights, biases, X: np.ndarray, dropout_rate: float = 0.0, masks=Non
     return out
 
 
+@dataclass
+class _Workspace:
+    """Buffers of ``loss_and_gradients`` for batches of up to ``rows`` rows:
+    each hidden layer's activations and deltas, the output and the
+    squared residuals."""
+
+    acts: list[np.ndarray]
+    deltas: list[np.ndarray]
+    out: np.ndarray
+    sq: np.ndarray
+
+    @classmethod
+    def allocate(cls, rows: int, hidden) -> _Workspace:
+        return cls([np.empty((rows, width)) for width in hidden],
+                   [np.empty((rows, width)) for width in hidden],
+                   np.empty(rows), np.empty(rows))
+
+
+def _mse(pred: np.ndarray, y: np.ndarray, sq: np.ndarray) -> float:
+    """Mean squared error; leaves the residuals pred - y in ``pred``."""
+    np.subtract(pred, y, out=pred)
+    np.multiply(pred, pred, out=sq)
+    return float(np.mean(sq))
+
+
 def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
-                       dropout_rate: float = 0.0, masks=None):
-    """MSE loss and its gradients for every weight and bias."""
+                       dropout_rate: float = 0.0, masks=None, work=None, grads=None):
+    """MSE loss and its gradients for every weight and bias.
+
+    ``work`` (a ``_Workspace`` of at least X's rows, whose leading rows
+    are used) and ``grads`` (weight and bias gradient arrays shaped like
+    the parameters) receive the pass in place; without them it allocates
+    its own.  Returns (loss, weight gradients, bias gradients).
+    """
     n = X.shape[0]
     keep = 1.0 - dropout_rate
-    acts = [X]
-    pres = []
-    h = X
-    for i in range(len(weights) - 1):
-        z = h @ weights[i] + biases[i]
-        pres.append(z)
-        h = np.maximum(z, 0.0)
-        if masks is not None:
-            h = h * masks[i] / keep
-        acts.append(h)
-    pred = (h @ weights[-1] + biases[-1]).ravel()
-    resid = pred - y
-    loss = float(np.mean(resid * resid))
+    if work is None:
+        work = _Workspace.allocate(n, [w.shape[1] for w in weights[:-1]])
+    g_w, g_b = grads or ([np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases])
+    acts = [a[:n] for a in work.acts]
+    inputs = [X, *acts]
+    resid = forward(weights, biases, X, dropout_rate, masks, acts, work.out[:n])
+    loss = _mse(resid, y, work.sq[:n])
 
-    d_pred = (2.0 / n) * resid
-    g_w = [None] * len(weights)
-    g_b = [None] * len(biases)
-    g_w[-1] = acts[-1].T @ d_pred[:, None]
-    g_b[-1] = np.array([d_pred.sum()])
-    dh = d_pred[:, None] @ weights[-1].T
+    d_pred = np.multiply(resid, 2.0 / n, out=resid)
+    upstream = d_pred[:, None]
+    np.matmul(inputs[-1].T, upstream, out=g_w[-1])
+    g_b[-1][0] = d_pred.sum()
     for i in range(len(weights) - 2, -1, -1):
+        dh = np.matmul(upstream, weights[i + 1].T, out=work.deltas[i][:n])
         if masks is not None:
-            dh = dh * masks[i] / keep
-        dz = dh * (pres[i] > 0.0)
-        g_w[i] = acts[i].T @ dz
-        g_b[i] = dz.sum(axis=0)
-        if i > 0:
-            dh = dz @ weights[i].T
+            dh *= masks[i]
+            dh /= keep
+        # Gate by the layer's output, not its pre-activation: the two
+        # differ only where dropout zeroed a unit, and there dh is already
+        # a signed zero that either gate keeps.  The activations are not
+        # needed after this layer, so the gate overwrites them.
+        dh *= np.greater(acts[i], 0.0, out=acts[i])
+        np.matmul(inputs[i].T, dh, out=g_w[i])
+        np.sum(dh, axis=0, out=g_b[i])
+        upstream = dh
     return loss, g_w, g_b
 
 
@@ -259,6 +292,15 @@ def predict(model: MlpModel, features: np.ndarray, dropout_active: bool = False,
     return forward(model.weights, model.biases, Xs, model.dropout_rate, masks)
 
 
+def _param_views(flat: np.ndarray, weights, biases) -> tuple[list, list]:
+    """Consecutive views into ``flat`` shaped like ``weights``, then ``biases``."""
+    views, start = [], 0
+    for a in [*weights, *biases]:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views[:len(weights)], views[len(weights):]
+
+
 def train_mlp(
     train_features: np.ndarray,
     train_target: np.ndarray,
@@ -276,6 +318,12 @@ def train_mlp(
     Epoch 0 (the untouched initialization) competes too, so epochs=0
     returns the initialized network.  A non-finite loss raises
     TrainingDivergedError carrying the epoch index.
+
+    The parameters, Adam's state, the gradient and the best epoch's copy
+    are flat vectors of one layout, and the passes write into buffers
+    allocated once here (see the module docstring), so each call owns
+    all of its state and concurrent calls share nothing.  The returned
+    model holds its own copies of the best epoch's arrays.
     """
     X = np.asarray(train_features, dtype=float)
     y = np.asarray(train_target, dtype=float)
@@ -292,73 +340,84 @@ def train_mlp(
                     batch_size=batch_size if batch_size else None)
 
     scaler = fit_scaler(X)
-    Xs = scaler.transform(X)
+    # C order, like a mini-batch's row copy, so that the full batch, used
+    # in place, meets BLAS as a copy of it would.
+    Xs = np.ascontiguousarray(scaler.transform(X))
     Xvs = scaler.transform(Xv)
 
-    weights, biases = init_params(X.shape[1], hidden, seed)
-    params = weights + biases
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
-    adam_a = [np.empty_like(p) for p in params]
-    adam_b = [np.empty_like(p) for p in params]
+    init_weights, init_biases = init_params(X.shape[1], hidden, seed)
+    params = np.concatenate([p.ravel() for p in init_weights + init_biases])
+    weights, biases = _param_views(params, init_weights, init_biases)
+    grad = np.zeros_like(params)
+    grads = _param_views(grad, init_weights, init_biases)
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    adam_a = np.empty_like(params)
+    adam_b = np.empty_like(params)
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
     adam_t = 0
 
+    n = X.shape[0]
+    batch = n if not batch_size else min(batch_size, n)
+    work = _Workspace.allocate(n, hidden)  # the clean pass takes all n rows
+    valid_acts = [np.empty((Xv.shape[0], width)) for width in hidden]
+    valid_out = np.empty(Xv.shape[0])
+    batch_X = np.empty((batch, X.shape[1]))
+    batch_y = np.empty(batch)
+    mask_buffers = [np.empty((batch, width)) for width in hidden]
+    draw_buffers = [np.empty((batch, width)) for width in hidden]
+
     def clean_loss() -> float:
-        diff = forward(weights, biases, Xs) - y
-        return float(np.mean(diff * diff))
+        return _mse(forward(weights, biases, Xs, buffers=work.acts, out=work.out), y, work.sq)
 
     def valid_score() -> float:
-        return r_squared(yv, forward(weights, biases, Xvs))
+        return r_squared(yv, forward(weights, biases, Xvs, buffers=valid_acts, out=valid_out))
 
     train_loss = [clean_loss()]
     valid_r2 = [valid_score()]
     best_epoch = 0
     best_r2 = valid_r2[0]
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best = params.copy()
 
-    n = X.shape[0]
-    effective_batch = n if not batch_size else min(batch_size, n)
-    mask_buffers = [np.empty((effective_batch, width)) for width in hidden]
-    draw_buffers = [np.empty((effective_batch, width)) for width in hidden]
     step = 0
     for epoch in range(1, epochs + 1):
-        if effective_batch >= n:
-            batches = [np.arange(n)]
-        else:
+        if batch < n:
             perm = keyed_rng(seed, _SHUFFLE_DOMAIN, epoch).permutation(n)
-            batches = [perm[s:s + effective_batch] for s in range(0, n, effective_batch)]
-        for rows in batches:
+        for start in range(0, n, batch):
+            Xb, yb = Xs, y
+            if batch < n:
+                rows = perm[start:start + batch]
+                # "clip" clips nothing of a permutation; "raise" would copy
+                # through a temporary
+                Xb = np.take(Xs, rows, axis=0, out=batch_X[:len(rows)], mode="clip")
+                yb = np.take(y, rows, out=batch_y[:len(rows)], mode="clip")
             masks = (
-                _training_masks(seed, step, len(rows), dropout_rate,
+                _training_masks(seed, step, len(yb), dropout_rate,
                                 mask_buffers, draw_buffers)
                 if dropout_rate > 0.0
                 else None
             )
-            loss, g_w, g_b = loss_and_gradients(
-                weights, biases, Xs[rows], y[rows], dropout_rate, masks
-            )
+            loss, _, _ = loss_and_gradients(weights, biases, Xb, yb, dropout_rate, masks,
+                                            work, grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             adam_t += 1
             c1 = 1 - beta1 ** adam_t
             c2 = 1 - beta2 ** adam_t
-            for p, g, m, v, a, b in zip(params, g_w + g_b, adam_m, adam_v, adam_a, adam_b):
-                m *= beta1
-                np.multiply(g, 1 - beta1, out=a)
-                m += a
-                v *= beta2
-                np.multiply(g, g, out=b)
-                b *= 1 - beta2
-                v += b
-                np.divide(m, c1, out=a)          # m_hat
-                a *= learning_rate
-                np.divide(v, c2, out=b)          # v_hat
-                np.sqrt(b, out=b)
-                b += eps_adam
-                a /= b
-                p -= a
+            adam_m *= beta1
+            np.multiply(grad, 1 - beta1, out=adam_a)
+            adam_m += adam_a
+            adam_v *= beta2
+            np.multiply(grad, grad, out=adam_b)
+            adam_b *= 1 - beta2
+            adam_v += adam_b
+            np.divide(adam_m, c1, out=adam_a)          # m_hat
+            adam_a *= learning_rate
+            np.divide(adam_v, c2, out=adam_b)          # v_hat
+            np.sqrt(adam_b, out=adam_b)
+            adam_b += eps_adam
+            adam_a /= adam_b
+            params -= adam_a
             step += 1
         epoch_loss = clean_loss()
         if not np.isfinite(epoch_loss):
@@ -369,12 +428,12 @@ def train_mlp(
         if score > best_r2:
             best_r2 = score
             best_epoch = epoch
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
+            np.copyto(best, params)
 
+    best_weights, best_biases = _param_views(best, init_weights, init_biases)
     model = MlpModel(
-        weights=best_weights,
-        biases=best_biases,
+        weights=[w.copy() for w in best_weights],
+        biases=[b.copy() for b in best_biases],
         hidden_sizes=hidden,
         dropout_rate=float(dropout_rate),
         fit=fit,
@@ -397,6 +456,7 @@ def hyperparameter_search(
     epochs: int,
     seed: int,
     jobs: int = 1,
+    batch_size: int | None = None,
 ) -> tuple[MlpModel, list[SearchRow]]:
     """Train every grid point and return the best model plus a report.
 
@@ -413,7 +473,7 @@ def hyperparameter_search(
         try:
             result = train_mlp(
                 train_features, train_target, valid_features, valid_target,
-                hidden, grid.dropout_rate, lr, epochs, cand_seed,
+                hidden, grid.dropout_rate, lr, epochs, cand_seed, batch_size,
             )
         except TrainingDivergedError:
             return index, None, SearchRow(index, hidden, lr, None, None, True)

@@ -7,8 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from uqshift.cli import main
+from uqshift.cli import _STAGE_SEEDS, main
+from uqshift.clustering import read_split_csv
 from uqshift.csvio import read_csv
+from uqshift.dataset import load_dataset
+from uqshift.mlp import load_model, train_mlp
+from uqshift.rng import derive_seed
 
 SMALL_CONFIG = """\
 [run]
@@ -307,6 +311,28 @@ class TestReportChecksSources:
         last = err.splitlines()[-1]
         assert last.startswith("numerical failure: ")
         assert f"{path.name} does not match" in last
+
+
+class TestTrainBatchSize:
+    def test_batch_size_reaches_the_fit(self, pipeline, tmp_path):
+        _, finished = pipeline
+        out = tmp_path / "o"
+        shutil.copytree(finished, out)
+        config = tmp_path / "batched.ini"
+        config.write_text(SMALL_CONFIG.replace("epochs = 40", "epochs = 40\nbatch_size = 16"))
+        assert main(["train", "--config", str(config), "--out", str(out), "--split-id", "0"]) == 0
+
+        data = load_dataset(out / "data" / "dataset.csv")
+        split = read_split_csv(out / "split" / "split_0.csv", data.ids, 0)
+        # the grid's one point, index 0, trained from its candidate seed
+        seed = derive_seed(derive_seed(5, _STAGE_SEEDS["train"], 0), 0)
+        want = train_mlp(data.features[split.train_idx], data.target[split.train_idx],
+                         data.features[split.valid_idx], data.target[split.valid_idx],
+                         (16,), 0.3, 0.01, 40, seed, batch_size=16).model
+        got = load_model(out / "train" / "model_0.json")
+        assert got.fit.batch_size == 16
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
 
 
 class TestCliErrors:

@@ -11,6 +11,7 @@ from uqshift.mlp import (
     _SHUFFLE_DOMAIN,
     _TRAIN_MASK_DOMAIN,
     FitConfig,
+    _Workspace,
     HyperparamGrid,
     MlpModel,
     forward,
@@ -69,7 +70,20 @@ class TestGradients:
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
         weights, biases = _random_net(100, [3, 5, 4, 1])
-        _, grads_w, grads_b = loss_and_gradients(weights, biases, X, y, 0.0, None)
+        loss, grads_w, grads_b = loss_and_gradients(weights, biases, X, y, 0.0, None)
+
+        # The same pass through buffers, bit for bit: a full batch of other
+        # rows first, then the shorter one into the leading rows, so
+        # nothing of the first call may reach the second.
+        work = _Workspace.allocate(16, (5, 4))
+        grads = [np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases]
+        full = keyed_rng(98).normal(size=(16, 4))
+        loss_and_gradients(weights, biases, full[:, :3], full[:, 3], 0.0, None, work, grads)
+        buffered = loss_and_gradients(weights, biases, X, y, 0.0, None, work, grads)
+        assert buffered[1] is grads[0] and buffered[2] is grads[1]
+        assert buffered[0] == loss
+        for got, want in zip(buffered[1] + buffered[2], grads_w + grads_b):
+            assert np.array_equal(got, want)
 
         def loss_at(ws, bs):
             pred = forward(ws, bs, X, 0.0, None)
@@ -162,7 +176,8 @@ class TestTraining:
                 hidden_sizes=(8,), dropout_rate=0.0,
                 learning_rate=1e160, epochs=50, seed=0,
             )
-        assert exc_info.value.epoch >= 0
+        # the first update overflows; the clean loss after it is the first non-finite one
+        assert exc_info.value.epoch == 1
 
     def test_deterministic(self):
         X, y = _linear_problem(11, n=60)
@@ -204,10 +219,46 @@ def _allocating_forward(weights, biases, X, dropout_rate=0.0, masks=None):
     return (h @ weights[-1] + biases[-1]).ravel()
 
 
+def _allocating_loss_and_gradients(weights, biases, X, y, dropout_rate=0.0, masks=None):
+    """loss_and_gradients as written before its reused buffers."""
+    n = X.shape[0]
+    keep = 1.0 - dropout_rate
+    acts = [X]
+    pres = []
+    h = X
+    for i in range(len(weights) - 1):
+        z = h @ weights[i] + biases[i]
+        pres.append(z)
+        h = np.maximum(z, 0.0)
+        if masks is not None:
+            h = h * masks[i] / keep
+        acts.append(h)
+    pred = (h @ weights[-1] + biases[-1]).ravel()
+    resid = pred - y
+    loss = float(np.mean(resid * resid))
+
+    d_pred = (2.0 / n) * resid
+    g_w = [None] * len(weights)
+    g_b = [None] * len(biases)
+    g_w[-1] = acts[-1].T @ d_pred[:, None]
+    g_b[-1] = np.array([d_pred.sum()])
+    dh = d_pred[:, None] @ weights[-1].T
+    for i in range(len(weights) - 2, -1, -1):
+        if masks is not None:
+            dh = dh * masks[i] / keep
+        dz = dh * (pres[i] > 0.0)
+        g_w[i] = acts[i].T @ dz
+        g_b[i] = dz.sum(axis=0)
+        if i > 0:
+            dh = dz @ weights[i].T
+    return loss, g_w, g_b
+
+
 def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=None):
-    """train_mlp as written before its reused buffers: fresh masks and
-    Adam temporaries every step.  Returns the best weights and biases,
-    the loss and R^2 traces and the best epoch."""
+    """train_mlp as written before its reused buffers: one array per
+    parameter, fresh activations, gradients, masks and Adam temporaries
+    every step.  Returns the best weights and biases, the loss and R^2
+    traces and the best epoch."""
     scaler = fit_scaler(X)
     Xs, Xvs = scaler.transform(X), scaler.transform(Xv)
     weights, biases = init_params(X.shape[1], hidden, seed)
@@ -235,7 +286,8 @@ def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=N
                 masks = [(keyed_rng(seed, _TRAIN_MASK_DOMAIN, t, layer)
                           .random((len(rows), width)) >= rate).astype(float)
                          for layer, width in enumerate(hidden)]
-            _, g_w, g_b = loss_and_gradients(weights, biases, Xs[rows], y[rows], rate, masks)
+            _, g_w, g_b = _allocating_loss_and_gradients(weights, biases, Xs[rows], y[rows],
+                                                         rate, masks)
             t += 1
             for p, g, m, v in zip(params, g_w + g_b, adam_m, adam_v):
                 m *= 0.9
@@ -253,21 +305,23 @@ def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=N
 
 
 class TestReusedBuffersBitIdentity:
-    """Adam's in-place step and the reused masks give the old bits exactly."""
+    """The flat-vector Adam step and the reused buffers give the old bits exactly."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("batch_size", [None, 16])  # 16: 50 rows end in a batch of 2
     def test_train_matches_allocating_reference(self, rate, batch_size):
         X, y = _linear_problem(14, n=70)
-        args = (X[:50], y[:50], X[50:], y[50:], (12, 7), rate, 0.01, 12, 3)
-        result = train_mlp(*args, batch_size=batch_size)
-        weights, biases, losses, scores, best_epoch = _allocating_train(
-            *args, batch_size=batch_size)
-        for got, want in zip(result.model.weights + result.model.biases, weights + biases):
-            assert np.array_equal(got, want)
-        assert np.array_equal(result.train_loss, losses)
-        assert np.array_equal(result.valid_r2, scores)
-        assert result.best_epoch == best_epoch
+        for hidden in [(12,), (12, 7), (12, 7, 5)]:
+            args = (X[:50], y[:50], X[50:], y[50:], hidden, rate, 0.01, 12, 3)
+            result = train_mlp(*args, batch_size=batch_size)
+            weights, biases, losses, scores, best_epoch = _allocating_train(
+                *args, batch_size=batch_size)
+            for got, want in zip(result.model.weights + result.model.biases,
+                                 weights + biases):
+                assert np.array_equal(got, want), hidden
+            assert np.array_equal(result.train_loss, losses), hidden
+            assert np.array_equal(result.valid_r2, scores), hidden
+            assert result.best_epoch == best_epoch, hidden
 
     @pytest.mark.parametrize("hidden", [(5,), (5, 4), (5, 4, 3)])
     def test_forward_into_buffers(self, hidden):
