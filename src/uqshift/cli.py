@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, split, train, uq, eval, report.
 
 Each stage reads files produced by earlier stages from the output
-directory, writes its own outputs there, and appends one manifest line
-(stage, config hash, input hashes, outputs).  A stage whose manifest
-line and outputs already exist is skipped.  Two runs with the same
+directory, writes its own outputs there through ``csvio``, and adds one
+manifest line (stage, config hash, input hashes, outputs).  A stage
+whose manifest line and outputs already exist is skipped.  Two runs with the same
 configuration and seed produce byte-identical output trees; wall-clock
 durations therefore go to stderr, never into the tree.
 
@@ -22,6 +22,7 @@ that differs by more than 1e-12 in any number exits 4 and is named.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -44,7 +45,15 @@ from .clustering import (
     write_split_csv,
 )
 from .config import RunConfig, config_hash, load_config, stage_config_text
-from .csvio import format_value, parse_float, read_csv, write_csv
+from .csvio import (
+    format_value,
+    parse_float,
+    read_csv,
+    read_json,
+    read_json_lines,
+    write_csv,
+    write_text,
+)
 from .dataset import (
     Dataset,
     SyntheticConfig,
@@ -123,23 +132,6 @@ def _dir_lock(out: Path):
         lock.unlink(missing_ok=True)
 
 
-def _manifest_entries(out: Path) -> list[dict]:
-    path = out / "manifest.jsonl"
-    if not path.exists():
-        return []
-    entries = []
-    for n, line in enumerate(path.read_text().splitlines(), start=1):
-        if line.strip():
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                entry = None
-            if not isinstance(entry, dict):
-                raise DataError(f"{path}: line {n} is not a JSON object")
-            entries.append(entry)
-    return entries
-
-
 def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> None:
     """Run one stage unless its manifest line and outputs already exist."""
     for path in inputs:
@@ -151,7 +143,9 @@ def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> 
         # relpath, not relative_to: an external labels file may sit outside out
         "inputs": {Path(os.path.relpath(p, out)).as_posix(): _file_hash(p) for p in inputs},
     }
-    for old in _manifest_entries(out):
+    manifest = out / "manifest.jsonl"
+    entries = read_json_lines(manifest) if manifest.exists() else []
+    for old in entries:
         if all(old.get(k) == v for k, v in key.items()):
             if all((out / rel).exists() for rel in old.get("outputs", [])):
                 _log(f"[{stage}] up to date, skipping")
@@ -161,8 +155,9 @@ def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> 
     duration = time.monotonic() - started
     entry = dict(key)
     entry["outputs"] = sorted(Path(p).relative_to(out).as_posix() for p in outputs)
-    with open(out / "manifest.jsonl", "a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    # rewritten whole, not appended: a kill cannot leave a torn last line
+    lines = [json.dumps(e, sort_keys=True) + "\n" for e in [*entries, entry]]
+    write_text(manifest, "".join(lines))
     _log(f"[{stage}] done in {duration:.2f}s")
 
 
@@ -420,10 +415,11 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
             X_query = data.features[scored]
             outputs: list[Path] = []
             base = out / "uq" / f"split_{k}"
+            model = load_model(model_path) if "dropout" in methods or "rio" in methods else None
 
             if "dropout" in methods:
                 means, stds = mc_dropout(
-                    load_model(model_path),
+                    model,
                     X_query,
                     McDropoutConfig(
                         passes=section["passes"],
@@ -457,7 +453,6 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                 outputs.append(path)
 
             if "rio" in methods:
-                model = load_model(model_path)
                 yhat_train = predict(model, X_train)
                 yhat_query = predict(model, X_query)
                 rio_model = fit_rio(
@@ -654,37 +649,42 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
 def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     dataset_path = out / "data" / "dataset.csv"
     labels_path = out / "split" / "labels.csv"
+    selected = _select_split_ids(out, split_id)
     all_ids = _split_ids(out)
+    split_paths = {j: out / "split" / f"split_{j}.csv" for j in all_ids}
+    model_paths = {j: out / "train" / f"model_{j}.json" for j in all_ids}
+    for j, path in model_paths.items():
+        if not path.exists():
+            raise DataError(f"evaluation needs every trained model; missing {path} (split {j})")
 
-    for k in _select_split_ids(out, split_id):
-        split_paths = {j: out / "split" / f"split_{j}.csv" for j in all_ids}
-        model_paths = {j: out / "train" / f"model_{j}.json" for j in all_ids}
-        for j, path in model_paths.items():
-            if not path.exists():
-                raise DataError(
-                    f"evaluation needs every trained model; missing {path} (split {j})"
-                )
+    @functools.cache
+    def sources():
+        """The dataset, labels, splits and full-data predictions: built for
+        the first split whose eval is not up to date, then shared."""
+        data = load_dataset(dataset_path)
+        labels = _load_labels_csv(out, data)
+        splits = {j: read_split_csv(path, data.ids, j) for j, path in split_paths.items()}
+        predictions = {
+            j: predict(load_model(path), data.features) for j, path in model_paths.items()
+        }
+        return data, labels, splits, predictions
+
+    for k in selected:
         present = _uq_files(out, k)
         if not present:
             raise DataError(f"no uq outputs for split {k}; run the uq stage")
         inputs = [dataset_path, labels_path, *split_paths.values(), *model_paths.values(),
                   *present.values()]
 
-        def fn(k=k, split_paths=split_paths, model_paths=model_paths, present=present):
-            data = load_dataset(dataset_path)
-            labels = _load_labels_csv(out, data)
-            splits = {j: read_split_csv(path, data.ids, j) for j, path in split_paths.items()}
-            predictions = {
-                j: predict(load_model(path), data.features) for j, path in model_paths.items()
-            }
-            tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k, present)
+        def fn(k=k, present=present):
+            tables, summary = _eval_artifacts(cfg, *sources(), k, present)
             base = out / "eval" / f"split_{k}"
             outputs: list[Path] = []
             for name, (header, rows) in tables.items():
                 outputs.append(base / name)
                 write_csv(outputs[-1], header, rows)
             summary_path = base / "summary.json"
-            summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+            write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
             outputs.append(summary_path)
             return outputs
 
@@ -738,13 +738,6 @@ def _same_json(stored, derived) -> bool:
     return type(stored) is type(derived) and stored == derived
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        raise DataError(f"{path}: missing or not valid JSON") from None
-
-
 def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     """Re-derive every file of eval/split_<k> from the persisted sources
     and check it against the written one (numbers within 1e-12)."""
@@ -764,7 +757,7 @@ def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
                                           _uq_files(out, k))
         checks = [(name, _matches(base / name, header, rows))
                   for name, (header, rows) in tables.items()]
-        checks.append(("summary.json", _same_json(_read_json(base / "summary.json"), summary)))
+        checks.append(("summary.json", _same_json(read_json(base / "summary.json"), summary)))
         for name, ok in checks:
             if ok:
                 _log(f"[report:{k}] {name} OK")

@@ -8,13 +8,13 @@ rows get the label -1 and never participate in splits.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
 from .dataset import Dataset
 from .embedding import sq_distances
 from .errors import ConfigError, DataError
@@ -185,26 +185,18 @@ def load_external_labels(path: str | Path, data: Dataset) -> ClusterLabels:
     rely on contiguous ids; -1 stays noise.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"labels file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "cluster"]:
-            raise DataError(f"{path}: expected header 'id,cluster'")
-        mapping: dict[str, int] = {}
-        for r, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: row {r}: expected 'id,cluster'")
-            rid = row[0].strip()
-            if rid in mapping:
-                raise DataError(f"{path}: duplicate id {rid!r}")
-            try:
-                mapping[rid] = int(row[1])
-            except ValueError:
-                raise DataError(f"{path}: row {r}: non-integer cluster {row[1]!r}") from None
+    header, rows = read_csv(path)
+    if [h.strip() for h in header[:2]] != ["id", "cluster"]:
+        raise DataError(f"{path}: expected header 'id,cluster'")
+    mapping: dict[str, int] = {}
+    for r, row in enumerate(rows, start=1):
+        rid = row[0].strip()
+        if rid in mapping:
+            raise DataError(f"{path}: duplicate id {rid!r}")
+        try:
+            mapping[rid] = int(row[1])
+        except ValueError:
+            raise DataError(f"{path}: row {r}: non-integer cluster {row[1]!r}") from None
 
     unknown = set(mapping) - set(data.ids)
     if unknown:
@@ -221,39 +213,24 @@ def load_external_labels(path: str | Path, data: Dataset) -> ClusterLabels:
 
 
 def write_split_csv(split: SplitSpec, ids, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     roles = [("train", split.train_idx), ("valid", split.valid_idx), ("test", split.test_idx)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "role"])
-        for role, idx in roles:
-            for i in idx:
-                writer.writerow([ids[int(i)], role])
+    write_csv(path, ["id", "role"], ((ids[i], role) for role, idx in roles for i in idx.tolist()))
 
 
 def read_split_csv(path: str | Path, ids, train_cluster: int) -> SplitSpec:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"split file not found: {path}")
+    header, rows = read_csv(path)
+    if [h.strip() for h in header[:2]] != ["id", "role"]:
+        raise DataError(f"{path}: expected header 'id,role'")
     index_of = {rid: i for i, rid in enumerate(ids)}
     buckets: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "role"]:
-            raise DataError(f"{path}: expected header 'id,role'")
-        for r, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}: row {r}: expected 'id,role'")
-            rid, role = row[0].strip(), row[1].strip()
-            if rid not in index_of:
-                raise DataError(f"{path}: row {r}: unknown id {rid!r}")
-            if role not in buckets:
-                raise DataError(f"{path}: row {r}: unknown role {role!r}")
-            buckets[role].append(index_of[rid])
+    for r, row in enumerate(rows, start=1):
+        rid, role = row[0].strip(), row[1].strip()
+        if rid not in index_of:
+            raise DataError(f"{path}: row {r}: unknown id {rid!r}")
+        if role not in buckets:
+            raise DataError(f"{path}: row {r}: unknown role {role!r}")
+        buckets[role].append(index_of[rid])
     return SplitSpec(
         train_idx=np.sort(np.array(buckets["train"], dtype=int)),
         valid_idx=np.sort(np.array(buckets["valid"], dtype=int)),

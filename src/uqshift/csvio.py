@@ -1,14 +1,22 @@
-"""Small CSV helpers shared by the file-format front ends.
+"""The one module that reads and writes the files of the output tree.
 
+Every CSV and JSON file of the tree goes through the functions here.
 Floats are written with ``repr`` so that a load of a save reproduces the
 exact same doubles; that is what makes rerun output trees byte-identical
 and lets the report verifier recompute metrics to machine precision.
+
+A write lands atomically: the text goes to a sibling ``<name>.tmp``,
+which is then renamed over the target, so a run killed part-way leaves
+either the old file or the new one, never a truncated one.  A read that
+finds a missing or malformed file raises ``DataError`` naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,14 +35,35 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _replace(path: str | Path, write) -> None:
+    """write(fh) into a sibling <name>.tmp, then rename it over path.
+
+    If write raises, path keeps its old bytes and the temp file is removed.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_value(v) for v in row])
+
+    _replace(path, write)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    _replace(path, lambda fh: fh.write(text))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -53,6 +82,28 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
     return header, rows
+
+
+def read_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        raise DataError(f"{path}: missing or not valid JSON") from None
+
+
+def read_json_lines(path: str | Path) -> list[dict]:
+    """The JSON object on each non-blank line of path."""
+    entries = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                raise DataError(f"{path}: line {n} is not a JSON object")
+            entries.append(entry)
+    return entries
 
 
 def parse_float(text: str, where: str) -> float:

@@ -7,7 +7,6 @@ use the population convention (divide by n).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import format_value
+from .csvio import read_csv, write_csv
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
@@ -163,15 +162,7 @@ def load_dataset(path: str | Path) -> Dataset:
     cells can be located directly in the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        raw_rows = [row for row in reader if row]
+    header, raw_rows = read_csv(path)
 
     for col in ("id", "target"):
         if col not in header:
@@ -193,8 +184,6 @@ def load_dataset(path: str | Path) -> Dataset:
     features = np.empty((n, len(feature_names)), dtype=float)
     target = np.empty(n, dtype=float)
     for r, row in enumerate(raw_rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         rid = row[id_pos].strip()
         if not rid:
             raise DataError(f"{path}: row {r}, column 'id': missing id")
@@ -222,25 +211,12 @@ def _parse_cell(text: str, path: Path, row: int, column: str) -> float:
 
 def save_dataset(data: Dataset, path: str | Path) -> None:
     """Write a dataset CSV that loads back bit-identically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "target", *data.feature_names])
-        for i in range(data.n):
-            row = [data.ids[i], format_value(float(data.target[i]))]
-            row.extend(format_value(float(v)) for v in data.features[i])
-            writer.writerow(row)
+    rows = zip(data.ids, data.target.tolist(), data.features.tolist())
+    write_csv(path, ["id", "target", *data.feature_names], ([rid, t, *f] for rid, t, f in rows))
 
 
 def write_labels_csv(ids, labels, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "cluster"])
-        for rid, lab in zip(ids, labels):
-            writer.writerow([rid, str(int(lab))])
+    write_csv(path, ["id", "cluster"], zip(ids, map(int, labels)))
 
 
 @dataclass(frozen=True)

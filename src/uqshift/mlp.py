@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_json, write_text
 from .dataset import ScalerParams, fit_scaler
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError
 from .evaluation import r_squared
@@ -523,18 +524,12 @@ def save_model(model: MlpModel, path: str | Path) -> None:
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload) + "\n")
+    write_text(path, json.dumps(payload) + "\n")
 
 
 def load_model(path: str | Path) -> MlpModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model checkpoint not found: {path}")
+    payload = read_json(path)
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
         if payload.get("format") != "uqshift-mlp" or payload.get("version") != 1:
             raise DataError(f"{path}: not a recognized model checkpoint")
         scaler = payload["scaler"]

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from uqshift import cli
 from uqshift.cli import _STAGE_SEEDS, main
 from uqshift.clustering import read_split_csv
 from uqshift.csvio import read_csv
@@ -227,6 +228,10 @@ CORRUPTIONS = {
     "uq-table-without-id": (
         "eval", "uq/split_*/uq_dropout.csv", lambda p: _edit_csv(p, _drop_first_column)),
     "model-without-scaler": ("eval", "train/model_*.json", _drop_scaler),
+    "half-written-model": (
+        "eval", "train/model_*.json",
+        lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])),
+    "one-cell-labels-row": ("eval", "split/labels.csv", lambda p: _edit_csv(p, _truncate_row)),
     "nan-uncertainty-in-uq-table": (
         "eval", "uq/split_*/uq_dropout.csv",
         lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(2, "nan"))),
@@ -311,6 +316,27 @@ class TestReportChecksSources:
         last = err.splitlines()[-1]
         assert last.startswith("numerical failure: ")
         assert f"{path.name} does not match" in last
+
+
+class TestEachModelLoadedOnce:
+    @pytest.mark.parametrize("stage", ["uq", "eval"])
+    def test_one_load_per_split(self, pipeline, tmp_path, monkeypatch, stage):
+        config, finished = pipeline
+        out = tmp_path / "o"
+        shutil.copytree(finished, out)
+        shutil.rmtree(out / stage)
+        loaded = []
+
+        def counting_load_model(path):
+            loaded.append(path)
+            return load_model(path)
+
+        monkeypatch.setattr(cli, "load_model", counting_load_model)
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        assert len(loaded) == len(list((out / "split").glob("split_*.csv")))
+        for path in sorted((finished / stage).rglob("*")):
+            if path.is_file():
+                assert (out / path.relative_to(finished)).read_bytes() == path.read_bytes()
 
 
 class TestTrainBatchSize:

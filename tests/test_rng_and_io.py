@@ -68,6 +68,20 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             read_csv(tmp_path / "nope.csv")
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [(1,), (2,)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (3,)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, ["a"], rows())
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_parse_float_error_mentions_location(self):
         with pytest.raises(DataError, match="row 3"):
             parse_float("abc", "row 3, column 'f01'")
