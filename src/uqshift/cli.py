@@ -89,10 +89,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _file_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _lock_holder_is_dead(lock: Path) -> bool:
     """True when the lock names a PID that no process has any more."""
     try:
@@ -134,14 +130,16 @@ def _dir_lock(out: Path):
 
 def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> None:
     """Run one stage unless its manifest line and outputs already exist."""
-    for path in inputs:
-        if not path.exists():
-            raise DataError(f"stage {stage!r} needs missing input {path}")
+    try:
+        # relpath, not relative_to: an external labels file may sit outside out
+        hashes = {Path(os.path.relpath(p, out)).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in inputs}
+    except OSError as exc:
+        raise DataError(f"stage {stage!r} cannot read {exc.filename} ({type(exc).__name__})") from None
     key = {
         "stage": stage,
         "config_hash": hashlib.sha256(cfg_text.encode()).hexdigest(),
-        # relpath, not relative_to: an external labels file may sit outside out
-        "inputs": {Path(os.path.relpath(p, out)).as_posix(): _file_hash(p) for p in inputs},
+        "inputs": hashes,
     }
     manifest = out / "manifest.jsonl"
     entries = read_json_lines(manifest) if manifest.exists() else []

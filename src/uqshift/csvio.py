@@ -8,12 +8,13 @@ and lets the report verifier recompute metrics to machine precision.
 A write lands atomically: the text goes to a sibling ``<name>.tmp``,
 which is then renamed over the target, so a run killed part-way leaves
 either the old file or the new one, never a truncated one.  A read that
-finds a missing or malformed file raises ``DataError`` naming it.
+finds a missing, unreadable or malformed file raises ``DataError`` naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -66,18 +67,22 @@ def write_text(path: str | Path, text: str) -> None:
     _replace(path, lambda fh: fh.write(text))
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of path, line endings untranslated."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read ({type(exc).__name__})") from None
+
+
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Header and non-empty rows; every row must be as wide as the header."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    rows = [row for row in reader if row]
     for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
@@ -86,15 +91,15 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
 
 def read_json(path: str | Path):
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        raise DataError(f"{path}: missing or not valid JSON") from None
+        return json.loads(_read_text(path))
+    except ValueError:
+        raise DataError(f"{path}: not valid JSON") from None
 
 
 def read_json_lines(path: str | Path) -> list[dict]:
     """The JSON object on each non-blank line of path."""
     entries = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(_read_text(path).splitlines(), start=1):
         if line.strip():
             try:
                 entry = json.loads(line)

@@ -7,9 +7,8 @@ affinities, and plain momentum gradient descent with an early
 exaggeration phase.  Everything is deterministic for a given seed.
 
 Memory: the descent holds the n x n joint affinities P, an exaggerated
-copy of P during the early-exaggeration phase only, two n x n work
-buffers reused by every iteration, and one buffer with an entry per
-nonzero of P for the KL terms.  An iteration allocates no n x n array.
+copy of P during early exaggeration only, and two n x n work buffers D
+and W reused by every iteration: an iteration allocates no n x n array.
 """
 
 from __future__ import annotations
@@ -18,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
 _LOG2 = math.log(2.0)
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,9 @@ def tsne(
     """Exact t-SNE to two dimensions.
 
     The objective trace records the true KL divergence (without the
-    exaggeration factor) at every iteration.  The learning rate defaults
-    to n / early_exaggeration.
+    exaggeration factor) at every iteration, in log form: sum P log P +
+    sum P log(1 + d^2) + (sum P) log sum_{i != j} 1 / (1 + d^2_ij).  The
+    learning rate defaults to n / early_exaggeration.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -176,10 +176,10 @@ def tsne(
 
     # Every n x n intermediate goes into D or W, allocated once.  The ufunc
     # calls keep the operations of the allocating form, and their order,
-    # so coordinates and trace stay bit-identical to it.
-    idx = np.flatnonzero(P > 0)
-    Pm = P.ravel()[idx]
-    Qm = np.empty_like(Pm)
+    # so coordinates and trace stay bit-identical to it.  The trace needs no
+    # gather of P > 0: P's zeros and the diagonal (log 1) add exactly 0.
+    p_log_p = float(xlogy(P, P).sum())
+    p_sum = float(P.sum())
     D = np.empty((n, n))
     W = np.empty((n, n))
     P_eff = P * early_exaggeration if exaggeration_iters > 0 else P
@@ -195,16 +195,13 @@ def tsne(
         np.maximum(D, 0.0, out=D)
         np.fill_diagonal(D, 0.0)
         np.add(1.0, D, out=D)
+        np.log(D, out=W)
+        p_log_d = float(np.vdot(P, W))
         np.divide(1.0, D, out=W)
         np.fill_diagonal(W, 0.0)
-        np.divide(W, W.sum(), out=D)  # D = Q
-
-        np.take(D, idx, out=Qm)
-        np.maximum(Qm, _TINY, out=Qm)
-        np.divide(Pm, Qm, out=Qm)
-        np.log(Qm, out=Qm)
-        np.multiply(Pm, Qm, out=Qm)
-        trace[it] = float(Qm.sum())
+        Z = W.sum()
+        np.divide(W, Z, out=D)  # D = Q
+        trace[it] = p_log_p + p_log_d + p_sum * math.log(Z)
 
         np.subtract(P_eff, D, out=D)
         np.multiply(D, W, out=D)  # D = M

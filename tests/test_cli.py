@@ -206,6 +206,15 @@ def _drop_scaler(path):
     path.write_text(json.dumps(payload))
 
 
+def _append_non_utf8_byte(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 # (stage to run, file glob in the finished tree, corruption)
 CORRUPTIONS = {
     "unknown-id-in-cross-predictions": (
@@ -235,6 +244,10 @@ CORRUPTIONS = {
     "nan-uncertainty-in-uq-table": (
         "eval", "uq/split_*/uq_dropout.csv",
         lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(2, "nan"))),
+    "non-utf8-labels": ("eval", "split/labels.csv", _append_non_utf8_byte),
+    "labels-is-directory": ("eval", "split/labels.csv", _replace_with_directory),
+    "non-utf8-manifest": ("eval", "manifest.jsonl", _append_non_utf8_byte),
+    "uq-table-is-directory": ("report", "uq/split_*/uq_ad.csv", _replace_with_directory),
 }
 
 

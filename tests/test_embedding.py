@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from uqshift.embedding import (
     conditional_probabilities,
@@ -19,12 +22,18 @@ def _sq_dists(X):
 def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
                     momentum_switch, early_exaggeration=12.0,
                     initial_momentum=0.5, final_momentum=0.8):
-    """The allocating descent loop that ``tsne`` must reproduce bit for bit."""
+    """The allocating descent loop that ``tsne`` must reproduce bit for bit.
+
+    Returns the final Y, the log-form KL trace, the KL of every iteration
+    gathered over P > 0 as sum P log(P / max(Q, 1e-300)), and P.
+    """
     P = joint_probabilities(X, perplexity)
+    p_log_p = float(xlogy(P, P).sum())
     lr = X.shape[0] / early_exaggeration
     Y = 1e-4 * keyed_rng(seed).standard_normal((X.shape[0], 2))
     velocity = np.zeros_like(Y)
     trace = np.empty(iterations)
+    gathered = np.empty(iterations)
     for it in range(iterations):
         sq = np.sum(Y * Y, axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
@@ -33,8 +42,10 @@ def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
         W = 1.0 / (1.0 + d2)
         np.fill_diagonal(W, 0.0)
         Q = W / W.sum()
+        trace[it] = (p_log_p + float(np.vdot(P, np.log(1.0 + d2)))
+                     + float(P.sum()) * math.log(W.sum()))
         mask = P > 0
-        trace[it] = float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
+        gathered[it] = float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
         P_eff = P * early_exaggeration if it < exaggeration_iters else P
         M = (P_eff - Q) * W
         grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
@@ -42,7 +53,7 @@ def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
         velocity = momentum * velocity - lr * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-    return Y, trace, P
+    return Y, trace, gathered, P
 
 
 class TestPca:
@@ -186,12 +197,26 @@ class TestTsne:
         X = np.vstack([rng.normal(size=(14, 3)), rng.normal(size=(14, 3)) + shift])
         args = dict(perplexity=4, iterations=iterations, seed=3,
                     exaggeration_iters=exaggeration_iters, momentum_switch=momentum_switch)
-        ref_Y, ref_trace, P = _reference_tsne(X, **args)
+        ref_Y, ref_trace, _, P = _reference_tsne(X, **args)
         if shift:
             assert np.count_nonzero(P == 0.0) > P.shape[0]  # more zeros than the diagonal
         emb = tsne(X, **args)
         assert np.array_equal(emb.coordinates, ref_Y)
         assert np.array_equal(emb.objective_trace, ref_trace)
+
+    @pytest.mark.parametrize("shift", [60.0, 0.0])
+    def test_trace_matches_gathered_kl(self, shift):
+        # the log form sums in another order than the P > 0 gather it
+        # replaced, so the two agree to rounding, not bit for bit
+        rng = keyed_rng(32)
+        X = np.vstack([rng.normal(size=(14, 3)), rng.normal(size=(14, 3)) + shift])
+        args = dict(perplexity=4, iterations=40, seed=3, exaggeration_iters=25,
+                    momentum_switch=25)
+        _, _, gathered, P = _reference_tsne(X, **args)
+        off_diagonal_zeros = np.count_nonzero(P == 0.0) - P.shape[0]
+        assert (off_diagonal_zeros > 0) == bool(shift)
+        emb = tsne(X, **args)
+        np.testing.assert_allclose(emb.objective_trace, gathered, rtol=0, atol=1e-12)
 
     def test_perplexity_floor(self):
         X = keyed_rng(31).normal(size=(20, 3))
