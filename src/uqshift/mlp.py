@@ -11,15 +11,15 @@ Memory: a fit holds every weight and bias as a view into one flat
 vector.  Adam's two moments, its two step temporaries, the gradient and
 the best epoch's copy are flat vectors of the same layout, so a step's
 Adam update is one pass of elementwise in-place operations over the
-whole vector.  The fit also holds, for the training rows, one (rows,
+whole vector.  The fit also holds, sized to one batch, one (batch,
 width) activation and one delta array per hidden layer and two row
-vectors, which the backward pass and the clean train-loss pass share;
-(rows, width) buffers for the validation pass; and, for one batch, the
-batch's rows and targets and the uniform draws and dropout mask of each
-hidden layer.  All are allocated once per fit, and a step allocates
-nothing of a layer's size.  ``forward`` given one (rows, width) buffer
-per hidden layer and an output vector writes the pass into them, as
-every MC-dropout pass does.
+vectors for the backward pass, the batch's rows and targets, and the
+uniform draws and dropout mask of each hidden layer; no pass runs over
+all training rows at once.  The per-epoch validation pass has its own
+(rows, width) buffers.  All are allocated once per fit, and a step
+allocates nothing of a layer's size.  ``forward`` given one (rows,
+width) buffer per hidden layer and an output vector writes the pass into
+them, as every MC-dropout pass does.
 """
 
 from __future__ import annotations
@@ -76,8 +76,12 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """A finished fit: the best epoch's model and the validation R^2 of
+    every epoch, entry 0 being the initialization.  Every entry is
+    finite: a fit whose step loss or end-of-epoch validation R^2 is not
+    finite raises TrainingDivergedError instead."""
+
     model: MlpModel
-    train_loss: np.ndarray  # clean MSE per epoch, entry 0 = initialization
     valid_r2: np.ndarray
     best_epoch: int
 
@@ -255,12 +259,13 @@ def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
     for i in range(len(weights) - 2, -1, -1):
         dh = np.matmul(upstream, weights[i + 1].T, out=work.deltas[i][:n])
         if masks is not None:
-            dh *= masks[i]
             dh /= keep
         # Gate by the layer's output, not its pre-activation: the two
-        # differ only where dropout zeroed a unit, and there dh is already
-        # a signed zero that either gate keeps.  The activations are not
-        # needed after this layer, so the gate overwrites them.
+        # differ only where dropout zeroed a unit.  There the output is
+        # +-0 (NaN if the unit overflowed), so the gate is 0 and does the
+        # mask's job: dh keeps its sign, and a non-finite dh becomes NaN.
+        # The activations are not needed after this layer, so the gate
+        # overwrites them.
         dh *= np.greater(acts[i], 0.0, out=acts[i])
         np.matmul(inputs[i].T, dh, out=g_w[i])
         np.sum(dh, axis=0, out=g_b[i])
@@ -317,8 +322,11 @@ def train_mlp(
     """Train one network and keep the epoch with the best validation R^2.
 
     Epoch 0 (the untouched initialization) competes too, so epochs=0
-    returns the initialized network.  A non-finite loss raises
-    TrainingDivergedError carrying the epoch index.
+    returns the initialized network.  Divergence raises
+    TrainingDivergedError carrying the epoch index: a non-finite step
+    loss raises at once, and a non-finite validation R^2 at the end of an
+    epoch raises for that epoch, which catches a final step that leaves
+    the parameters non-finite.
 
     The parameters, Adam's state, the gradient and the best epoch's copy
     are flat vectors of one layout, and the passes write into buffers
@@ -360,7 +368,7 @@ def train_mlp(
 
     n = X.shape[0]
     batch = n if not batch_size else min(batch_size, n)
-    work = _Workspace.allocate(n, hidden)  # the clean pass takes all n rows
+    work = _Workspace.allocate(batch, hidden)
     valid_acts = [np.empty((Xv.shape[0], width)) for width in hidden]
     valid_out = np.empty(Xv.shape[0])
     batch_X = np.empty((batch, X.shape[1]))
@@ -368,13 +376,9 @@ def train_mlp(
     mask_buffers = [np.empty((batch, width)) for width in hidden]
     draw_buffers = [np.empty((batch, width)) for width in hidden]
 
-    def clean_loss() -> float:
-        return _mse(forward(weights, biases, Xs, buffers=work.acts, out=work.out), y, work.sq)
-
     def valid_score() -> float:
         return r_squared(yv, forward(weights, biases, Xvs, buffers=valid_acts, out=valid_out))
 
-    train_loss = [clean_loss()]
     valid_r2 = [valid_score()]
     best_epoch = 0
     best_r2 = valid_r2[0]
@@ -420,11 +424,9 @@ def train_mlp(
             adam_a /= adam_b
             params -= adam_a
             step += 1
-        epoch_loss = clean_loss()
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(epoch)
-        train_loss.append(epoch_loss)
         score = valid_score()
+        if not np.isfinite(score):
+            raise TrainingDivergedError(epoch)
         valid_r2.append(score)
         if score > best_r2:
             best_r2 = score
@@ -440,12 +442,7 @@ def train_mlp(
         fit=fit,
         scaler=scaler,
     )
-    return TrainResult(
-        model=model,
-        train_loss=np.array(train_loss),
-        valid_r2=np.array(valid_r2),
-        best_epoch=best_epoch,
-    )
+    return TrainResult(model=model, valid_r2=np.array(valid_r2), best_epoch=best_epoch)
 
 
 def hyperparameter_search(

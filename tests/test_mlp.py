@@ -143,16 +143,6 @@ class TestTraining:
         )
         assert result.valid_r2[result.best_epoch] > 0.95
 
-    def test_loss_trace_starts_at_init(self):
-        X, y = _linear_problem(8, n=60)
-        result = train_mlp(
-            X[:40], y[:40], X[40:], y[40:],
-            hidden_sizes=(8,), dropout_rate=0.0,
-            learning_rate=0.01, epochs=5, seed=0,
-        )
-        assert len(result.train_loss) == 6  # entry 0 is the untrained loss
-        assert result.train_loss[0] > result.train_loss[-1]
-
     def test_best_epoch_model_returned(self):
         X, y = _linear_problem(9, n=80)
         result = train_mlp(
@@ -176,8 +166,28 @@ class TestTraining:
                 hidden_sizes=(8,), dropout_rate=0.0,
                 learning_rate=1e160, epochs=50, seed=0,
             )
-        # the first update overflows; the clean loss after it is the first non-finite one
+        # the first update overflows; epoch 1's validation R^2 is the first
+        # non-finite value, since its only step loss saw the initial weights
         assert exc_info.value.epoch == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_final_epoch_raises(self):
+        # with one full-batch epoch no step loss follows the overflowing
+        # update, so only the end-of-epoch check can see it
+        X, y = _linear_problem(10, n=60)
+        with pytest.raises(TrainingDivergedError) as exc_info:
+            train_mlp(
+                X[:40], y[:40], X[40:], y[40:],
+                hidden_sizes=(8,), dropout_rate=0.0,
+                learning_rate=1e160, epochs=1, seed=0,
+            )
+        assert exc_info.value.epoch == 1
+        grid = HyperparamGrid(layer_counts=(1,), widths=(8,),
+                              learning_rates=(0.01, 1e160), dropout_rate=0.0)
+        _, rows = hyperparameter_search(
+            X[:40], y[:40], X[40:], y[40:], grid, epochs=1, seed=0, jobs=1
+        )
+        assert [r.diverged for r in rows] == [False, True]
 
     def test_deterministic(self):
         X, y = _linear_problem(11, n=60)
@@ -257,8 +267,8 @@ def _allocating_loss_and_gradients(weights, biases, X, y, dropout_rate=0.0, mask
 def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=None):
     """train_mlp as written before its reused buffers: one array per
     parameter, fresh activations, gradients, masks and Adam temporaries
-    every step.  Returns the best weights and biases, the loss and R^2
-    traces and the best epoch."""
+    every step.  Returns the best weights and biases, the R^2 trace and
+    the best epoch."""
     scaler = fit_scaler(X)
     Xs, Xvs = scaler.transform(X), scaler.transform(Xv)
     weights, biases = init_params(X.shape[1], hidden, seed)
@@ -266,11 +276,6 @@ def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=N
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
 
-    def clean_loss():
-        diff = _allocating_forward(weights, biases, Xs) - y
-        return float(np.mean(diff * diff))
-
-    losses = [clean_loss()]
     scores = [r_squared(yv, _allocating_forward(weights, biases, Xvs))]
     best = (0, [w.copy() for w in weights], [b.copy() for b in biases])
     n = X.shape[0]
@@ -297,11 +302,10 @@ def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=N
                 m_hat = m / (1 - 0.9 ** t)
                 v_hat = v / (1 - 0.999 ** t)
                 p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        losses.append(clean_loss())
         scores.append(r_squared(yv, _allocating_forward(weights, biases, Xvs)))
         if scores[-1] > scores[best[0]]:
             best = (epoch, [w.copy() for w in weights], [b.copy() for b in biases])
-    return best[1], best[2], np.array(losses), np.array(scores), best[0]
+    return best[1], best[2], np.array(scores), best[0]
 
 
 class TestReusedBuffersBitIdentity:
@@ -314,12 +318,11 @@ class TestReusedBuffersBitIdentity:
         for hidden in [(12,), (12, 7), (12, 7, 5)]:
             args = (X[:50], y[:50], X[50:], y[50:], hidden, rate, 0.01, 12, 3)
             result = train_mlp(*args, batch_size=batch_size)
-            weights, biases, losses, scores, best_epoch = _allocating_train(
+            weights, biases, scores, best_epoch = _allocating_train(
                 *args, batch_size=batch_size)
             for got, want in zip(result.model.weights + result.model.biases,
                                  weights + biases):
                 assert np.array_equal(got, want), hidden
-            assert np.array_equal(result.train_loss, losses), hidden
             assert np.array_equal(result.valid_r2, scores), hidden
             assert result.best_epoch == best_epoch, hidden
 
