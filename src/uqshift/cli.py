@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -79,6 +80,7 @@ from .uq_dropout import McDropoutConfig, mc_dropout
 from .uq_rio import KernelConfig, fit_rio, rio_predict
 
 _METHOD_COLUMNS = ("dropout", "ad_dd", "ad_ld", "rio")
+_UQ_FILES = {"dropout": "uq_dropout.csv", "ad": "uq_ad.csv", "rio": "uq_rio.csv"}
 _SCORE_COLUMNS = ["id", "group", "actual", "predicted"]
 _STAGE_SEEDS = {"synth": 0, "split_embed": 1, "split_sample": 2, "train": 3, "uq_dropout": 4, "uq_rio": 5}
 
@@ -128,8 +130,14 @@ def _dir_lock(out: Path):
         lock.unlink(missing_ok=True)
 
 
+def _manifest_entries(out: Path) -> list[dict]:
+    manifest = out / "manifest.jsonl"
+    return read_json_lines(manifest) if manifest.exists() else []
+
+
 def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> None:
-    """Run one stage unless its manifest line and outputs already exist."""
+    """Run one stage unless its manifest line and outputs already exist
+    and no later manifest line rewrote any of those outputs."""
     try:
         # relpath, not relative_to: an external labels file may sit outside out
         hashes = {Path(os.path.relpath(p, out)).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -142,12 +150,14 @@ def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> 
         "inputs": hashes,
     }
     manifest = out / "manifest.jsonl"
-    entries = read_json_lines(manifest) if manifest.exists() else []
-    for old in entries:
-        if all(old.get(k) == v for k, v in key.items()):
-            if all((out / rel).exists() for rel in old.get("outputs", [])):
-                _log(f"[{stage}] up to date, skipping")
-                return
+    entries = _manifest_entries(out)
+    for i, old in enumerate(entries):
+        outputs = set(old.get("outputs", []))
+        if (all(old.get(k) == v for k, v in key.items())
+                and all((out / rel).exists() for rel in outputs)
+                and not any(outputs & set(later.get("outputs", [])) for later in entries[i + 1:])):
+            _log(f"[{stage}] up to date, skipping")
+            return
     started = time.monotonic()
     outputs = fn()
     duration = time.monotonic() - started
@@ -374,10 +384,10 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
 
 def _parse_methods(raw: str | None) -> tuple[str, ...]:
     if not raw:
-        return ("dropout", "ad", "rio")
-    methods = tuple(part.strip() for part in raw.split(",") if part.strip())
+        return tuple(_UQ_FILES)
+    methods = tuple(dict.fromkeys(part.strip() for part in raw.split(",") if part.strip()))
     for m in methods:
-        if m not in ("dropout", "ad", "rio"):
+        if m not in _UQ_FILES:
             raise ConfigError(f"unknown uq method {m!r}; choose from dropout, ad, rio")
     if not methods:
         raise ConfigError("no uq methods selected")
@@ -477,13 +487,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                 outputs.append(path)
             return outputs
 
-        _run_stage(
-            out,
-            f"uq:{k}",
-            stage_config_text(cfg, "uq") + "\nmethods = " + ",".join(methods),
-            inputs,
-            fn,
-        )
+        _run_stage(out, f"uq:{k}", _uq_config_text(cfg, methods), inputs, fn)
 
 
 def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, float]]:
@@ -502,7 +506,6 @@ def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, f
     }
 
 
-_UQ_FILES = {"dropout": "uq_dropout.csv", "ad": "uq_ad.csv", "rio": "uq_rio.csv"}
 _UQ_COLUMNS = {  # method: {uq CSV column: uq_scores.csv column}
     "dropout": {"pred_std": "dropout"},
     "ad": {"ad_dd": "ad_dd", "ad_ld": "ad_ld"},
@@ -510,10 +513,33 @@ _UQ_COLUMNS = {  # method: {uq CSV column: uq_scores.csv column}
 }
 
 
-def _uq_files(out: Path, k: int) -> dict[str, Path]:
-    """{method: path} of the uq CSVs that split k has."""
-    base = out / "uq" / f"split_{k}"
-    return {m: base / name for m, name in _UQ_FILES.items() if (base / name).exists()}
+def _uq_config_text(cfg: RunConfig, methods) -> str:
+    return stage_config_text(cfg, "uq") + "\nmethods = " + ",".join(methods)
+
+
+def _uq_files(cfg: RunConfig, out: Path, k: int) -> dict[str, Path]:
+    """{method: path} of split k's uq CSVs that the current [uq] config made.
+
+    A file counts when the newest uq:<k> manifest line that lists it ran
+    under the current [uq] section, with any list of methods.  A file on
+    disk that no such line vouches for is stale: a data error names it.
+    """
+    current = {
+        hashlib.sha256(_uq_config_text(cfg, methods).encode()).hexdigest()
+        for n in range(1, len(_UQ_FILES) + 1)
+        for methods in itertools.permutations(_UQ_FILES, n)
+    }
+    writers = [e for e in _manifest_entries(out) if e.get("stage") == f"uq:{k}"]
+    files = {}
+    for method, name in _UQ_FILES.items():
+        rel = f"uq/split_{k}/{name}"
+        writer = next((e for e in reversed(writers) if rel in e.get("outputs", [])), None)
+        if writer is not None and writer.get("config_hash") in current:
+            files[method] = out / rel
+        elif (out / rel).exists():
+            raise DataError(f"{out / rel} was not made under the current [uq] configuration; "
+                            f"rerun the uq stage")
+    return files
 
 
 def _score_table(data: Dataset, labels: ClusterLabels, split, prediction: np.ndarray,
@@ -668,7 +694,7 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         return data, labels, splits, predictions
 
     for k in selected:
-        present = _uq_files(out, k)
+        present = _uq_files(cfg, out, k)
         if not present:
             raise DataError(f"no uq outputs for split {k}; run the uq stage")
         inputs = [dataset_path, labels_path, *split_paths.values(), *model_paths.values(),
@@ -709,20 +735,57 @@ def _read_predictions(path: Path, ids, split_ids: list[int]) -> dict[int, np.nda
     return preds
 
 
+def _numbers_match(cells, values) -> bool | None:
+    """Whether the stored cells hold the derived numbers within 1e-12,
+    compared as float arrays; None when a cell is not a number, or is a
+    NaN where the derived value is not, and so needs a closer look."""
+    derived = np.array(values, dtype=float)
+    try:
+        stored = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    nan = np.isnan(derived)
+    if np.any(np.isnan(stored) & ~nan):
+        return None
+    with np.errstate(invalid="ignore"):  # inf - inf
+        close = (stored == derived) | (np.abs(stored - derived) <= 1e-12)
+    return bool(np.all(close | nan & np.isnan(stored)))
+
+
+def _cells_match(path: Path, cells, values) -> bool:
+    """Cell by cell: the same text, or a number within 1e-12 of the
+    derived one; a cell that is not a number raises DataError naming its row."""
+    for r, (cell, value) in enumerate(zip(cells, values), start=1):
+        if cell == format_value(value):
+            continue
+        if isinstance(value, str):
+            return False
+        if not abs(parse_float(cell, f"{path}: row {r}") - value) <= 1e-12:
+            return False
+    return True
+
+
 def _matches(path: Path, header: list[str], rows: list) -> bool:
-    """True when the file holds this header and these rows: each cell the
-    same text, or two numbers within 1e-12."""
+    """True when the file holds this header and these rows: string cells
+    the same text, numbers within 1e-12.
+
+    A column of strings is compared as a tuple and a column of numbers as
+    arrays.  A column that mixes them, or whose stored cells do not all
+    parse, goes cell by cell.
+    """
     stored_header, stored_rows = read_csv(path)
     if stored_header != header or len(stored_rows) != len(rows):
         return False
-    for r, (stored, derived) in enumerate(zip(stored_rows, rows), start=1):
-        for cell, value in zip(stored, derived):
-            if cell == format_value(value):
-                continue
-            if isinstance(value, str):
-                return False
-            if not abs(parse_float(cell, f"{path}: row {r}") - value) <= 1e-12:
-                return False
+    for cells, values in zip(zip(*stored_rows), zip(*rows)):
+        types = set(map(type, values))
+        if types == {str}:
+            same = cells == values
+        else:
+            same = None if str in types else _numbers_match(cells, values)
+            if same is None:
+                same = _cells_match(path, cells, values)
+        if not same:
+            return False
     return True
 
 
@@ -752,7 +815,7 @@ def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
         predictions = _read_predictions(base / "cross_predictions.csv", data.ids, sorted(splits))
         tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k,
-                                          _uq_files(out, k))
+                                          _uq_files(cfg, out, k))
         checks = [(name, _matches(base / name, header, rows))
                   for name, (header, rows) in tables.items()]
         checks.append(("summary.json", _same_json(read_json(base / "summary.json"), summary)))

@@ -12,9 +12,11 @@ noisy-target posterior standard deviation; the corrected prediction is
 yhat + residual_mean.
 
 Memory: a fit holds the two n x n squared-distance matrices (inputs and
-network outputs) and a workspace of seven more n x n buffers plus an
-identity: the two kernel terms, the covariance, its Cholesky factor and
-inverse, the gradient's weight matrix and one product buffer.  They are
+network outputs) and a workspace of seven more n x n buffers: the two
+kernel terms, the covariance, its Cholesky factor, the inverse, the
+gradient's weight matrix and one product buffer.  LAPACK's ``potri``
+turns the Cholesky factor into the lower triangle of the inverse in
+place, and one pass mirrors it into ``A_inv``.  The buffers are
 allocated once per fit and reused by every likelihood evaluation of
 every start, so an evaluation allocates no n x n array;
 ``log_marginal_likelihood`` builds the same workspace for its single
@@ -28,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 from .embedding import sq_distances
 from .errors import ConfigError, DataError, NumericalError
+from .rng import keyed_rng
 
 _FAIL = 1e25
 _LOG_BOUNDS = (-12.0, 12.0)
@@ -98,22 +102,21 @@ class _Workspace:
     """The squared distances and the n x n buffers of one fit's
     likelihood evaluations.
 
-    ``L`` and ``A_inv`` are Fortran-ordered so LAPACK factors and solves
-    in place; the others are C-ordered, and the gradient's summed
-    products ``M * dK`` must stay so, because a sum walks memory in
-    layout order and a different walk changes the gradient's bits.
+    ``L`` is Fortran-ordered so LAPACK factors it, and then inverts it
+    with ``potri``, in place; ``A_inv`` receives the mirrored inverse.
+    The others are C-ordered, and the gradient's summed products
+    ``M * K`` must stay so, because a sum walks memory in layout order
+    and a different walk changes the gradient's bits.
     """
 
     def __init__(self, X: np.ndarray, yhat: np.ndarray):
         n = X.shape[0]
         self.D2x = sq_distances(X)
         self.D2y = (yhat[:, None] - yhat[None, :]) ** 2
-        self.eye = np.eye(n)
-        self.K_in, self.K_out, self.A, self.M, self.product = (
-            np.empty((n, n)) for _ in range(5)
+        self.K_in, self.K_out, self.A, self.A_inv, self.M, self.product = (
+            np.empty((n, n)) for _ in range(6)
         )
         self.L = np.empty((n, n), order="F")
-        self.A_inv = np.empty((n, n), order="F")
 
 
 def _diagonal(S: np.ndarray) -> np.ndarray:
@@ -167,22 +170,24 @@ def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: floa
         - float(np.sum(np.log(np.diag(L))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    np.copyto(ws.A_inv, ws.eye)
-    A_inv = cho_solve((L, True), ws.A_inv, overwrite_b=True)
+    # L is spent: potri overwrites its lower triangle with that of A^-1.
+    # Its upper triangle stays zero (cholesky cleans it), so L + L^T is
+    # the whole inverse with the diagonal counted twice.
+    L_inv, info = dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"covariance inversion failed (potri info {info})")
+    A_inv = np.add(L_inv, L_inv.T, out=ws.A_inv)
+    _diagonal(A_inv)[:] = _diagonal(L_inv)
+    # d LML / d theta_j = 1/2 tr((alpha alpha^T - A^-1) dA/d theta_j)
     M = np.outer(alpha, alpha, out=ws.M)
     M -= A_inv
     P = ws.product
     grad = []
     for K, D2, ls in ((ws.K_in, ws.D2x, ls_in), (ws.K_out, ws.D2y, ls_out)):
-        np.multiply(M, K, out=P)        # d/d log signal variance: K
-        grad.append(0.5 * float(np.sum(P)))
-        np.divide(D2, ls * ls, out=P)   # d/d log length scale: K * D2 / ls^2
-        P *= K
-        P *= M
-        grad.append(0.5 * float(np.sum(P)))
-    np.multiply(noise, ws.eye, out=P)   # d/d log noise: noise * I
-    P *= M
-    grad.append(0.5 * float(np.sum(P)))
+        np.multiply(M, K, out=P)
+        grad.append(0.5 * float(np.sum(P)))                   # log signal variance: K
+        grad.append(0.5 * float(np.vdot(P, D2)) / (ls * ls))  # log length scale: K * D2 / ls^2
+    grad.append(0.5 * noise * float(np.trace(M)))             # log noise: noise * I
     return value, np.array(grad)
 
 
@@ -247,8 +252,6 @@ def fit_rio(
         if not np.isfinite(value):
             return _FAIL, np.zeros(5)
         return -value, -grad
-
-    from .rng import keyed_rng
 
     rng = keyed_rng(seed)
     starts = [init.to_log_vector()]

@@ -331,6 +331,45 @@ class TestReportChecksSources:
         assert f"{path.name} does not match" in last
 
 
+class TestStaleUqFiles:
+    def test_eval_and_report_refuse_uq_files_of_another_config(self, pipeline, tmp_path,
+                                                              capsys):
+        config, finished = pipeline
+        out = tmp_path / "o"
+        shutil.copytree(finished, out)
+        changed = tmp_path / "passes60.ini"
+        changed.write_text(SMALL_CONFIG.replace("passes = 10", "passes = 60"))
+
+        def run(stage, cfg, *extra):
+            capsys.readouterr()
+            code = main([stage, "--config", str(cfg), "--out", str(out), *extra])
+            return code, capsys.readouterr().err
+
+        # uq_dropout.csv on disk still holds the passes = 10 estimates
+        assert run("uq", changed, "--methods", "ad")[0] == 0
+        for stage in ("eval", "report"):
+            code, err = run(stage, changed)
+            assert code == 3
+            assert "Traceback" not in err
+            assert err.splitlines()[-1].startswith("data error: ")
+            assert "uq_dropout.csv" in err.splitlines()[-1]
+
+        # every method under the new config, listed in another order
+        assert run("uq", changed, "--methods", "rio,ad,dropout")[0] == 0
+        assert run("eval", changed)[0] == 0
+        assert run("report", changed)[0] == 0
+
+        # back to the first config: uq runs again rather than trusting its
+        # old manifest line, whose outputs were rewritten since
+        code, err = run("uq", config)
+        assert code == 0 and "up to date" not in err
+        assert run("eval", config)[0] == 0
+        assert run("report", config)[0] == 0
+        for path in sorted((finished / "uq").rglob("*.csv")) + sorted(
+                (finished / "eval").rglob("*.*")):
+            assert (out / path.relative_to(finished)).read_bytes() == path.read_bytes()
+
+
 class TestEachModelLoadedOnce:
     @pytest.mark.parametrize("stage", ["uq", "eval"])
     def test_one_load_per_split(self, pipeline, tmp_path, monkeypatch, stage):

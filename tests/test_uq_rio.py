@@ -192,13 +192,12 @@ class TestCholeskyEscalation:
         assert np.all(np.isfinite(model.alpha))
 
 
-def _allocating_lml_and_grad(D2x, D2y, r, theta, jitter):
-    """The likelihood as computed before the workspace: fresh n x n
-    temporaries for every evaluation.  Returns the jitter used too."""
+def _factor(D2x, D2y, theta, jitter):
+    """Kernel terms and the Cholesky factor, with fresh n x n temporaries."""
     sv_in, ls_in, sv_out, ls_out, noise = np.exp(theta)
     K_in = sv_in * np.exp(-D2x / (2.0 * ls_in * ls_in))
     K_out = sv_out * np.exp(-D2y / (2.0 * ls_out * ls_out))
-    n = r.shape[0]
+    n = D2x.shape[0]
     A = K_in + K_out + noise * np.eye(n)
     jitter = jitter if jitter is not None else 1e-8 * (sv_in + sv_out)
     for _ in range(4):
@@ -209,29 +208,83 @@ def _allocating_lml_and_grad(D2x, D2y, r, theta, jitter):
             jitter *= 10.0
     else:
         raise NumericalError("factorization failed")
+    return K_in, K_out, L, jitter
+
+
+def _value(L, r):
     alpha = scipy.linalg.cho_solve((L, True), r)
+    n = r.shape[0]
     value = (
         -0.5 * float(r @ alpha)
         - float(np.sum(np.log(np.diag(L))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
+    return value, alpha
+
+
+def _allocating_lml_and_grad(D2x, D2y, r, theta, jitter):
+    """The likelihood with fresh n x n temporaries for every evaluation:
+    A^-1 from potri on the factor, and per kernel term one product
+    M * K giving both of its gradient entries.  Returns the jitter used
+    too."""
+    _, ls_in, _, ls_out, noise = np.exp(theta)
+    K_in, K_out, L, jitter = _factor(D2x, D2y, theta, jitter)
+    value, alpha = _value(L, r)
+    L_inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+    assert info == 0
+    A_inv = np.tril(L_inv) + np.tril(L_inv, -1).T
+    M = np.ascontiguousarray(np.outer(alpha, alpha) - A_inv)
+    grad = []
+    for K, D2, ls in ((K_in, D2x, ls_in), (K_out, D2y, ls_out)):
+        P = M * K
+        grad += [0.5 * float(np.sum(P)), 0.5 * float(np.vdot(P, D2)) / (ls * ls)]
+    grad.append(0.5 * noise * float(np.trace(M)))
+    return value, np.array(grad), jitter
+
+
+def _solved_lml_and_grad(D2x, D2y, r, theta, jitter):
+    """The same likelihood by the textbook route: A^-1 from 2n triangular
+    solves against the identity, and each gradient entry as
+    1/2 sum(M * dA/dtheta_j)."""
+    _, ls_in, _, ls_out, noise = np.exp(theta)
+    K_in, K_out, L, _ = _factor(D2x, D2y, theta, jitter)
+    value, alpha = _value(L, r)
+    n = r.shape[0]
     M = np.outer(alpha, alpha) - scipy.linalg.cho_solve((L, True), np.eye(n))
     dK = (K_in, K_in * (D2x / (ls_in * ls_in)), K_out, K_out * (D2y / (ls_out * ls_out)),
           noise * np.eye(n))
-    return value, np.array([0.5 * float(np.sum(M * dKj)) for dKj in dK]), jitter
+    return value, np.array([0.5 * float(np.sum(M * dKj)) for dKj in dK])
+
+
+def _distances(X, yhat):
+    return sq_distances(X), (yhat[:, None] - yhat[None, :]) ** 2
+
+
+class TestWorkspaceAllocations:
+    def test_evaluation_allocates_no_n_by_n_array(self):
+        import tracemalloc
+
+        n = 300
+        X, y, yhat = _problem(50, n=n, d=4)
+        ws = _Workspace(X, yhat)
+        theta = np.zeros(5)
+        _lml_and_grad(ws, y - yhat, theta, None)
+        tracemalloc.start()
+        try:
+            _lml_and_grad(ws, y - yhat, theta, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestWorkspaceBitIdentity:
     """The reused buffers give the allocating code's bits exactly."""
 
-    @staticmethod
-    def _distances(X, yhat):
-        return sq_distances(X), (yhat[:, None] - yhat[None, :]) ** 2
-
     def test_random_parameters(self):
         X, y, yhat = _problem(44, n=40, d=4)
         r = y - yhat
-        D2x, D2y = self._distances(X, yhat)
+        D2x, D2y = _distances(X, yhat)
         ws = _Workspace(X, yhat)  # one workspace across evaluations, as in a fit
         rng = keyed_rng(45)
         for _ in range(20):
@@ -247,10 +300,42 @@ class TestWorkspaceBitIdentity:
         X = np.vstack([base, base])
         yhat = np.concatenate([base[:, 0], base[:, 0]])
         r = 0.01 * rng.normal(size=20)
-        D2x, D2y = self._distances(X, yhat)
+        D2x, D2y = _distances(X, yhat)
         theta = np.log([1.0, 1.0, 1.0, 1.0, 1e-16])
         want_value, want_grad, used = _allocating_lml_and_grad(D2x, D2y, r, theta, 1e-16)
         assert used > 1e-16  # the input does force an escalation
         value, grad = _lml_and_grad(_Workspace(X, yhat), r, theta, 1e-16)
         assert np.array_equal(value, want_value)
         assert np.array_equal(grad, want_grad)
+
+
+class TestInverseFromFactor:
+    def test_matches_solved_inverse(self):
+        # well-conditioned: the noise variance is at least e^-1 and the
+        # kernel terms at most e, so cond(A) stays below about 600
+        worst = 0.0
+        for seed in (46, 47, 48):
+            X, y, yhat = _problem(seed, n=40, d=4)
+            r = y - yhat
+            D2x, D2y = _distances(X, yhat)
+            rng = keyed_rng(seed + 100)
+            for _ in range(10):
+                theta = rng.uniform(-1.0, 1.0, size=5)
+                value, grad, _ = _allocating_lml_and_grad(D2x, D2y, r, theta, None)
+                want_value, want_grad = _solved_lml_and_grad(D2x, D2y, r, theta, None)
+                scale = np.max(np.abs(want_grad))
+                worst = max(worst, abs(value - want_value) / abs(want_value),
+                            np.max(np.abs(grad - want_grad)) / scale)
+        # relative to the value and to the largest gradient entry; the
+        # measured worst case is about 2e-16
+        assert worst < 1e-10
+
+    def test_failed_inversion_raises_and_skips_the_start(self, monkeypatch):
+        from uqshift import uq_rio
+
+        X, y, yhat = _problem(49, n=15)
+        monkeypatch.setattr(uq_rio, "dpotri", lambda c, lower, overwrite_c: (c, 3))
+        with pytest.raises(NumericalError, match="potri info 3"):
+            log_marginal_likelihood(X, yhat, y - yhat, KernelConfig())
+        with pytest.raises(NumericalError, match="every marginal-likelihood"):
+            fit_rio(X, yhat, y, n_starts=2, max_iter=5, seed=0)
