@@ -2,10 +2,15 @@
 
 Each stage reads files produced by earlier stages from the output
 directory, writes its own outputs there through ``csvio``, and adds one
-manifest line (stage, config hash, input hashes, outputs).  A stage
-whose manifest line and outputs already exist is skipped.  Two runs with the same
-configuration and seed produce byte-identical output trees; wall-clock
-durations therefore go to stderr, never into the tree.
+manifest line (stage, config hash, input hashes, outputs).  One rule,
+``_vouch``, decides whether a stage may read an upstream file: the newest
+manifest line that lists the file ran under the current configuration
+of its stage, and each input on that line still has its recorded hash
+and passes the same rule.  A file no line lists is the user's own and is
+taken as it is.  A stage whose manifest line and outputs already exist
+is skipped.  Two runs with the same configuration and seed produce
+byte-identical output trees; wall-clock durations therefore go to
+stderr, never into the tree.
 
 Every file of eval/split_<k> has one derivation, ``_eval_artifacts``:
 the per-point tables cross_predictions.csv and uq_scores.csv come from
@@ -24,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -32,7 +36,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -132,56 +136,113 @@ def _dir_lock(out: Path):
 
 def _manifest_entries(out: Path) -> list[dict]:
     manifest = out / "manifest.jsonl"
-    return read_json_lines(manifest) if manifest.exists() else []
+    entries = read_json_lines(manifest) if manifest.exists() else []
+    for n, e in enumerate(entries, start=1):
+        if not (isinstance(e.get("stage"), str) and isinstance(e.get("config_hash"), str)
+                and isinstance(e.get("inputs"), dict) and isinstance(e.get("outputs"), list)
+                and all(isinstance(v, str) for v in [*e["inputs"].values(), *e["outputs"]])):
+            raise DataError(f"{manifest}: entry {n} is not a manifest line")
+    return entries
 
 
-def _run_stage(out: Path, stage: str, cfg_text: str, inputs: list[Path], fn) -> None:
-    """Run one stage unless its manifest line and outputs already exist
-    and no later manifest line rewrote any of those outputs."""
+def _newest_writer(entries: list[dict], rel: str) -> dict | None:
+    """The newest manifest line that lists rel among its outputs."""
+    return next((e for e in reversed(entries) if rel in e["outputs"]), None)
+
+
+def _sha256(path: Path) -> str:
     try:
-        # relpath, not relative_to: an external labels file may sit outside out
-        hashes = {Path(os.path.relpath(p, out)).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-                  for p in inputs}
+        return hashlib.sha256(path.read_bytes()).hexdigest()
     except OSError as exc:
-        raise DataError(f"stage {stage!r} cannot read {exc.filename} ({type(exc).__name__})") from None
+        raise DataError(f"cannot read {path} ({type(exc).__name__})") from None
+
+
+def _stage_hash(cfg: RunConfig, stage: str, outputs=()) -> str:
+    """The config hash of a manifest line of stage (synth, split, train:k,
+    uq:k or eval:k): its sections of cfg and, for uq, the methods whose
+    files are among outputs, in _UQ_FILES order."""
+    name = stage.partition(":")[0]
+    if name not in ("synth", "split", "train", "uq", "eval"):
+        raise DataError(f"manifest.jsonl names an unknown stage {stage!r}")
+    text = stage_config_text(cfg, name)
+    if name == "uq":
+        names = {PurePosixPath(rel).name for rel in outputs}
+        text += "\nmethods = " + ",".join(m for m, f in _UQ_FILES.items() if f in names)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _vouch(cfg: RunConfig, out: Path, rels) -> dict[str, str]:
+    """{rel: sha256} of the upstream files rels, paths relative to out, once
+    the read rule of the module docstring accepts each; else a DataError
+    naming the first it refuses.  An input outside the tree reads as
+    ../<name>.  Each file is hashed, and each line checked, at most once."""
+    entries = _manifest_entries(out)
+    sha = functools.cache(lambda rel: _sha256(out / rel))
+    checked: set[int] = set()  # id() of the lines already checked
+
+    def accept(rel):
+        sha(rel)
+        line = _newest_writer(entries, rel)
+        if line is None or id(line) in checked:
+            return
+        checked.add(id(line))
+        stage = line["stage"].partition(":")[0]
+        if line["config_hash"] != _stage_hash(cfg, line["stage"], line["outputs"]):
+            raise DataError(f"{rel} was made under another [{stage}] configuration; "
+                            f"rerun {stage}")
+        for source, recorded in line["inputs"].items():
+            if sha(source) != recorded:
+                raise DataError(f"{rel} is stale: {source} changed since {stage} ran; "
+                                f"rerun {stage}")
+        for source in line["inputs"]:
+            accept(source)
+
+    for rel in rels:
+        accept(rel)
+    return {rel: sha(rel) for rel in rels}
+
+
+def _run_stage(cfg: RunConfig, out: Path, stage: str, inputs: list[str], fn,
+               outputs=()) -> None:
+    """Run one stage on the upstream files inputs (paths relative to out)
+    once ``_vouch`` accepts them, unless a manifest line with the same
+    stage, config hash and input hashes is the newest writer of each of
+    its outputs and they all exist.  outputs names the files a uq stage
+    will write, which fix its methods."""
     key = {
         "stage": stage,
-        "config_hash": hashlib.sha256(cfg_text.encode()).hexdigest(),
-        "inputs": hashes,
+        "config_hash": _stage_hash(cfg, stage, outputs),
+        "inputs": _vouch(cfg, out, inputs),
     }
-    manifest = out / "manifest.jsonl"
     entries = _manifest_entries(out)
-    for i, old in enumerate(entries):
-        outputs = set(old.get("outputs", []))
-        if (all(old.get(k) == v for k, v in key.items())
-                and all((out / rel).exists() for rel in outputs)
-                and not any(outputs & set(later.get("outputs", [])) for later in entries[i + 1:])):
+    for old in entries:
+        if (all(old[k] == v for k, v in key.items())
+                and all(_newest_writer(entries, rel) is old and (out / rel).exists()
+                        for rel in old["outputs"])):
             _log(f"[{stage}] up to date, skipping")
             return
     started = time.monotonic()
-    outputs = fn()
+    written = fn()
     duration = time.monotonic() - started
     entry = dict(key)
-    entry["outputs"] = sorted(Path(p).relative_to(out).as_posix() for p in outputs)
+    entry["outputs"] = sorted(Path(p).relative_to(out).as_posix() for p in written)
     # rewritten whole, not appended: a kill cannot leave a torn last line
     lines = [json.dumps(e, sort_keys=True) + "\n" for e in [*entries, entry]]
-    write_text(manifest, "".join(lines))
+    write_text(out / "manifest.jsonl", "".join(lines))
     _log(f"[{stage}] done in {duration:.2f}s")
 
 
 def _split_ids(out: Path) -> list[int]:
-    ids = []
-    for path in (out / "split").glob("split_*.csv"):
-        match = re.fullmatch(r"split_(\d+)\.csv", path.name)
-        if match:
-            ids.append(int(match.group(1)))
-    return sorted(ids)
+    """The splits of the newest manifest line that lists split files."""
+    for line in reversed(_manifest_entries(out)):
+        ids = sorted(int(m[1]) for rel in line["outputs"]
+                     if (m := re.fullmatch(r"split/split_(\d+)\.csv", rel)))
+        if ids:
+            return ids
+    raise DataError(f"{out / 'manifest.jsonl'} lists no split files; run the split stage first")
 
 
-def _select_split_ids(out: Path, requested: int | None) -> list[int]:
-    available = _split_ids(out)
-    if not available:
-        raise DataError("no split files found; run the split stage first")
+def _select_split_ids(available: list[int], requested: int | None) -> list[int]:
     if requested is None:
         return available
     if requested not in available:
@@ -189,32 +250,19 @@ def _select_split_ids(out: Path, requested: int | None) -> list[int]:
     return [requested]
 
 
-def _load_labels_csv(out: Path, data: Dataset) -> ClusterLabels:
-    return load_external_labels(out / "split" / "labels.csv", data)
-
-
 # ------------------------------------------------------------------ stages
 
 def cmd_synth(cfg: RunConfig, out: Path) -> None:
     def fn():
-        section = cfg["synth"]
-        synth_cfg = SyntheticConfig(
-            clusters=section["clusters"],
-            points_per_cluster=section["points_per_cluster"],
-            dim=section["dim"],
-            separation=section["separation"],
-            coef_scale=section["coef_scale"],
-            noise=section["noise"],
-            seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["synth"]),
-        )
-        data, labels = generate_synthetic(synth_cfg)
+        seed = derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["synth"])
+        data, labels = generate_synthetic(SyntheticConfig(**cfg["synth"], seed=seed))
         dataset_path = out / "data" / "dataset.csv"
         labels_path = out / "data" / "labels.csv"
         save_dataset(data, dataset_path)
         write_labels_csv(data.ids, labels, labels_path)
         return [dataset_path, labels_path]
 
-    _run_stage(out, "synth", stage_config_text(cfg, "synth"), [], fn)
+    _run_stage(cfg, out, "synth", [], fn)
 
 
 def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
@@ -230,14 +278,14 @@ def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
 
 def cmd_split(cfg: RunConfig, out: Path) -> None:
     section = cfg["split"]
-    dataset_path = out / "data" / "dataset.csv"
-    inputs = [dataset_path]
+    inputs = ["data/dataset.csv"]
     external = section["external_labels"]
     if external:
-        inputs.append(Path(external))
+        # relpath, not relative_to: an external labels file may sit outside out
+        inputs.append(Path(os.path.relpath(external, out)).as_posix())
 
     def fn():
-        data = load_dataset(dataset_path)
+        data = load_dataset(out / "data" / "dataset.csv")
         outputs: list[Path] = []
 
         feature_idx = np.arange(data.dim)
@@ -307,37 +355,31 @@ def cmd_split(cfg: RunConfig, out: Path) -> None:
             min_cluster_size=section["min_cluster_size"],
             seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["split_sample"]),
         )
-        if not splits:
-            raise DataError("no cluster reached min_cluster_size; nothing to split")
+        if len(splits) < 2:
+            raise DataError(
+                f"{len(splits)} of {labels.k} clusters reached min_cluster_size = "
+                f"{section['min_cluster_size']} rows; a held-out evaluation needs at least two "
+                f"(set dbscan_eps or eps_factor, or lower min_cluster_size)"
+            )
         for split in splits:
             path = out / "split" / f"split_{split.train_cluster}.csv"
             write_split_csv(split, data.ids, path)
             outputs.append(path)
         return outputs
 
-    _run_stage(out, "split", stage_config_text(cfg, "split"), inputs, fn)
-
-
-def _grid_from_config(cfg: RunConfig) -> HyperparamGrid:
-    section = cfg["train"]
-    return HyperparamGrid(
-        layer_counts=tuple(section["layer_counts"]),
-        widths=tuple(section["widths"]),
-        learning_rates=tuple(section["learning_rates"]),
-        dropout_rate=section["dropout_rate"],
-    )
+    _run_stage(cfg, out, "split", inputs, fn)
 
 
 def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
-    dataset_path = out / "data" / "dataset.csv"
-    for k in _select_split_ids(out, split_id):
-        split_path = out / "split" / f"split_{k}.csv"
+    section = cfg["train"]
+    grid = HyperparamGrid(tuple(section["layer_counts"]), tuple(section["widths"]),
+                          tuple(section["learning_rates"]), section["dropout_rate"])
+    for k in _select_split_ids(_split_ids(out), split_id):
+        inputs = ["data/dataset.csv", f"split/split_{k}.csv"]
 
-        def fn(k=k, split_path=split_path):
-            data = load_dataset(dataset_path)
-            split = read_split_csv(split_path, data.ids, k)
-            grid = _grid_from_config(cfg)
-            section = cfg["train"]
+        def fn(k=k):
+            data = load_dataset(out / "data" / "dataset.csv")
+            split = read_split_csv(out / "split" / f"split_{k}.csv", data.ids, k)
             batch = section["batch_size"] or None
             if batch is not None:
                 _log(f"[train:{k}] mini-batches of {batch}")
@@ -373,48 +415,35 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
             )
             return [model_path, report_path]
 
-        _run_stage(
-            out,
-            f"train:{k}",
-            stage_config_text(cfg, "train"),
-            [dataset_path, split_path],
-            fn,
-        )
+        _run_stage(cfg, out, f"train:{k}", inputs, fn)
 
 
 def _parse_methods(raw: str | None) -> tuple[str, ...]:
+    """The selected methods in _UQ_FILES order: --methods rio,ad is ad,rio."""
     if not raw:
         return tuple(_UQ_FILES)
-    methods = tuple(dict.fromkeys(part.strip() for part in raw.split(",") if part.strip()))
-    for m in methods:
+    chosen = [part.strip() for part in raw.split(",") if part.strip()]
+    for m in chosen:
         if m not in _UQ_FILES:
             raise ConfigError(f"unknown uq method {m!r}; choose from dropout, ad, rio")
-    if not methods:
+    if not chosen:
         raise ConfigError("no uq methods selected")
-    return methods
+    return tuple(m for m in _UQ_FILES if m in chosen)
 
 
 def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | None) -> None:
     methods = _parse_methods(methods_raw)
-    dataset_path = out / "data" / "dataset.csv"
-    labels_path = out / "split" / "labels.csv"
     section = cfg["uq"]
-    for k in _select_split_ids(out, split_id):
-        split_path = out / "split" / f"split_{k}.csv"
-        model_path = out / "train" / f"model_{k}.json"
-        inputs = [dataset_path, labels_path, split_path]
-        if "dropout" in methods or "rio" in methods:
-            if not model_path.exists():
-                needing = [m for m in methods if m in ("dropout", "rio")]
-                raise DataError(
-                    f"methods {needing} need the trained model {model_path}; run the train stage"
-                )
-            inputs.append(model_path)
+    needs_model = "dropout" in methods or "rio" in methods
+    for k in _select_split_ids(_split_ids(out), split_id):
+        inputs = ["data/dataset.csv", "split/labels.csv", f"split/split_{k}.csv"]
+        if needs_model:
+            inputs.append(f"train/model_{k}.json")
 
-        def fn(k=k, split_path=split_path, model_path=model_path):
-            data = load_dataset(dataset_path)
-            labels = _load_labels_csv(out, data)
-            split = read_split_csv(split_path, data.ids, k)
+        def fn(k=k):
+            data = load_dataset(out / "data" / "dataset.csv")
+            labels = load_external_labels(out / "split" / "labels.csv", data)
+            split = read_split_csv(out / "split" / f"split_{k}.csv", data.ids, k)
             _, scored = split.scored_rows(labels)
             if scored.size == 0:
                 raise DataError(f"split {k} has no rows to score")
@@ -423,7 +452,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
             X_query = data.features[scored]
             outputs: list[Path] = []
             base = out / "uq" / f"split_{k}"
-            model = load_model(model_path) if "dropout" in methods or "rio" in methods else None
+            model = load_model(out / "train" / f"model_{k}.json") if needs_model else None
 
             if "dropout" in methods:
                 means, stds = mc_dropout(
@@ -487,7 +516,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                 outputs.append(path)
             return outputs
 
-        _run_stage(out, f"uq:{k}", _uq_config_text(cfg, methods), inputs, fn)
+        _run_stage(cfg, out, f"uq:{k}", inputs, fn, [_UQ_FILES[m] for m in methods])
 
 
 def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, float]]:
@@ -513,33 +542,16 @@ _UQ_COLUMNS = {  # method: {uq CSV column: uq_scores.csv column}
 }
 
 
-def _uq_config_text(cfg: RunConfig, methods) -> str:
-    return stage_config_text(cfg, "uq") + "\nmethods = " + ",".join(methods)
-
-
-def _uq_files(cfg: RunConfig, out: Path, k: int) -> dict[str, Path]:
-    """{method: path} of split k's uq CSVs that the current [uq] config made.
-
-    A file counts when the newest uq:<k> manifest line that lists it ran
-    under the current [uq] section, with any list of methods.  A file on
-    disk that no such line vouches for is stale: a data error names it.
-    """
-    current = {
-        hashlib.sha256(_uq_config_text(cfg, methods).encode()).hexdigest()
-        for n in range(1, len(_UQ_FILES) + 1)
-        for methods in itertools.permutations(_UQ_FILES, n)
-    }
-    writers = [e for e in _manifest_entries(out) if e.get("stage") == f"uq:{k}"]
-    files = {}
-    for method, name in _UQ_FILES.items():
-        rel = f"uq/split_{k}/{name}"
-        writer = next((e for e in reversed(writers) if rel in e.get("outputs", [])), None)
-        if writer is not None and writer.get("config_hash") in current:
-            files[method] = out / rel
-        elif (out / rel).exists():
-            raise DataError(f"{out / rel} was not made under the current [uq] configuration; "
-                            f"rerun the uq stage")
-    return files
+def _eval_inputs(out: Path, k: int, ids: list[int]) -> tuple[list[str], dict[str, Path]]:
+    """The upstream files eval:k reads, relative to out, and {method: path}
+    of split k's uq CSVs on disk among them, in _UQ_FILES order."""
+    uq = {m: f"uq/split_{k}/{name}" for m, name in _UQ_FILES.items()
+          if (out / "uq" / f"split_{k}" / name).exists()}
+    if not uq:
+        raise DataError(f"no uq outputs for split {k}; run the uq stage")
+    inputs = ["data/dataset.csv", "split/labels.csv", *(f"split/split_{j}.csv" for j in ids),
+              *(f"train/model_{j}.json" for j in ids), *uq.values()]
+    return inputs, {m: out / rel for m, rel in uq.items()}
 
 
 def _score_table(data: Dataset, labels: ClusterLabels, split, prediction: np.ndarray,
@@ -671,37 +683,25 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
 
 
 def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
-    dataset_path = out / "data" / "dataset.csv"
-    labels_path = out / "split" / "labels.csv"
-    selected = _select_split_ids(out, split_id)
-    all_ids = _split_ids(out)
-    split_paths = {j: out / "split" / f"split_{j}.csv" for j in all_ids}
-    model_paths = {j: out / "train" / f"model_{j}.json" for j in all_ids}
-    for j, path in model_paths.items():
-        if not path.exists():
-            raise DataError(f"evaluation needs every trained model; missing {path} (split {j})")
+    ids = _split_ids(out)
 
     @functools.cache
     def sources():
         """The dataset, labels, splits and full-data predictions: built for
         the first split whose eval is not up to date, then shared."""
-        data = load_dataset(dataset_path)
-        labels = _load_labels_csv(out, data)
-        splits = {j: read_split_csv(path, data.ids, j) for j, path in split_paths.items()}
+        data = load_dataset(out / "data" / "dataset.csv")
+        labels = load_external_labels(out / "split" / "labels.csv", data)
+        splits = {j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in ids}
         predictions = {
-            j: predict(load_model(path), data.features) for j, path in model_paths.items()
+            j: predict(load_model(out / "train" / f"model_{j}.json"), data.features) for j in ids
         }
         return data, labels, splits, predictions
 
-    for k in selected:
-        present = _uq_files(cfg, out, k)
-        if not present:
-            raise DataError(f"no uq outputs for split {k}; run the uq stage")
-        inputs = [dataset_path, labels_path, *split_paths.values(), *model_paths.values(),
-                  *present.values()]
+    for k in _select_split_ids(ids, split_id):
+        inputs, uq_files = _eval_inputs(out, k, ids)
 
-        def fn(k=k, present=present):
-            tables, summary = _eval_artifacts(cfg, *sources(), k, present)
+        def fn(k=k, uq_files=uq_files):
+            tables, summary = _eval_artifacts(cfg, *sources(), k, uq_files)
             base = out / "eval" / f"split_{k}"
             outputs: list[Path] = []
             for name, (header, rows) in tables.items():
@@ -712,7 +712,7 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
             outputs.append(summary_path)
             return outputs
 
-        _run_stage(out, f"eval:{k}", stage_config_text(cfg, "eval"), inputs, fn)
+        _run_stage(cfg, out, f"eval:{k}", inputs, fn)
 
 
 def _read_predictions(path: Path, ids, split_ids: list[int]) -> dict[int, np.ndarray]:
@@ -802,20 +802,23 @@ def _same_json(stored, derived) -> bool:
 def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     """Re-derive every file of eval/split_<k> from the persisted sources
     and check it against the written one (numbers within 1e-12)."""
-    data = load_dataset(out / "data" / "dataset.csv")
-    labels = _load_labels_csv(out, data)
-    selected = _select_split_ids(out, split_id)
-    splits = {
-        j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in _split_ids(out)
-    }
-    failures: list[str] = []
-    for k in selected:
-        base = out / "eval" / f"split_{k}"
-        if not base.exists():
+    ids = _split_ids(out)
+    entries = _manifest_entries(out)
+    uq_files = {}
+    for k in _select_split_ids(ids, split_id):
+        writer = _newest_writer(entries, f"eval/split_{k}/summary.json")
+        if writer is None:
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
-        predictions = _read_predictions(base / "cross_predictions.csv", data.ids, sorted(splits))
-        tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k,
-                                          _uq_files(cfg, out, k))
+        inputs, uq_files[k] = _eval_inputs(out, k, ids)
+        _vouch(cfg, out, [*inputs, *writer["outputs"]])
+    data = load_dataset(out / "data" / "dataset.csv")
+    labels = load_external_labels(out / "split" / "labels.csv", data)
+    splits = {j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in ids}
+    failures: list[str] = []
+    for k, present in uq_files.items():
+        base = out / "eval" / f"split_{k}"
+        predictions = _read_predictions(base / "cross_predictions.csv", data.ids, ids)
+        tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k, present)
         checks = [(name, _matches(base / name, header, rows))
                   for name, (header, rows) in tables.items()]
         checks.append(("summary.json", _same_json(read_json(base / "summary.json"), summary)))
@@ -871,19 +874,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         out = Path(cfg.get("run", "out"))
         out.mkdir(parents=True, exist_ok=True)
+        command = {"synth": cmd_synth, "split": cmd_split, "train": cmd_train,
+                   "uq": cmd_uq, "eval": cmd_eval, "report": cmd_report}[args.command]
+        extra = [getattr(args, name) for name in ("split_id", "methods") if hasattr(args, name)]
         with _dir_lock(out):
-            if args.command == "synth":
-                cmd_synth(cfg, out)
-            elif args.command == "split":
-                cmd_split(cfg, out)
-            elif args.command == "train":
-                cmd_train(cfg, out, args.split_id)
-            elif args.command == "uq":
-                cmd_uq(cfg, out, args.split_id, args.methods)
-            elif args.command == "eval":
-                cmd_eval(cfg, out, args.split_id)
-            elif args.command == "report":
-                cmd_report(cfg, out, args.split_id)
+            command(cfg, out, *extra)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2

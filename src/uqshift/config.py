@@ -78,7 +78,6 @@ _STAGE_SECTIONS = {
     "train": ("train",),
     "uq": ("uq",),
     "eval": ("eval", "uq"),
-    "report": ("eval", "uq"),
 }
 
 

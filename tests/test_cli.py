@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqshift import cli
 from uqshift.cli import _STAGE_SEEDS, main
@@ -370,6 +376,156 @@ class TestStaleUqFiles:
             assert (out / path.relative_to(finished)).read_bytes() == path.read_bytes()
 
 
+def _copy_tree(finished, tmp_path):
+    out = tmp_path / "o"
+    shutil.copytree(finished, out)
+    return out
+
+
+def _stage_runner(out, capsys):
+    def run(stage, config, *extra):
+        capsys.readouterr()
+        code = main([stage, "--config", str(config), "--out", str(out), *extra])
+        return code, capsys.readouterr().err.splitlines()[-1]
+    return run
+
+
+class TestReadRule:
+    """A stage reads an upstream file only if its newest manifest writer
+    ran under the current config and its recorded inputs are unchanged."""
+
+    def test_retrained_model_refused_until_its_consumers_rerun(self, pipeline, tmp_path,
+                                                                capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        run = _stage_runner(out, capsys)
+        epochs20 = tmp_path / "epochs20.ini"
+        epochs20.write_text(SMALL_CONFIG.replace("epochs = 40", "epochs = 20"))
+
+        assert run("train", epochs20, "--split-id", "0")[0] == 0
+        # models 1 and 2 were trained under the epochs = 40 section
+        for stage in ("eval", "report"):
+            code, last = run(stage, epochs20)
+            assert code == 3
+            assert last == ("data error: train/model_1.json was made under another [train] "
+                            "configuration; rerun train")
+        # and under the first config, model 0 is the stranger
+        code, last = run("uq", config)
+        assert code == 3 and "train/model_0.json was made under another [train]" in last
+
+        # every model retrained: the uq CSVs still come from the old ones
+        assert run("train", epochs20)[0] == 0
+        code, last = run("eval", epochs20)
+        assert code == 3
+        assert last == ("data error: uq/split_0/uq_dropout.csv is stale: train/model_0.json "
+                        "changed since uq ran; rerun uq")
+        for stage in ("uq", "eval", "report"):
+            assert run(stage, epochs20)[0] == 0
+
+    def test_train_config_change_stops_uq_naming_the_model(self, pipeline, tmp_path, capsys):
+        _, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        epochs20 = tmp_path / "epochs20.ini"
+        epochs20.write_text(SMALL_CONFIG.replace("epochs = 40", "epochs = 20"))
+        code, last = _stage_runner(out, capsys)("uq", epochs20, "--methods", "rio")
+        assert code == 3 and "model_0.json" in last
+
+    def test_hand_placed_dataset_runs_to_report(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = tmp_path / "own"
+        (out / "data").mkdir(parents=True)
+        shutil.copy(finished / "data" / "dataset.csv", out / "data" / "dataset.csv")
+        run = _stage_runner(out, capsys)
+        for stage in ("split", "train", "uq", "eval", "report"):
+            assert run(stage, config)[0] == 0, stage
+        # the same dataset and seed give the same files as the synth run's
+        for path in sorted((finished / "eval").rglob("*.*")):
+            assert (out / path.relative_to(finished)).read_bytes() == path.read_bytes()
+
+    def test_method_order_does_not_change_the_uq_config(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        run = _stage_runner(_copy_tree(finished, tmp_path), capsys)
+        code, last = run("uq", config, "--methods", "rio,dropout", "--split-id", "0")
+        assert code == 0 and last.startswith("[uq:0] done in")
+        assert run("uq", config, "--methods", "dropout,rio", "--split-id", "0") == (
+            0, "[uq:0] up to date, skipping")
+
+
+def _truncate_mid_row(path, out):
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    path.write_bytes(b"".join(lines[:middle]) + lines[middle][: len(lines[middle]) // 2])
+
+
+def _newest_writer_elsewhere(path, out):
+    """Append a manifest line that rewrote path alone under another config,
+    as a rerun of its stage with another section would."""
+    manifest = out / "manifest.jsonl"
+    rel = path.relative_to(out).as_posix()
+    entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+    writer = next(e for e in reversed(entries) if rel in e["outputs"])
+    entry = dict(writer, config_hash="0" * 64, outputs=[rel])
+    manifest.write_text(manifest.read_text() + json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _non_numeric_cell(header, rows):
+    rows[0][-1] = "abc"
+
+
+def _duplicate_id(header, rows):
+    rows[1][0] = rows[0][0]
+
+
+# corruption: (suffixes of the files it applies to, corrupt(path, out))
+TREE_CORRUPTIONS = {
+    "truncate mid-row": ((".csv", ".json", ".jsonl"), _truncate_mid_row),
+    "drop a column": ((".csv",), lambda p, out: _edit_csv(p, _drop_first_column)),
+    "non-numeric cell": ((".csv",), lambda p, out: _edit_csv(p, _non_numeric_cell)),
+    "duplicate id": ((".csv",), lambda p, out: _edit_csv(p, _duplicate_id)),
+    "delete": ((".csv", ".json", ".jsonl"), lambda p, out: p.unlink()),
+    "bad JSON": ((".json", ".jsonl"), lambda p, out: p.write_text(p.read_text() + "{not json\n")),
+    "stale input": ((".csv", ".json"), _newest_writer_elsewhere),
+}
+# file glob in a finished tree: the stage after the file's first consumer
+NEXT_CONSUMER = {
+    "data/dataset.csv": "train",
+    "split/labels.csv": "eval",
+    "split/split_*.csv": "uq",
+    "train/model_*.json": "eval",
+    "uq/split_*/uq_*.csv": "report",
+    "eval/split_*/*": "report",
+    "manifest.jsonl": "eval",
+}
+
+
+class TestAnyCorruption:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_one_error_line_naming_the_file(self, pipeline, data):
+        config, finished = pipeline
+        pattern = data.draw(st.sampled_from(sorted(NEXT_CONSUMER)), label="kind")
+        rel = data.draw(st.sampled_from(sorted(p.relative_to(finished).as_posix()
+                                                for p in finished.glob(pattern))), label="file")
+        stage = NEXT_CONSUMER[pattern]
+        corruption = data.draw(st.sampled_from(sorted(
+            name for name, (suffixes, _) in TREE_CORRUPTIONS.items()
+            if Path(rel).suffix in suffixes)), label="corruption")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            shutil.copytree(finished, out)
+            TREE_CORRUPTIONS[corruption][1](out / rel, out)
+            with contextlib.redirect_stderr(err):
+                code = main([stage, "--config", str(config), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert code in (3, 4)
+        assert "Traceback" not in err.getvalue()
+        errors = [line for line in lines
+                  if line.startswith(("data error: ", "numerical failure: "))]
+        assert errors == lines[-1:]
+        assert Path(rel).name in errors[0]
+
+
 class TestEachModelLoadedOnce:
     @pytest.mark.parametrize("stage", ["uq", "eval"])
     def test_one_load_per_split(self, pipeline, tmp_path, monkeypatch, stage):
@@ -559,3 +715,23 @@ class TestExternalLabels:
         clusters = {r[1] for r in label_rows}
         assert clusters == {"0", "1", "2"}
         assert len(sorted((out / "split").glob("split_*.csv"))) == 3
+
+    def test_one_cluster_stops_split(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        base_config = tmp_path / "base.ini"
+        base_config.write_text(SMALL_CONFIG)
+        assert main(["synth", "--config", str(base_config), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "data" / "dataset.csv")
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("id,cluster\n" + "".join(f"{row[0]},7\n" for row in rows))
+        config = tmp_path / "one.ini"
+        config.write_text(
+            SMALL_CONFIG.replace("[train]", f"external_labels = {labels_path}\n\n[train]")
+        )
+        capsys.readouterr()
+        assert main(["split", "--config", str(config), "--out", str(out)]) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("data error: 1 of 1 clusters reached min_cluster_size")
+        for knob in ("dbscan_eps", "eps_factor", "min_cluster_size"):
+            assert knob in last
+        assert not list((out / "split").glob("split_*.csv"))
