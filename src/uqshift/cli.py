@@ -18,15 +18,17 @@ the dataset, the models' predictions and the split's uq CSVs, and the
 R^2 matrix, the removal curves, the box-plot statistics and
 summary.json come from those tables.  ``eval`` writes what it returns.
 ``report`` calls it on the persisted sources (the dataset, the split
-files, the ``pred_<k>`` columns of cross_predictions.csv and
-uq/split_<k>/uq_*.csv) under the current configuration and compares
-every file, summary.json and the per-point tables included; a file
-that differs by more than 1e-12 in any number exits 4 and is named.
+files, the ``pred_<k>`` columns of cross_predictions.csv and the uq CSVs
+that the newest eval:k manifest line records as inputs) under the
+current configuration and compares every file, summary.json and the
+per-point tables included; a file that differs by more than 1e-12 in
+any number exits 4 and is named.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import functools
 import hashlib
 import json
@@ -49,7 +51,7 @@ from .clustering import (
     read_split_csv,
     write_split_csv,
 )
-from .config import RunConfig, config_hash, load_config, stage_config_text
+from .config import _STAGE_SECTIONS, RunConfig, config_hash, load_config, stage_config_text
 from .csvio import (
     format_value,
     parse_float,
@@ -83,8 +85,13 @@ from .uq_ad import ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
 from .uq_dropout import McDropoutConfig, mc_dropout
 from .uq_rio import KernelConfig, fit_rio, rio_predict
 
-_METHOD_COLUMNS = ("dropout", "ad_dd", "ad_ld", "rio")
-_UQ_FILES = {"dropout": "uq_dropout.csv", "ad": "uq_ad.csv", "rio": "uq_rio.csv"}
+# method: (uq CSV, {uq CSV column: uq_scores.csv column}), in file order
+_UQ_METHODS = {
+    "dropout": ("uq_dropout.csv", {"pred_std": "dropout"}),
+    "ad": ("uq_ad.csv", {"ad_dd": "ad_dd", "ad_ld": "ad_ld"}),
+    "rio": ("uq_rio.csv", {"residual_std": "rio"}),
+}
+_METHOD_COLUMNS = tuple(col for _, cols in _UQ_METHODS.values() for col in cols.values())
 _SCORE_COLUMNS = ["id", "group", "actual", "predicted"]
 _STAGE_SEEDS = {"synth": 0, "split_embed": 1, "split_sample": 2, "train": 3, "uq_dropout": 4, "uq_rio": 5}
 
@@ -95,43 +102,34 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _lock_holder_is_dead(lock: Path) -> bool:
-    """True when the lock names a PID that no process has any more."""
-    try:
-        pid = int(lock.read_text())
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):  # another user's process; not a PID
-        pass
-    return False
-
-
 @contextmanager
 def _dir_lock(out: Path):
+    """Hold flock on <out>/.lock while the run lasts; the kernel drops it if
+    the run dies.  The file is unlinked while still locked, so no tree keeps it."""
     lock = out / ".lock"
-    for attempt in range(2):
+    while True:
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _lock_holder_is_dead(lock):
-                raise ConfigError(
-                    f"output directory {out} is locked by another run (remove {lock} if stale)"
-                ) from None
-            _log(f"removing stale lock {lock}: its process is gone")
-            lock.unlink(missing_ok=True)
-    try:
-        os.write(fd, str(os.getpid()).encode())
+            fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+        except OSError as exc:
+            raise ConfigError(f"cannot lock {lock} ({type(exc).__name__})") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a run that ended after our open may have unlinked the file: retry
+            if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                break
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise ConfigError(f"output directory {out} is locked by another run") from None
+            raise ConfigError(f"cannot lock {lock} ({type(exc).__name__})") from None
         os.close(fd)
+    try:
         yield
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _manifest_entries(out: Path) -> list[dict]:
@@ -160,14 +158,14 @@ def _sha256(path: Path) -> str:
 def _stage_hash(cfg: RunConfig, stage: str, outputs=()) -> str:
     """The config hash of a manifest line of stage (synth, split, train:k,
     uq:k or eval:k): its sections of cfg and, for uq, the methods whose
-    files are among outputs, in _UQ_FILES order."""
+    files are among outputs, in _UQ_METHODS order."""
     name = stage.partition(":")[0]
-    if name not in ("synth", "split", "train", "uq", "eval"):
+    if name not in _STAGE_SECTIONS:
         raise DataError(f"manifest.jsonl names an unknown stage {stage!r}")
     text = stage_config_text(cfg, name)
     if name == "uq":
         names = {PurePosixPath(rel).name for rel in outputs}
-        text += "\nmethods = " + ",".join(m for m, f in _UQ_FILES.items() if f in names)
+        text += "\nmethods = " + ",".join(m for m, (f, _) in _UQ_METHODS.items() if f in names)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -188,7 +186,8 @@ def _vouch(cfg: RunConfig, out: Path, rels) -> dict[str, str]:
         checked.add(id(line))
         stage = line["stage"].partition(":")[0]
         if line["config_hash"] != _stage_hash(cfg, line["stage"], line["outputs"]):
-            raise DataError(f"{rel} was made under another [{stage}] configuration; "
+            sections = " or ".join(f"[{name}]" for name in _STAGE_SECTIONS[stage])
+            raise DataError(f"{rel} was made under another {sections} configuration; "
                             f"rerun {stage}")
         for source, recorded in line["inputs"].items():
             if sha(source) != recorded:
@@ -232,21 +231,20 @@ def _run_stage(cfg: RunConfig, out: Path, stage: str, inputs: list[str], fn,
     _log(f"[{stage}] done in {duration:.2f}s")
 
 
-def _split_ids(out: Path) -> list[int]:
-    """The splits of the newest manifest line that lists split files."""
+def _split_ids(out: Path, requested: int | None = None) -> list[int]:
+    """The splits of the newest manifest line that lists split files, or
+    just requested when it is one of them."""
     for line in reversed(_manifest_entries(out)):
         ids = sorted(int(m[1]) for rel in line["outputs"]
                      if (m := re.fullmatch(r"split/split_(\d+)\.csv", rel)))
         if ids:
-            return ids
-    raise DataError(f"{out / 'manifest.jsonl'} lists no split files; run the split stage first")
-
-
-def _select_split_ids(available: list[int], requested: int | None) -> list[int]:
+            break
+    else:
+        raise DataError(f"{out / 'manifest.jsonl'} lists no split files; run the split stage first")
     if requested is None:
-        return available
-    if requested not in available:
-        raise DataError(f"split {requested} not found; available: {available}")
+        return ids
+    if requested not in ids:
+        raise DataError(f"split {requested} not found; available: {ids}")
     return [requested]
 
 
@@ -374,7 +372,7 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     section = cfg["train"]
     grid = HyperparamGrid(tuple(section["layer_counts"]), tuple(section["widths"]),
                           tuple(section["learning_rates"]), section["dropout_rate"])
-    for k in _select_split_ids(_split_ids(out), split_id):
+    for k in _split_ids(out, split_id):
         inputs = ["data/dataset.csv", f"split/split_{k}.csv"]
 
         def fn(k=k):
@@ -419,23 +417,23 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
 
 
 def _parse_methods(raw: str | None) -> tuple[str, ...]:
-    """The selected methods in _UQ_FILES order: --methods rio,ad is ad,rio."""
+    """The selected methods in _UQ_METHODS order: --methods rio,ad is ad,rio."""
     if not raw:
-        return tuple(_UQ_FILES)
+        return tuple(_UQ_METHODS)
     chosen = [part.strip() for part in raw.split(",") if part.strip()]
     for m in chosen:
-        if m not in _UQ_FILES:
-            raise ConfigError(f"unknown uq method {m!r}; choose from dropout, ad, rio")
+        if m not in _UQ_METHODS:
+            raise ConfigError(f"unknown uq method {m!r}; choose from {', '.join(_UQ_METHODS)}")
     if not chosen:
         raise ConfigError("no uq methods selected")
-    return tuple(m for m in _UQ_FILES if m in chosen)
+    return tuple(m for m in _UQ_METHODS if m in chosen)
 
 
 def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | None) -> None:
     methods = _parse_methods(methods_raw)
     section = cfg["uq"]
     needs_model = "dropout" in methods or "rio" in methods
-    for k in _select_split_ids(_split_ids(out), split_id):
+    for k in _split_ids(out, split_id):
         inputs = ["data/dataset.csv", "split/labels.csv", f"split/split_{k}.csv"]
         if needs_model:
             inputs.append(f"train/model_{k}.json")
@@ -516,7 +514,7 @@ def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | N
                 outputs.append(path)
             return outputs
 
-        _run_stage(cfg, out, f"uq:{k}", inputs, fn, [_UQ_FILES[m] for m in methods])
+        _run_stage(cfg, out, f"uq:{k}", inputs, fn, [_UQ_METHODS[m][0] for m in methods])
 
 
 def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, float]]:
@@ -535,25 +533,6 @@ def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, f
     }
 
 
-_UQ_COLUMNS = {  # method: {uq CSV column: uq_scores.csv column}
-    "dropout": {"pred_std": "dropout"},
-    "ad": {"ad_dd": "ad_dd", "ad_ld": "ad_ld"},
-    "rio": {"residual_std": "rio"},
-}
-
-
-def _eval_inputs(out: Path, k: int, ids: list[int]) -> tuple[list[str], dict[str, Path]]:
-    """The upstream files eval:k reads, relative to out, and {method: path}
-    of split k's uq CSVs on disk among them, in _UQ_FILES order."""
-    uq = {m: f"uq/split_{k}/{name}" for m, name in _UQ_FILES.items()
-          if (out / "uq" / f"split_{k}" / name).exists()}
-    if not uq:
-        raise DataError(f"no uq outputs for split {k}; run the uq stage")
-    inputs = ["data/dataset.csv", "split/labels.csv", *(f"split/split_{j}.csv" for j in ids),
-              *(f"train/model_{j}.json" for j in ids), *uq.values()]
-    return inputs, {m: out / rel for m, rel in uq.items()}
-
-
 def _score_table(data: Dataset, labels: ClusterLabels, split, prediction: np.ndarray,
                  uq_files: dict[str, Path]) -> tuple[list[str], list[tuple]]:
     """Header and rows of uq_scores.csv: every scored row of the split
@@ -563,7 +542,7 @@ def _score_table(data: Dataset, labels: ClusterLabels, split, prediction: np.nda
     in_cluster = ~np.isin(scored, split.test_idx)
     scores: dict[str, dict[str, float]] = {}
     for method, path in uq_files.items():
-        scores.update(_read_uq_table(path, _UQ_COLUMNS[method]))
+        scores.update(_read_uq_table(path, _UQ_METHODS[method][1]))
     for name, mapping in scores.items():
         missing = [rid for rid in ids if rid not in mapping]
         if missing:
@@ -697,8 +676,14 @@ def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         }
         return data, labels, splits, predictions
 
-    for k in _select_split_ids(ids, split_id):
-        inputs, uq_files = _eval_inputs(out, k, ids)
+    for k in _split_ids(out, split_id):
+        uq = {m: rel for m, (name, _) in _UQ_METHODS.items()
+              if (out / (rel := f"uq/split_{k}/{name}")).exists()}
+        if not uq:
+            raise DataError(f"no uq outputs for split {k}; run the uq stage")
+        inputs = ["data/dataset.csv", "split/labels.csv", *(f"split/split_{j}.csv" for j in ids),
+                  *(f"train/model_{j}.json" for j in ids), *uq.values()]
+        uq_files = {m: out / rel for m, rel in uq.items()}
 
         def fn(k=k, uq_files=uq_files):
             tables, summary = _eval_artifacts(cfg, *sources(), k, uq_files)
@@ -805,12 +790,14 @@ def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
     ids = _split_ids(out)
     entries = _manifest_entries(out)
     uq_files = {}
-    for k in _select_split_ids(ids, split_id):
+    for k in _split_ids(out, split_id):
         writer = _newest_writer(entries, f"eval/split_{k}/summary.json")
         if writer is None:
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
-        inputs, uq_files[k] = _eval_inputs(out, k, ids)
-        _vouch(cfg, out, [*inputs, *writer["outputs"]])
+        # the uq CSVs that eval read, not the ones on disk now
+        uq_files[k] = {m: out / rel for m, (name, _) in _UQ_METHODS.items()
+                       if (rel := f"uq/split_{k}/{name}") in writer["inputs"]}
+        _vouch(cfg, out, [*writer["inputs"], *writer["outputs"]])
     data = load_dataset(out / "data" / "dataset.csv")
     labels = load_external_labels(out / "split" / "labels.csv", data)
     splits = {j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in ids}
@@ -857,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--split-id", type=int, default=None, help="restrict to one split")
         if name == "uq":
             cmd.add_argument("--methods", type=str, default=None,
-                             help="comma list from: dropout, ad, rio")
+                             help="comma list from: " + ", ".join(_UQ_METHODS))
     return parser
 
 

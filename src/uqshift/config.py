@@ -210,8 +210,6 @@ def config_hash(config: RunConfig) -> str:
 
 def stage_config_text(config: RunConfig, stage: str) -> str:
     """The part of the configuration a stage's output depends on."""
-    if stage not in _STAGE_SECTIONS:
-        raise ConfigError(f"unknown stage {stage!r}")
     parts = [f"seed = {config.get('run', 'seed')}"]
     for section in _STAGE_SECTIONS[stage]:
         parts.append(f"[{section}]")

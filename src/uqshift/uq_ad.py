@@ -10,7 +10,7 @@ Two novelty scores against a training set:
 
 Neighbor searches order candidates by (distance, row index), so exact
 ties resolve to the lowest index.  All statistics use the population
-convention.
+convention.  The novelty threshold at alpha is scipy's ``ndtri(1 - alpha)``.
 """
 
 from __future__ import annotations
@@ -19,53 +19,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ConfigError, DataError, NumericalError
 
 METRICS = ("euclidean", "jaccard")
 
-# Rational approximation coefficients for the standard normal quantile
-# (Acklam), refined with one Halley step; worst-case error is far below
-# the 1e-8 documentation threshold and the function is bit-deterministic.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def _lower_quantile(p: float) -> float:
-    """Inverse normal CDF for p in (0, 0.5]; rational start, one Halley step."""
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    # the CDF of non-positive x via erfc keeps full relative precision,
-    # so the step is accurate even deep in the tail
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
 
 def standard_normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution.
-
-    Upper-tail arguments reflect to the lower tail, where the error
-    term in the refinement step does not cancel."""
+    """Inverse CDF of the standard normal distribution (scipy's ``ndtri``)."""
     if not 0.0 < p < 1.0:
         raise ConfigError(f"quantile argument must lie in (0, 1), got {p}")
-    if p > 0.5:
-        return -_lower_quantile(1.0 - p)
-    return _lower_quantile(p)
+    return float(ndtri(p))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import fcntl
 import io
 import json
 import os
@@ -450,6 +451,34 @@ class TestReadRule:
         assert run("uq", config, "--methods", "dropout,rio", "--split-id", "0") == (
             0, "[uq:0] up to date, skipping")
 
+    def test_report_checks_the_uq_files_eval_read(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        shutil.rmtree(out / "uq")
+        shutil.rmtree(out / "eval")
+        run = _stage_runner(out, capsys)
+        assert run("uq", config, "--methods", "ad")[0] == 0
+        assert run("eval", config)[0] == 0
+        # a uq CSV that appeared after eval ran is not one of eval's sources
+        assert run("uq", config, "--methods", "dropout")[0] == 0
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        assert "report: all evaluation artifacts verified" in capsys.readouterr().out
+        summary = json.loads((out / "eval" / "split_0" / "summary.json").read_text())
+        assert summary["methods"] == ["ad_dd", "ad_ld"]
+
+    def test_uq_change_names_both_sections_of_eval(self, pipeline, tmp_path, capsys):
+        _, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        passes60 = tmp_path / "passes60.ini"
+        passes60.write_text(SMALL_CONFIG.replace("passes = 10", "passes = 60"))
+        run = _stage_runner(out, capsys)
+        assert run("uq", passes60)[0] == 0
+        code, last = run("report", passes60)
+        assert code == 3
+        assert last == ("data error: eval/split_0/boxplot_stats.csv was made under another "
+                        "[eval] or [uq] configuration; rerun eval")
+
 
 def _truncate_mid_row(path, out):
     lines = path.read_bytes().splitlines(keepends=True)
@@ -526,6 +555,40 @@ class TestAnyCorruption:
         assert Path(rel).name in errors[0]
 
 
+TRACE_EVAL_AND_REPORT = """\
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+from uqshift import cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for stage in ("eval", "report"):
+    assert cli.main([stage, "--config", sys.argv[3], "--out", sys.argv[4]]) == 0, stage
+print(json.dumps(tracer.count))
+"""
+
+
+class TestBenchTracing:
+    """bench/tracing.py wraps the layer functions bound in uqshift.cli; a
+    layer called from elsewhere would read as zero in the per-layer metrics."""
+
+    def test_eval_and_report_spans_are_entered(self, pipeline, tmp_path):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        shutil.rmtree(out / "eval")
+        root = Path(__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", TRACE_EVAL_AND_REPORT, str(root / "src"),
+             str(root / "bench"), str(config), str(out)],
+            capture_output=True, text=True, check=True)
+        count = json.loads(result.stdout.splitlines()[-1])
+        for span in ("evaluation.cross_cluster_table", "evaluation.removal_curve",
+                     "evaluation.uq_summary_stats", "evaluation.novelty_separation",
+                     "csvio.read_csv", "dataset.load_dataset", "mlp.predict",
+                     "mlp.load_model"):
+            assert count.get(span, 0) > 0, span
+
+
 class TestEachModelLoadedOnce:
     @pytest.mark.parametrize("stage", ["uq", "eval"])
     def test_one_load_per_split(self, pipeline, tmp_path, monkeypatch, stage):
@@ -588,27 +651,75 @@ class TestCliErrors:
                      "--methods", "voodoo"])
         assert code == 2
 
-    def test_lock_contention_exits_2(self, tmp_path, capsys):
+    def test_held_flock_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_CONFIG)
         out = tmp_path / "o"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))  # a live process
-        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert "locked by another run" in err and "\n" not in err
+        # a second open file description: flock conflicts even in one process
+        fd = os.open(out / ".lock", os.O_CREAT | os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        finally:
+            os.close(fd)
+        # one line, and no advice to remove a file: the kernel frees the lock
+        assert capsys.readouterr().err == (
+            f"config error: output directory {out} is locked by another run\n")
+        assert (out / ".lock").exists()
+        assert not (out / "data").exists()
 
-    @pytest.mark.parametrize("content", ["", "not-a-pid"])
-    def test_unreadable_lock_exits_2(self, tmp_path, capsys, content):
+    def test_lock_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        out = tmp_path / "o"
+        (out / ".lock").mkdir(parents=True)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: ") and ".lock" in err and "\n" not in err
+        assert "locked by another run" not in err  # no run holds a directory
+
+    def test_lock_of_killed_holder_is_taken(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_CONFIG)
         out = tmp_path / "o"
         out.mkdir()
-        (out / ".lock").write_text(content)
-        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert "locked by another run" in err and "\n" not in err
-        assert (out / ".lock").read_text() == content
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import fcntl, os, sys, time\n"
+             "fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)\n"
+             "fcntl.flock(fd, fcntl.LOCK_EX)\nprint(flush=True)\ntime.sleep(60)\n",
+             str(out / ".lock")], stdout=subprocess.PIPE)
+        try:
+            holder.stdout.readline()  # the holder has the lock
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        finally:
+            holder.kill()
+            holder.wait()
+        assert (out / ".lock").exists()
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert not (out / ".lock").exists()
+
+    def test_lock_file_replaced_before_flock_is_retried(self, tmp_path, monkeypatch):
+        # a run that ends between our open and our flock unlinks the file we
+        # opened, and the next run creates a new one at the same path
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        out = tmp_path / "o"
+        out.mkdir()
+        calls = []
+        real_flock = fcntl.flock
+
+        def flock(fd, op):
+            calls.append(fd)
+            if len(calls) == 1:
+                (out / ".lock").unlink()
+                (out / ".lock").write_text("")
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(cli.fcntl, "flock", flock)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert len(calls) == 2
+        assert not (out / ".lock").exists()
 
     def test_stale_lock_of_dead_process_is_taken(self, tmp_path):
         config = tmp_path / "run.ini"
