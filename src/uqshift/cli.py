@@ -266,9 +266,10 @@ def cmd_synth(cfg: RunConfig, out: Path) -> None:
 def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
     """eps from the data: factor times the median distance to the
     neighbor that would make a point core."""
-    dists = np.sqrt(np.sort(sq_distances(coords), axis=1))
+    d2 = sq_distances(coords)
     rank = min(min_pts - 1, coords.shape[0] - 1)
-    eps = factor * float(np.median(dists[:, rank]))
+    d2.partition(rank, axis=1)
+    eps = factor * float(np.median(np.sqrt(d2[:, rank])))
     if eps <= 0:
         raise NumericalError("auto eps came out non-positive; data may be degenerate")
     return eps
@@ -316,6 +317,9 @@ def cmd_split(cfg: RunConfig, out: Path) -> None:
                 seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["split_embed"]),
             )
             coords = emb.coordinates
+            _log(f"[split] perplexity search: {emb.params['perplexity_capped_rows']} of "
+                 f"{data.n} rows hit max_iter, largest entropy error "
+                 f"{emb.params['perplexity_max_error_bits']:.3g} bits")
             emb_path = out / "split" / "embedding.csv"
             write_csv(
                 emb_path,

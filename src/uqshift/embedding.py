@@ -6,9 +6,17 @@ entropy, symmetrized joint probabilities, Student-t low-dimensional
 affinities, and plain momentum gradient descent with an early
 exaggeration phase.  Everything is deterministic for a given seed.
 
-Memory: the descent holds the n x n joint affinities P, an exaggerated
-copy of P during early exaggeration only, and two n x n work buffers D
-and W reused by every iteration: an iteration allocates no n x n array.
+Memory: at most four n x n arrays are alive at once.  The bandwidth
+search holds the squared distances, one n x (n - 1) copy of their
+off-diagonal entries less each row's minimum, and the conditional
+affinities; it bisects 64 rows at a time in (64, n - 1) blocks and
+writes each block straight into the conditional matrix.  The descent
+holds the joint affinities P, an exaggerated copy of P during early
+exaggeration only, and two n x n work buffers D and W reused by every
+iteration, plus thin buffers: n x 4 A = [-2Y, 1 + |y|^2, 1] and
+B = [Y, 1, |y|^2], whose product A B^T is 1 + d^2, and n x 3 [Y, 1],
+whose product with the gradient weights gives their product with Y and
+their row sums at once.  An iteration allocates no n x n array.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
 _LOG2 = math.log(2.0)
+_SEARCH_TOL = 1e-5  # bits
+_SEARCH_MAX_ITER = 200
+_SEARCH_ROWS = 64  # rows bisected together
 
 
 @dataclass(frozen=True)
@@ -85,52 +96,103 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
 
 def conditional_probabilities(
-    sq_dists: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 200
+    sq_dists: np.ndarray, perplexity: float, tol: float = _SEARCH_TOL,
+    max_iter: int = _SEARCH_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-stochastic conditional affinities with per-point bandwidths.
 
     For each point i a precision beta_i = 1 / (2 sigma_i^2) is found by
     binary search so that the entropy of p(.|i) equals log2(perplexity)
-    within ``tol`` bits.  Returns (P_conditional, sigmas).
+    within ``tol`` bits.  A row that does not get there in ``max_iter``
+    tries keeps its last try.  The diagonal of ``sq_dists`` is not read.
+    Returns (P_conditional, sigmas).
+    """
+    P, betas, _, _ = _bandwidth_search(sq_dists, perplexity, tol, max_iter)
+    return P, np.sqrt(1.0 / (2.0 * betas))
+
+
+def _bandwidth_search(
+    sq_dists: np.ndarray, perplexity: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The bisection behind ``conditional_probabilities``, run on blocks of
+    rows at once.
+
+    Every row takes the steps of a search of its own: double or halve
+    beta until the entropy is bracketed, then take midpoints, and stop
+    once it is within ``tol``.  Only those decisions read the entropy,
+    taken in closed form, H = log s + beta <p, d> nats for p = w / s and
+    w = exp(-beta d); each p is w / s itself.  Returns (P_conditional,
+    betas, the number of rows that hit ``max_iter``, the largest
+    |entropy - log2(perplexity)| in bits over the rows' kept tries).
     """
     n = sq_dists.shape[0]
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     target = math.log2(perplexity)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    dist = np.asarray(sq_dists, dtype=float)[off_diagonal].reshape(n, n - 1)
+    dist -= dist.min(axis=1, keepdims=True)
     P = np.zeros((n, n))
     betas = np.ones(n)
-    others = np.arange(n)
-    for i in range(n):
-        mask = others != i
-        d = sq_dists[i, mask]
-        dmin = d.min() if d.size else 0.0
-        beta, lo, hi = 1.0, 0.0, math.inf
-        p = np.full(d.shape, 1.0 / max(d.size, 1))
-        for _ in range(max_iter):
-            w = np.exp(-beta * (d - dmin))
-            s = w.sum()
-            p = w / s
-            nz = p > 0
-            entropy = -float(np.sum(p[nz] * np.log(p[nz]))) / _LOG2
+    capped, worst = 0, 0.0
+    for start in range(0, n, _SEARCH_ROWS):
+        d = dist[start:start + _SEARCH_ROWS]
+        kept = np.empty_like(d)
+        w_buf = np.empty_like(d)
+        rows = np.arange(d.shape[0])
+        beta = np.ones(rows.size)
+        lo = np.zeros(rows.size)
+        hi = np.full(rows.size, math.inf)
+        for it in range(max_iter):
+            w = w_buf[:rows.size]
+            np.multiply(-beta[:, None], d, out=w)
+            np.exp(w, out=w)
+            s = w.sum(axis=1)
+            entropy = (np.log(s) + beta * np.einsum("ij,ij->i", w, d) / s) / _LOG2
             diff = entropy - target
-            if abs(diff) <= tol:
+            done = np.abs(diff) <= tol
+            narrow = diff > 0  # too flat: narrow the kernel
+            step = np.where(
+                narrow,
+                np.where(hi == math.inf, beta * 2.0, 0.5 * (beta + hi)),
+                np.where(lo == 0.0, beta / 2.0, 0.5 * (beta + lo)),
+            )
+            lo = np.where(narrow, beta, lo)
+            hi = np.where(narrow, hi, beta)
+            beta = np.where(done, beta, step)
+            if it == max_iter - 1:
+                capped += int(np.count_nonzero(~done))
+                done[:] = True
+            if not done.any():
+                continue
+            kept[rows[done]] = w[done] / s[done, None]
+            betas[start + rows[done]] = beta[done]
+            worst = max(worst, float(np.abs(diff[done]).max()))
+            todo = ~done
+            rows, d, beta, lo, hi = rows[todo], d[todo], beta[todo], lo[todo], hi[todo]
+            if not rows.size:
                 break
-            if diff > 0:  # too flat: narrow the kernel
-                lo = beta
-                beta = beta * 2.0 if hi == math.inf else 0.5 * (beta + hi)
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else 0.5 * (beta + lo)
-        P[i, mask] = p
-        betas[i] = beta
-    sigmas = np.sqrt(1.0 / (2.0 * betas))
-    return P, sigmas
+        stop = start + kept.shape[0]
+        P[start:stop][off_diagonal[start:stop]] = kept.ravel()
+    return P, betas, capped, worst
 
 
-def joint_probabilities(features: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized joint affinity matrix P (non-negative, sums to 1)."""
+def joint_probabilities(features: np.ndarray, perplexity: float, *,
+                        stats: dict | None = None) -> np.ndarray:
+    """Symmetrized joint affinity matrix P (non-negative, sums to 1).
+
+    A ``stats`` dict, when given, receives the bandwidth search's
+    ``perplexity_capped_rows`` (rows that hit the iteration cap) and
+    ``perplexity_max_error_bits`` (the largest |entropy - log2
+    perplexity| over all rows).
+    """
     d2 = sq_distances(np.asarray(features, dtype=float))
-    np.fill_diagonal(d2, 0.0)
-    cond, _ = conditional_probabilities(d2, perplexity)
-    n = d2.shape[0]
+    cond, _, capped, worst = _bandwidth_search(d2, perplexity, _SEARCH_TOL, _SEARCH_MAX_ITER)
+    del d2
+    if stats is not None:
+        stats["perplexity_capped_rows"] = capped
+        stats["perplexity_max_error_bits"] = worst
+    n = cond.shape[0]
     return (cond + cond.T) / (2.0 * n)
 
 
@@ -166,7 +228,8 @@ def tsne(
     if not np.all(np.isfinite(X)):
         raise DataError("tsne input contains non-finite values")
 
-    P = joint_probabilities(X, perplexity)
+    search: dict = {}
+    P = joint_probabilities(X, perplexity, stats=search)
     lr = float(learning_rate) if learning_rate is not None else n / early_exaggeration
 
     rng = keyed_rng(seed)
@@ -174,38 +237,43 @@ def tsne(
     velocity = np.zeros_like(Y)
     trace = np.empty(iterations)
 
-    # Every n x n intermediate goes into D or W, allocated once.  The ufunc
-    # calls keep the operations of the allocating form, and their order,
-    # so coordinates and trace stay bit-identical to it.  The trace needs no
-    # gather of P > 0: P's zeros and the diagonal (log 1) add exactly 0.
+    # Every n x n intermediate goes into D or W, allocated once.  The trace
+    # needs no gather of P > 0: P's zeros and the diagonal (log 1) add
+    # exactly 0.
     p_log_p = float(xlogy(P, P).sum())
     p_sum = float(P.sum())
     D = np.empty((n, n))
     W = np.empty((n, n))
+    A = np.ones((n, 4))  # [-2Y, 1 + |y|^2, 1]
+    B = np.ones((n, 4))  # [Y, 1, |y|^2]
+    Y1 = np.ones((n, 3))  # [Y, 1]
+    G = np.empty((n, 3))
     P_eff = P * early_exaggeration if exaggeration_iters > 0 else P
 
     for it in range(iterations):
         if it == exaggeration_iters:
             P_eff = P  # frees the exaggerated copy
         sq = np.sum(Y * Y, axis=1)
-        np.matmul(Y, Y.T, out=D)
-        np.multiply(2.0, D, out=D)
-        np.add(sq[:, None], sq[None, :], out=W)
-        np.subtract(W, D, out=D)
-        np.maximum(D, 0.0, out=D)
-        np.fill_diagonal(D, 0.0)
-        np.add(1.0, D, out=D)
+        np.multiply(-2.0, Y, out=A[:, :2])
+        np.add(1.0, sq, out=A[:, 2])
+        B[:, :2] = Y
+        B[:, 3] = sq
+        np.matmul(A, B.T, out=D)  # D = 1 + d^2
+        np.maximum(D, 1.0, out=D)
+        np.fill_diagonal(D, 1.0)
         np.log(D, out=W)
         p_log_d = float(np.vdot(P, W))
         np.divide(1.0, D, out=W)
         np.fill_diagonal(W, 0.0)
         Z = W.sum()
-        np.divide(W, Z, out=D)  # D = Q
+        np.multiply(W, 1.0 / Z, out=D)  # D = Q
         trace[it] = p_log_p + p_log_d + p_sum * math.log(Z)
 
         np.subtract(P_eff, D, out=D)
         np.multiply(D, W, out=D)  # D = M
-        grad = 4.0 * (D.sum(axis=1)[:, None] * Y - D @ Y)
+        Y1[:, :2] = Y
+        np.matmul(D, Y1, out=G)  # G = [M Y, M 1]
+        grad = 4.0 * (G[:, 2:] * Y - G[:, :2])
         momentum = initial_momentum if it < momentum_switch else final_momentum
         velocity = momentum * velocity - lr * grad
         Y = Y + velocity
@@ -217,5 +285,6 @@ def tsne(
         "seed": int(seed),
         "learning_rate": lr,
         "early_exaggeration": float(early_exaggeration),
+        **search,
     }
     return Embedding(coordinates=Y, method="tsne", params=params, objective_trace=trace)

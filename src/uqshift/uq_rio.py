@@ -311,17 +311,28 @@ def rio_predict(model: RioModel, test_X, test_yhat,
     if ys.shape != (Xs.shape[0],):
         raise DataError("test_yhat must be one value per test row")
 
+    # Ks = s_in exp(-D2x / (2 l_in^2)) + s_out exp(-D2y / (2 l_out^2)),
+    # term by term in two n_train x n_test buffers
     cfg = model.kernel
-    D2x = sq_distances(model.train_X, Xs)
-    D2y = (model.train_yhat[:, None] - ys[None, :]) ** 2
-    Ks = (
-        cfg.signal_variance_in * np.exp(-D2x / (2.0 * cfg.length_scale_in ** 2))
-        + cfg.signal_variance_out * np.exp(-D2y / (2.0 * cfg.length_scale_out ** 2))
-    )
+    Ks = sq_distances(model.train_X, Xs)
+    np.negative(Ks, out=Ks)
+    np.divide(Ks, 2.0 * cfg.length_scale_in ** 2, out=Ks)
+    np.exp(Ks, out=Ks)
+    np.multiply(cfg.signal_variance_in, Ks, out=Ks)
+    K_out = np.subtract(model.train_yhat[:, None], ys[None, :])
+    np.square(K_out, out=K_out)
+    np.negative(K_out, out=K_out)
+    np.divide(K_out, 2.0 * cfg.length_scale_out ** 2, out=K_out)
+    np.exp(K_out, out=K_out)
+    np.multiply(cfg.signal_variance_out, K_out, out=K_out)
+    np.add(Ks, K_out, out=Ks)
+    del K_out
     residual_mean = Ks.T @ model.alpha
     v = solve_triangular(model.chol, Ks, lower=True)
+    del Ks
     self_kernel = cfg.signal_variance_in + cfg.signal_variance_out
-    variance = self_kernel - np.sum(v * v, axis=0)
+    np.multiply(v, v, out=v)
+    variance = self_kernel - np.sum(v, axis=0)
     if include_noise:
         variance = variance + cfg.noise_variance
     if np.any(variance < -1e-10):

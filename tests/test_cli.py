@@ -71,6 +71,18 @@ def pipeline(tmp_path_factory):
     return config, out
 
 
+class TestAutoEps:
+    def test_matches_full_sort(self):
+        rng = np.random.default_rng(48)
+        coords = np.round(rng.normal(size=(80, 2)), 1)  # rounded: many tied distances
+        coords[10:20] = coords[0]  # coincident points: ties at zero
+        for min_pts in (2, 5, 12, 200):  # 200 > n: the farthest point
+            d2 = cli.sq_distances(coords)
+            rank = min(min_pts - 1, coords.shape[0] - 1)
+            want = 1.5 * float(np.median(np.sqrt(np.sort(d2, axis=1))[:, rank]))
+            assert cli._auto_eps(coords, min_pts, 1.5) == want
+
+
 class TestPipelineOutputs:
     def test_data_files(self, pipeline):
         _, out = pipeline
@@ -180,6 +192,19 @@ class TestPipelineOutputs:
         assert code == 0
         after = (out / "manifest.jsonl").read_text()
         assert before == after  # no duplicate manifest line
+
+    def test_split_logs_search_diagnostics(self, pipeline, tmp_path, capsys):
+        config, _ = pipeline
+        fresh = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(fresh)]) == 0
+        assert main(["split", "--config", str(config), "--out", str(fresh)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        search = [line for line in err if line.startswith("[split] perplexity search: ")]
+        assert len(search) == 1
+        assert search[0].startswith("[split] perplexity search: 0 of 180 rows hit max_iter")
+        nxt = err[err.index(search[0]) + 1]
+        assert nxt.startswith("[split] auto eps = ")
 
     def test_report_verifies(self, pipeline, capsys):
         config, out = pipeline

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import xlogy
 
 from uqshift.embedding import (
+    _bandwidth_search,
     conditional_probabilities,
     joint_probabilities,
     pca,
@@ -22,30 +23,74 @@ def _sq_dists(X):
 def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
                     momentum_switch, early_exaggeration=12.0,
                     initial_momentum=0.5, final_momentum=0.8):
-    """The allocating descent loop that ``tsne`` must reproduce bit for bit.
+    """The allocating descent loop that ``tsne`` must reproduce bit for bit:
+    1 + d^2 from one product of the n x 4 factors [-2Y, 1 + |y|^2, 1] and
+    [Y, 1, |y|^2], and M Y with M's row sums from one product with [Y, 1].
 
     Returns the final Y, the log-form KL trace, the KL of every iteration
     gathered over P > 0 as sum P log(P / max(Q, 1e-300)), and P.
     """
     P = joint_probabilities(X, perplexity)
     p_log_p = float(xlogy(P, P).sum())
-    lr = X.shape[0] / early_exaggeration
-    Y = 1e-4 * keyed_rng(seed).standard_normal((X.shape[0], 2))
+    n = X.shape[0]
+    ones = np.ones(n)
+    lr = n / early_exaggeration
+    Y = 1e-4 * keyed_rng(seed).standard_normal((n, 2))
     velocity = np.zeros_like(Y)
     trace = np.empty(iterations)
     gathered = np.empty(iterations)
     for it in range(iterations):
         sq = np.sum(Y * Y, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-        np.maximum(d2, 0.0, out=d2)
-        np.fill_diagonal(d2, 0.0)
-        W = 1.0 / (1.0 + d2)
+        A = np.column_stack([-2.0 * Y, 1.0 + sq, ones])
+        B = np.column_stack([Y, ones, sq])
+        D = np.maximum(A @ B.T, 1.0)
+        np.fill_diagonal(D, 1.0)
+        W = 1.0 / D
         np.fill_diagonal(W, 0.0)
-        Q = W / W.sum()
-        trace[it] = (p_log_p + float(np.vdot(P, np.log(1.0 + d2)))
-                     + float(P.sum()) * math.log(W.sum()))
+        Z = W.sum()
+        Q = W * (1.0 / Z)
+        trace[it] = p_log_p + float(np.vdot(P, np.log(D))) + float(P.sum()) * math.log(Z)
         mask = P > 0
         gathered[it] = float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
+        P_eff = P * early_exaggeration if it < exaggeration_iters else P
+        M = (P_eff - Q) * W
+        G = M @ np.column_stack([Y, ones])
+        grad = 4.0 * (G[:, 2:] * Y - G[:, :2])
+        momentum = initial_momentum if it < momentum_switch else final_momentum
+        velocity = momentum * velocity - lr * grad
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+    return Y, trace, gathered, P
+
+
+def _allocating_d2_plus_one(Y):
+    """1 + d^2 as the difference form takes it: |y_i|^2 + |y_j|^2 - 2 y_i.y_j,
+    clipped at 0, with a zero diagonal, plus 1."""
+    sq = np.sum(Y * Y, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return 1.0 + d2
+
+
+def _allocating_tsne(X, perplexity, iterations, seed, exaggeration_iters,
+                     momentum_switch, early_exaggeration=12.0,
+                     initial_momentum=0.5, final_momentum=0.8):
+    """The difference-form descent: five n x n passes for 1 + d^2, and M Y
+    and M's row sums taken separately.  Returns the final Y and the trace."""
+    P = joint_probabilities(X, perplexity)
+    p_log_p = float(xlogy(P, P).sum())
+    lr = X.shape[0] / early_exaggeration
+    Y = 1e-4 * keyed_rng(seed).standard_normal((X.shape[0], 2))
+    velocity = np.zeros_like(Y)
+    trace = np.empty(iterations)
+    for it in range(iterations):
+        D = _allocating_d2_plus_one(Y)
+        W = 1.0 / D
+        np.fill_diagonal(W, 0.0)
+        Q = W / W.sum()
+        trace[it] = (p_log_p + float(np.vdot(P, np.log(D)))
+                     + float(P.sum()) * math.log(W.sum()))
         P_eff = P * early_exaggeration if it < exaggeration_iters else P
         M = (P_eff - Q) * W
         grad = 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
@@ -53,7 +98,43 @@ def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
         velocity = momentum * velocity - lr * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
-    return Y, trace, gathered, P
+    return Y, trace
+
+
+def _per_row_conditional(sq_dists, perplexity, tol=1e-5, max_iter=200):
+    """The bandwidth search one row at a time, with the entropy summed
+    over the nonzero p.  Returns P, sigmas and each row's final
+    |entropy - log2(perplexity)| in bits."""
+    n = sq_dists.shape[0]
+    target = math.log2(perplexity)
+    P = np.zeros((n, n))
+    betas = np.ones(n)
+    errors = np.empty(n)
+    others = np.arange(n)
+    for i in range(n):
+        mask = others != i
+        d = sq_dists[i, mask]
+        dmin = d.min()
+        beta, lo, hi = 1.0, 0.0, math.inf
+        for _ in range(max_iter):
+            w = np.exp(-beta * (d - dmin))
+            s = w.sum()
+            p = w / s
+            nz = p > 0
+            entropy = -float(np.sum(p[nz] * np.log(p[nz]))) / math.log(2.0)
+            diff = entropy - target
+            if abs(diff) <= tol:
+                break
+            if diff > 0:
+                lo = beta
+                beta = beta * 2.0 if hi == math.inf else 0.5 * (beta + hi)
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else 0.5 * (beta + lo)
+        P[i, mask] = p
+        betas[i] = beta
+        errors[i] = abs(diff)
+    return P, np.sqrt(1.0 / (2.0 * betas)), errors
 
 
 class TestPca:
@@ -128,6 +209,45 @@ class TestConditionalProbabilities:
         X = np.vstack([keyed_rng(23).normal(size=(15, 2)), [[40.0, 40.0]]])
         _, sigmas = conditional_probabilities(_sq_dists(X), 5.0)
         assert sigmas[-1] > sigmas[:-1].max()
+
+    @pytest.mark.parametrize(
+        "case, n, perplexity, max_iter",
+        [
+            ("random", 128, 8.0, 200),
+            ("far_blobs", 90, 5.0, 200),  # underflowed p: exact zeros off the diagonal
+            ("capped", 70, 10.0, 3),  # every row stops at max_iter
+            ("ragged", 150, 12.0, 200),  # 150 = 64 + 64 + 22 rows
+        ],
+    )
+    def test_matches_per_row_search_bitwise(self, case, n, perplexity, max_iter):
+        rng = keyed_rng(33)
+        if case == "far_blobs":
+            X = np.vstack([rng.normal(size=(n // 3, 3)) + 60.0 * k for k in range(3)])
+        else:
+            X = rng.normal(size=(n, 5))
+        sq = _sq_dists(X)
+        want_P, want_sigmas, errors = _per_row_conditional(sq, perplexity, max_iter=max_iter)
+        if case == "far_blobs":
+            assert np.count_nonzero(want_P == 0.0) > n  # more zeros than the diagonal
+        P, sigmas = conditional_probabilities(sq, perplexity, max_iter=max_iter)
+        assert np.array_equal(P, want_P)
+        assert np.array_equal(sigmas, want_sigmas)
+        _, _, capped, worst = _bandwidth_search(sq, perplexity, 1e-5, max_iter)
+        assert capped == (n if case == "capped" else 0)
+        # the closed-form entropy and the summed one agree to rounding
+        assert worst == pytest.approx(errors.max(), rel=1e-9, abs=1e-12)
+
+    def test_max_iter_floor(self):
+        with pytest.raises(ConfigError):
+            conditional_probabilities(_sq_dists(keyed_rng(34).normal(size=(10, 2))), 3.0,
+                                      max_iter=0)
+
+    def test_diagonal_not_read(self):
+        sq = _sq_dists(keyed_rng(34).normal(size=(20, 3)))
+        P, sigmas = conditional_probabilities(sq, 5.0)
+        np.fill_diagonal(sq, 7.0)
+        P2, sigmas2 = conditional_probabilities(sq, 5.0)
+        assert np.array_equal(P, P2) and np.array_equal(sigmas, sigmas2)
 
 
 class TestJointProbabilities:
@@ -217,6 +337,55 @@ class TestTsne:
         assert (off_diagonal_zeros > 0) == bool(shift)
         emb = tsne(X, **args)
         np.testing.assert_allclose(emb.objective_trace, gathered, rtol=0, atol=1e-12)
+
+    def test_close_to_difference_form_on_short_runs(self):
+        # before t-SNE amplifies rounding, the product form follows the
+        # difference form to within a millionth of the layout's scale
+        rng = keyed_rng(32)
+        X = np.vstack([rng.normal(size=(14, 3)), rng.normal(size=(14, 3)) + 6.0])
+        args = dict(perplexity=4, iterations=15, seed=3, exaggeration_iters=10,
+                    momentum_switch=10)
+        want_Y, want_trace = _allocating_tsne(X, **args)
+        emb = tsne(X, **args)
+        scale = np.abs(want_Y).max()
+        assert np.abs(emb.coordinates - want_Y).max() <= 1e-6 * scale
+        np.testing.assert_allclose(emb.objective_trace, want_trace, rtol=1e-10, atol=0)
+
+    def test_d2_plus_one_from_one_product(self):
+        # both forms cancel |y_i|^2 + |y_j|^2 against 2 y_i.y_j, so each is
+        # off by a few ulps of 1 + 2 max |y|^2; since 1 + d^2 >= 1 that
+        # bounds the relative difference
+        Y = 10.0 * keyed_rng(35).normal(size=(60, 2))
+        Y[7] = Y[3]  # coincident points: d^2 = 0 off the diagonal
+        sq = np.sum(Y * Y, axis=1)
+        ones = np.ones(len(Y))
+        A = np.column_stack([-2.0 * Y, 1.0 + sq, ones])
+        B = np.column_stack([Y, ones, sq])
+        D = np.maximum(A @ B.T, 1.0)
+        np.fill_diagonal(D, 1.0)
+        tol = 8 * np.finfo(float).eps * (1.0 + 2.0 * sq.max())
+        np.testing.assert_allclose(D, _allocating_d2_plus_one(Y), rtol=tol, atol=0)
+
+    def test_peak_memory_is_four_n_by_n_arrays(self):
+        import tracemalloc
+
+        n = 300
+        rng = keyed_rng(36)
+        X = np.vstack([rng.normal(size=(n // 3, 5)) + 8.0 * k for k in range(3)])
+        tracemalloc.start()
+        try:
+            tsne(X, perplexity=20, iterations=5, seed=0, exaggeration_iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        thin = 48 * n * 8  # the n x 4, n x 3 and n x 2 buffers and their temporaries
+        assert peak <= 4 * n * n * 8 + thin
+
+    def test_params_report_search(self):
+        X = keyed_rng(37).normal(size=(30, 3))
+        emb = tsne(X, perplexity=5, iterations=5, seed=0)
+        assert emb.params["perplexity_capped_rows"] == 0
+        assert 0.0 <= emb.params["perplexity_max_error_bits"] <= 1e-5
 
     def test_perplexity_floor(self):
         X = keyed_rng(31).normal(size=(20, 3))

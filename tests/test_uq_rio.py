@@ -260,6 +260,36 @@ def _distances(X, yhat):
     return sq_distances(X), (yhat[:, None] - yhat[None, :]) ** 2
 
 
+def _allocating_rio_predict(model, Xs, ys, include_noise):
+    """rio_predict's posterior with every n_train x n_test step allocated
+    afresh."""
+    cfg = model.kernel
+    D2x = sq_distances(model.train_X, Xs)
+    D2y = (model.train_yhat[:, None] - ys[None, :]) ** 2
+    Ks = (
+        cfg.signal_variance_in * np.exp(-D2x / (2.0 * cfg.length_scale_in ** 2))
+        + cfg.signal_variance_out * np.exp(-D2y / (2.0 * cfg.length_scale_out ** 2))
+    )
+    mean = Ks.T @ model.alpha
+    v = scipy.linalg.solve_triangular(model.chol, Ks, lower=True)
+    variance = cfg.signal_variance_in + cfg.signal_variance_out - np.sum(v * v, axis=0)
+    if include_noise:
+        variance = variance + cfg.noise_variance
+    return mean, np.sqrt(np.maximum(variance, 0.0))
+
+
+class TestPredictBitIdentity:
+    @pytest.mark.parametrize("include_noise", [True, False])
+    def test_matches_allocating_expression(self, include_noise):
+        X, y, yhat = _problem(46, n=40, d=4)
+        model = fit_rio(X, yhat, y, n_starts=2, max_iter=30, seed=2)
+        Xt, _, yhat_t = _problem(47, n=70, d=4)
+        mean, std = rio_predict(model, Xt, yhat_t, include_noise=include_noise)
+        want_mean, want_std = _allocating_rio_predict(model, Xt, yhat_t, include_noise)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(std, want_std)
+
+
 class TestWorkspaceAllocations:
     def test_evaluation_allocates_no_n_by_n_array(self):
         import tracemalloc
