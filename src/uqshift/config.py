@@ -185,6 +185,15 @@ def _validate(values: dict) -> None:
         raise ConfigError("run.jobs must be >= 1")
     if values["uq"]["metric"] not in ("euclidean", "jaccard"):
         raise ConfigError(f"uq.metric must be euclidean or jaccard, got {values['uq']['metric']!r}")
+    split = values["split"]
+    if split["dbscan_eps"] is None and split["min_pts"] < 2 and not split["external_labels"]:
+        # auto eps is the median distance to the (min_pts - 1)-th neighbour,
+        # which for min_pts = 1 is each point itself: eps would be 0
+        raise ConfigError(
+            f"split.min_pts = {split['min_pts']} needs a numeric split.dbscan_eps or "
+            f"split.external_labels: dbscan_eps = auto would take each point's distance "
+            f"to itself as eps"
+        )
 
 
 def canonical_text(config: RunConfig, skip: tuple[tuple[str, str], ...] = ()) -> str:

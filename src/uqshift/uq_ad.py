@@ -54,28 +54,53 @@ def _check_binary(X: np.ndarray, what: str) -> None:
         raise DataError(f"jaccard metric requires binary {what}")
 
 
-def _distances_to_train(train: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
-    """Distances from one query to every training row.
+# Query rows per block, fewer when one row's differences to the
+# training set exceed a 64th of _BLOCK_ELEMENTS.
+_BLOCK_ROWS = 64
+_BLOCK_ELEMENTS = 1 << 22
+
+
+def _distances_to_train(train: np.ndarray, Q: np.ndarray, metric: str) -> np.ndarray:
+    """(queries, training rows) distances from each query row to every training row.
 
     Euclidean distances use explicit differences so a query equal to a
     training row yields a distance of exactly zero.
     """
     if metric == "euclidean":
-        diff = train - x
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    inter = np.sum(np.logical_and(train == 1.0, x == 1.0), axis=1).astype(float)
-    union = np.sum(np.logical_or(train == 1.0, x == 1.0), axis=1).astype(float)
-    out = np.ones(train.shape[0])
-    nz = union > 0
-    out[nz] = 1.0 - inter[nz] / union[nz]
-    out[~nz] = 0.0  # two all-zero vectors are identical
-    return out
+        diff = np.subtract(train[None, :, :], Q[:, None, :])
+        np.multiply(diff, diff, out=diff)
+        return np.sqrt(np.sum(diff, axis=2))
+    on_train, on_query = train[None, :, :] == 1.0, Q[:, None, :] == 1.0
+    inter = np.sum(on_train & on_query, axis=2).astype(float)
+    union = np.sum(on_train | on_query, axis=2).astype(float)
+    with np.errstate(invalid="ignore"):  # 0/0 where union is 0, replaced below
+        # two all-zero vectors are identical
+        return np.where(union > 0, 1.0 - inter / union, 0.0)
 
 
-def _knn_of_query(train: np.ndarray, x: np.ndarray, k: int, metric: str):
-    dists = _distances_to_train(train, x, metric)
-    order = np.argsort(dists, kind="stable")[:k]
-    return dists[order], order
+def _nearest(train: np.ndarray, Q: np.ndarray, k: int, metric: str,
+             exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest training rows of every query row, nearest first:
+    (queries, k) distances and row indices.
+
+    Queries go in blocks of up to 64 rows.  A stable sort orders each
+    row's candidates, so exact ties go to the lowest index.  With
+    ``exclude_self`` the queries are the training rows themselves, and
+    each row's distance to itself is set to +inf.
+    """
+    dists = np.empty((Q.shape[0], k))
+    idx = np.empty((Q.shape[0], k), dtype=np.intp)
+    block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(1, train.size)))
+    for start in range(0, Q.shape[0], block):
+        stop = min(start + block, Q.shape[0])
+        D = _distances_to_train(train, Q[start:stop], metric)
+        if exclude_self:
+            rows = np.arange(stop - start)
+            D[rows, start + rows] = np.inf
+        order = np.argsort(D, axis=1, kind="stable")[:, :k]
+        idx[start:stop] = order
+        dists[start:stop] = np.take_along_axis(D, order, axis=1)
+    return dists, idx
 
 
 def fit_ad(train_features: np.ndarray, k: int, metric: str = "euclidean") -> AdModel:
@@ -99,12 +124,7 @@ def fit_ad(train_features: np.ndarray, k: int, metric: str = "euclidean") -> AdM
     if n < k + 1:
         raise DataError(f"need at least k + 1 = {k + 1} training rows, got {n}")
 
-    mean_dists = np.empty(n)
-    for i in range(n):
-        dists = _distances_to_train(X, X[i], metric)
-        dists[i] = np.inf  # exclude the row itself
-        order = np.argsort(dists, kind="stable")[:k]
-        mean_dists[i] = dists[order].mean()
+    mean_dists = _nearest(X, X, k, metric, exclude_self=True)[0].mean(axis=1)
 
     mu = float(mean_dists.mean())
     sigma = float(mean_dists.std())  # population convention
@@ -140,12 +160,9 @@ def _query_matrix(model: AdModel, X: np.ndarray) -> np.ndarray:
 def ad_dd_scores(model: AdModel, X: np.ndarray) -> np.ndarray:
     """Rectified z-scores of the queries' mean k-NN distances."""
     X = _query_matrix(model, X)
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        dists, _ = _knn_of_query(model.train_features, X[i], model.k, model.metric)
-        z = (dists.mean() - model.mu_knn) / model.sigma_knn
-        out[i] = max(0.0, z)
-    return out
+    dists, _ = _nearest(model.train_features, X, model.k, model.metric)
+    z = (dists.mean(axis=1) - model.mu_knn) / model.sigma_knn
+    return np.where(z > 0.0, z, 0.0)
 
 
 def ad_dd_score(model: AdModel, x: np.ndarray) -> float:
@@ -162,15 +179,12 @@ def ad_ld_scores(model: AdModel, X: np.ndarray) -> np.ndarray:
     reported as +inf.
     """
     X = _query_matrix(model, X)
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        dists, idx = _knn_of_query(model.train_features, X[i], model.k, model.metric)
-        numerator = dists.mean()
-        if numerator == 0.0:
-            out[i] = 0.0
-            continue
-        denominator = model.train_mean_knn_dists[idx].mean()
-        out[i] = math.inf if denominator == 0.0 else numerator / denominator
+    dists, idx = _nearest(model.train_features, X, model.k, model.metric)
+    numerator = dists.mean(axis=1)
+    denominator = model.train_mean_knn_dists[idx].mean(axis=1)
+    out = np.full(X.shape[0], math.inf)
+    np.divide(numerator, denominator, out=out, where=denominator != 0.0)
+    out[numerator == 0.0] = 0.0
     return out
 
 

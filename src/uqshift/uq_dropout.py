@@ -6,11 +6,15 @@ standard deviation over the passes (the uncertainty).  Pass t draws its
 masks from the stream keyed (seed, t, layer), so the estimate is
 invariant to pass order and to how points are batched.
 
-Memory: a call standardizes the features once and holds one (rows,
-width) activation buffer per hidden layer plus the (passes, rows)
-sample matrix; every pass writes into those buffers, its output layer
-straight into its row of the samples, so a pass allocates only its
-per-layer masks of one entry per unit.
+Cost: the first hidden layer sees no mask, so a call computes its
+activations once; a pass folds each hidden layer's mask into the rows
+of the next weight matrix, which gives the same bits as masking the
+activations, and so starts at the second layer.  Memory: a call holds
+the first layer's activations, one (rows, width) buffer per further
+hidden layer, one masked copy of every weight matrix after the first
+and the (passes, rows) sample matrix; every pass writes into those
+buffers, its output layer straight into its row of the samples, so a
+pass allocates only its per-layer masks of one entry per unit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .mlp import MlpModel, forward, inference_masks, predict, standardized
+from .mlp import MlpModel, inference_masks, predict, standardized
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,33 @@ def mc_dropout(model: MlpModel, features: np.ndarray,
         point = predict(model, X)
         return point, np.zeros_like(point)
 
-    Xs = standardized(model, X)
-    buffers = [np.empty((X.shape[0], width)) for width in model.hidden_sizes]
+    # The first layer sees no mask, so its activations, already divided
+    # by keep, are shared by every pass.  A pass then applies each hidden
+    # layer's mask to the rows of the next weight matrix instead of the
+    # columns of the activations: every product inside the matmul is the
+    # same double as in ``forward``, so each pass is bit-identical to it.
+    keep = 1.0 - model.dropout_rate
+    weights, biases = model.weights, model.biases
+    first = np.matmul(standardized(model, X), weights[0])
+    first += biases[0]
+    np.maximum(first, 0.0, out=first)
+    first /= keep
+    buffers = [np.empty((X.shape[0], width)) for width in model.hidden_sizes[1:]]
+    masked = [np.empty_like(w) for w in weights[1:]]
     samples = np.empty((config.passes, X.shape[0]))
     for t in range(config.passes):
-        masks = inference_masks(model, config.seed, t)
-        forward(model.weights, model.biases, Xs, model.dropout_rate, masks, buffers, samples[t])
+        h = first
+        for i, mask in enumerate(inference_masks(model, config.seed, t), start=1):
+            w = np.multiply(mask[:, None], weights[i], out=masked[i - 1])
+            if i == len(weights) - 1:
+                column = samples[t].reshape(-1, 1)
+                np.matmul(h, w, out=column)
+                column += biases[i]
+            else:
+                h = np.matmul(h, w, out=buffers[i - 1])
+                h += biases[i]
+                np.maximum(h, 0.0, out=h)
+                h /= keep
     means = samples.mean(axis=0)
     spreads = samples.std(axis=0)  # population convention
     if not np.all(spreads >= 0.0):

@@ -824,6 +824,43 @@ class TestDeterminism:
                (out_b / "data" / "dataset.csv").read_bytes()
 
 
+class TestMinPtsOne:
+    """min_pts = 1 makes auto eps each point's distance to itself."""
+
+    def test_auto_eps_refused_naming_both_keys(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG.replace("min_pts = 5", "min_pts = 1"))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "split.min_pts" in err[0] and "split.dbscan_eps" in err[0]
+        assert not (tmp_path / "o" / "data").exists()
+
+    def test_numeric_eps_splits(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG.replace("min_pts = 5", "min_pts = 1\ndbscan_eps = 0.5"))
+        out = tmp_path / "o"
+        for stage in ("synth", "split"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        assert len(list((out / "split").glob("split_*.csv"))) >= 2
+
+    def test_external_labels_split(self, tmp_path):
+        out = tmp_path / "o"
+        base = tmp_path / "base.ini"
+        base.write_text(SMALL_CONFIG)
+        assert main(["synth", "--config", str(base), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "data" / "dataset.csv")
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("id,cluster\n" + "".join(
+            f"{row[0]},{i // 60}\n" for i, row in enumerate(rows)))
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG.replace(
+            "min_pts = 5", f"min_pts = 1\nexternal_labels = {labels_path}"))
+        assert main(["split", "--config", str(config), "--out", str(out)]) == 0
+        assert len(list((out / "split").glob("split_*.csv"))) == 3
+
+
 class TestExternalLabels:
     def test_split_with_provided_labels(self, tmp_path):
         out = tmp_path / "o"

@@ -198,3 +198,72 @@ class TestJaccard:
         with pytest.raises(ConfigError):
             fit_ad(LINE, k=1, metric="cosine")
 
+
+
+def _loop_distances(train, x, metric):
+    """Distances from one query to every training row, as computed per query."""
+    if metric == "euclidean":
+        diff = train - x
+        return np.sqrt(np.sum(diff * diff, axis=1))
+    inter = np.sum(np.logical_and(train == 1.0, x == 1.0), axis=1).astype(float)
+    union = np.sum(np.logical_or(train == 1.0, x == 1.0), axis=1).astype(float)
+    out = np.ones(train.shape[0])
+    nz = union > 0
+    out[nz] = 1.0 - inter[nz] / union[nz]
+    out[~nz] = 0.0
+    return out
+
+
+def _loop_scores(train, queries, k, metric):
+    """fit_ad's statistics and both scores from one neighbour search per row."""
+    means = np.empty(train.shape[0])
+    for i in range(train.shape[0]):
+        d = _loop_distances(train, train[i], metric)
+        d[i] = np.inf
+        means[i] = d[np.argsort(d, kind="stable")[:k]].mean()
+    mu, sigma = float(means.mean()), float(means.std())
+    dd, ld = np.empty(len(queries)), np.empty(len(queries))
+    for i, q in enumerate(queries):
+        d = _loop_distances(train, q, metric)
+        idx = np.argsort(d, kind="stable")[:k]
+        numerator = d[idx].mean()
+        dd[i] = max(0.0, (numerator - mu) / sigma)
+        denominator = means[idx].mean()
+        if numerator == 0.0:
+            ld[i] = 0.0
+        else:
+            ld[i] = math.inf if denominator == 0.0 else numerator / denominator
+    return means, mu, sigma, dd, ld
+
+
+class TestBlockedSearchBitIdentity:
+    """The row-blocked neighbour search gives the per-query loop's bits."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "jaccard"])
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_matches_per_query_loop(self, metric, k):
+        rng = keyed_rng(202, k)
+        if metric == "euclidean":
+            train = np.round(rng.normal(size=(140, 6)), 1)  # rounded: tied distances
+            queries = np.round(rng.normal(size=(170, 6)) * 1.5, 1)
+            queries[150:] = train[0] + 0.05  # every neighbour is a zero-spread twin
+        else:
+            train = (rng.random((140, 20)) < 0.3).astype(float)
+            train[130:] = 0.0  # all-zero rows: distance 0 to each other
+            queries = (rng.random((170, 20)) < 0.3).astype(float)
+            queries[150:160] = train[0]
+            queries[150:160, np.flatnonzero(train[0] == 0.0)[0]] = 1.0  # near the twins
+            queries[160:] = 0.0
+        train[100:112] = train[0]  # k + 1 or more duplicates: zero mean distances
+        queries[:20] = train[80:100]  # queries on training rows
+        queries[20:24] = train[0]
+        model = fit_ad(train, k=k, metric=metric)
+        means, mu, sigma, dd, ld = _loop_scores(train, queries, k, metric)
+        assert np.array_equal(model.train_mean_knn_dists, means)
+        assert (model.mu_knn, model.sigma_knn) == (mu, sigma)
+        got_dd, got_ld = ad_dd_scores(model, queries), ad_ld_scores(model, queries)
+        assert np.array_equal(got_dd, dd)
+        assert np.array_equal(got_ld, ld)
+        # the fixture reaches each branch of the density ratio
+        assert np.any(ld == 0.0) and np.any(ld == math.inf) and np.any(dd == 0.0)
+        assert np.any(np.isfinite(ld) & (ld > 0.0)) and np.any(dd > 0.0)
