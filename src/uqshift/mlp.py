@@ -7,19 +7,33 @@ error.  Hidden activations use inverted dropout (kept units scaled by
 counter-based streams keyed by (seed, pass, layer); a per-point result
 therefore never depends on which other rows share the batch.
 
+Precision: ``train_mlp`` runs every training pass in float32, the
+default of the frameworks such networks are normally trained in.  The
+standardized training features and targets, the parameters, their
+gradient, Adam's state and the pass buffers are float32, and so is every
+scalar they meet, so nothing is computed in float64 and cast back.  The
+dropout masks come from the same float64 draws as in float64 training,
+so they are the same masks.  Each epoch's validation runs in float64 on
+a float64 copy of the parameters, and the returned model holds the best
+epoch's float32 values as float64 arrays: its validation R^2 is the one
+the fit recorded, and saving, loading, ``predict`` and every inference
+path stay float64.  ``forward`` and ``loss_and_gradients`` compute in
+the dtype of their input.
+
 Memory: a fit holds every weight and bias as a view into one flat
-vector.  Adam's two moments, its two step temporaries, the gradient and
-the best epoch's copy are flat vectors of the same layout, so a step's
-Adam update is one pass of elementwise in-place operations over the
-whole vector.  The fit also holds, sized to one batch, one (batch,
-width) activation and one delta array per hidden layer and two row
-vectors for the backward pass, the batch's rows and targets, and the
-uniform draws and dropout mask of each hidden layer; no pass runs over
-all training rows at once.  The per-epoch validation pass has its own
-(rows, width) buffers.  All are allocated once per fit, and a step
-allocates nothing of a layer's size.  ``forward`` given one (rows,
-width) buffer per hidden layer and an output vector writes the pass into
-them, as every MC-dropout pass does.
+float32 vector.  Adam's two moments, its two step temporaries, the
+gradient and the best epoch's copy are flat float32 vectors of the same
+layout, so a step's Adam update is one pass of elementwise in-place
+operations over the whole vector, over half the bytes of float64.  The
+fit also holds, sized to one batch, one (batch, width) activation and
+one delta array per hidden layer and two row vectors for the backward
+pass, the batch's rows and targets, and the dropout mask of each hidden
+layer, all float32, and the float64 uniform draws behind those masks; no
+pass runs over all training rows at once.  The per-epoch validation pass
+has its own float64 (rows, width) buffers and one float64 copy of the
+parameter vector.  All are allocated once per fit, and a step allocates
+nothing of a layer's size.  ``forward`` given one (rows, width) buffer
+per hidden layer and an output vector writes the pass into them.
 """
 
 from __future__ import annotations
@@ -192,7 +206,7 @@ def forward(weights, biases, X: np.ndarray, dropout_rate: float = 0.0, masks=Non
     without them the pass allocates its own.
     """
     h = X
-    keep = 1.0 - dropout_rate
+    keep = X.dtype.type(1.0 - dropout_rate)
     for i in range(len(weights) - 1):
         h = np.matmul(h, weights[i], out=None if buffers is None else buffers[i])
         h += biases[i]
@@ -201,7 +215,7 @@ def forward(weights, biases, X: np.ndarray, dropout_rate: float = 0.0, masks=Non
             h *= masks[i]
             h /= keep
     if out is None:
-        out = np.empty(X.shape[0])
+        out = np.empty(X.shape[0], dtype=h.dtype)
     column = out.reshape(-1, 1)
     np.matmul(h, weights[-1], out=column)
     column += biases[-1]
@@ -210,9 +224,9 @@ def forward(weights, biases, X: np.ndarray, dropout_rate: float = 0.0, masks=Non
 
 @dataclass
 class _Workspace:
-    """Buffers of ``loss_and_gradients`` for batches of up to ``rows`` rows:
-    each hidden layer's activations and deltas, the output and the
-    squared residuals."""
+    """Buffers of ``loss_and_gradients`` for batches of up to ``rows`` rows
+    of one dtype: each hidden layer's activations and deltas, the output
+    and the squared residuals."""
 
     acts: list[np.ndarray]
     deltas: list[np.ndarray]
@@ -220,10 +234,10 @@ class _Workspace:
     sq: np.ndarray
 
     @classmethod
-    def allocate(cls, rows: int, hidden) -> _Workspace:
-        return cls([np.empty((rows, width)) for width in hidden],
-                   [np.empty((rows, width)) for width in hidden],
-                   np.empty(rows), np.empty(rows))
+    def allocate(cls, rows: int, hidden, dtype=np.float64) -> _Workspace:
+        return cls([np.empty((rows, width), dtype) for width in hidden],
+                   [np.empty((rows, width), dtype) for width in hidden],
+                   np.empty(rows, dtype), np.empty(rows, dtype))
 
 
 def _mse(pred: np.ndarray, y: np.ndarray, sq: np.ndarray) -> float:
@@ -240,19 +254,20 @@ def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
     ``work`` (a ``_Workspace`` of at least X's rows, whose leading rows
     are used) and ``grads`` (weight and bias gradient arrays shaped like
     the parameters) receive the pass in place; without them it allocates
-    its own.  Returns (loss, weight gradients, bias gradients).
+    its own.  The pass runs in X's dtype, which the parameters, masks and
+    buffers share.  Returns (loss, weight gradients, bias gradients).
     """
     n = X.shape[0]
-    keep = 1.0 - dropout_rate
+    keep = X.dtype.type(1.0 - dropout_rate)
     if work is None:
-        work = _Workspace.allocate(n, [w.shape[1] for w in weights[:-1]])
+        work = _Workspace.allocate(n, [w.shape[1] for w in weights[:-1]], X.dtype)
     g_w, g_b = grads or ([np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases])
     acts = [a[:n] for a in work.acts]
     inputs = [X, *acts]
     resid = forward(weights, biases, X, dropout_rate, masks, acts, work.out[:n])
     loss = _mse(resid, y, work.sq[:n])
 
-    d_pred = np.multiply(resid, 2.0 / n, out=resid)
+    d_pred = np.multiply(resid, X.dtype.type(2.0 / n), out=resid)
     upstream = d_pred[:, None]
     np.matmul(inputs[-1].T, upstream, out=g_w[-1])
     g_b[-1][0] = d_pred.sum()
@@ -328,11 +343,12 @@ def train_mlp(
     epoch raises for that epoch, which catches a final step that leaves
     the parameters non-finite.
 
-    The parameters, Adam's state, the gradient and the best epoch's copy
-    are flat vectors of one layout, and the passes write into buffers
-    allocated once here (see the module docstring), so each call owns
-    all of its state and concurrent calls share nothing.  The returned
-    model holds its own copies of the best epoch's arrays.
+    Training passes run in float32 and validation in float64 (see the
+    module docstring).  The parameters, Adam's state, the gradient and
+    the best epoch's copy are flat vectors of one layout, and the passes
+    write into buffers allocated once here, so each call owns all of its
+    state and concurrent calls share nothing.  The returned model holds
+    float64 copies of the best epoch's arrays.
     """
     X = np.asarray(train_features, dtype=float)
     y = np.asarray(train_target, dtype=float)
@@ -351,11 +367,12 @@ def train_mlp(
     scaler = fit_scaler(X)
     # C order, like a mini-batch's row copy, so that the full batch, used
     # in place, meets BLAS as a copy of it would.
-    Xs = np.ascontiguousarray(scaler.transform(X))
+    Xs = np.ascontiguousarray(scaler.transform(X), dtype=np.float32)
+    ys = y.astype(np.float32)
     Xvs = scaler.transform(Xv)
 
     init_weights, init_biases = init_params(X.shape[1], hidden, seed)
-    params = np.concatenate([p.ravel() for p in init_weights + init_biases])
+    params = np.concatenate([p.ravel() for p in init_weights + init_biases]).astype(np.float32)
     weights, biases = _param_views(params, init_weights, init_biases)
     grad = np.zeros_like(params)
     grads = _param_views(grad, init_weights, init_biases)
@@ -363,21 +380,33 @@ def train_mlp(
     adam_v = np.zeros_like(params)
     adam_a = np.empty_like(params)
     adam_b = np.empty_like(params)
-    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+    # Every scalar that meets a float32 array is a float32 itself, so no
+    # operation is promoted to float64 under either of NumPy's casting rules.
+    beta1, beta2 = 0.9, 0.999
+    b1, b2 = np.float32(beta1), np.float32(beta2)
+    one_minus_b1, one_minus_b2 = np.float32(1 - beta1), np.float32(1 - beta2)
+    lr, eps_adam = np.float32(learning_rate), np.float32(1e-8)
     adam_t = 0
 
     n = X.shape[0]
     batch = n if not batch_size else min(batch_size, n)
-    work = _Workspace.allocate(batch, hidden)
-    valid_acts = [np.empty((Xv.shape[0], width)) for width in hidden]
-    valid_out = np.empty(Xv.shape[0])
-    batch_X = np.empty((batch, X.shape[1]))
-    batch_y = np.empty(batch)
-    mask_buffers = [np.empty((batch, width)) for width in hidden]
+    work = _Workspace.allocate(batch, hidden, np.float32)
+    batch_X = np.empty((batch, X.shape[1]), np.float32)
+    batch_y = np.empty(batch, np.float32)
+    mask_buffers = [np.empty((batch, width), np.float32) for width in hidden]
     draw_buffers = [np.empty((batch, width)) for width in hidden]
 
+    # Validation runs in float64 on a float64 copy of the parameters, so
+    # each epoch's R^2 is that of the model it would return.
+    shadow = np.empty(params.shape)
+    shadow_weights, shadow_biases = _param_views(shadow, init_weights, init_biases)
+    valid_acts = [np.empty((Xv.shape[0], width)) for width in hidden]
+    valid_out = np.empty(Xv.shape[0])
+
     def valid_score() -> float:
-        return r_squared(yv, forward(weights, biases, Xvs, buffers=valid_acts, out=valid_out))
+        np.copyto(shadow, params)
+        return r_squared(yv, forward(shadow_weights, shadow_biases, Xvs,
+                                     buffers=valid_acts, out=valid_out))
 
     valid_r2 = [valid_score()]
     best_epoch = 0
@@ -389,13 +418,13 @@ def train_mlp(
         if batch < n:
             perm = keyed_rng(seed, _SHUFFLE_DOMAIN, epoch).permutation(n)
         for start in range(0, n, batch):
-            Xb, yb = Xs, y
+            Xb, yb = Xs, ys
             if batch < n:
                 rows = perm[start:start + batch]
                 # "clip" clips nothing of a permutation; "raise" would copy
                 # through a temporary
                 Xb = np.take(Xs, rows, axis=0, out=batch_X[:len(rows)], mode="clip")
-                yb = np.take(y, rows, out=batch_y[:len(rows)], mode="clip")
+                yb = np.take(ys, rows, out=batch_y[:len(rows)], mode="clip")
             masks = (
                 _training_masks(seed, step, len(yb), dropout_rate,
                                 mask_buffers, draw_buffers)
@@ -407,17 +436,17 @@ def train_mlp(
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             adam_t += 1
-            c1 = 1 - beta1 ** adam_t
-            c2 = 1 - beta2 ** adam_t
-            adam_m *= beta1
-            np.multiply(grad, 1 - beta1, out=adam_a)
+            c1 = np.float32(1 - beta1 ** adam_t)
+            c2 = np.float32(1 - beta2 ** adam_t)
+            adam_m *= b1
+            np.multiply(grad, one_minus_b1, out=adam_a)
             adam_m += adam_a
-            adam_v *= beta2
+            adam_v *= b2
             np.multiply(grad, grad, out=adam_b)
-            adam_b *= 1 - beta2
+            adam_b *= one_minus_b2
             adam_v += adam_b
             np.divide(adam_m, c1, out=adam_a)          # m_hat
-            adam_a *= learning_rate
+            adam_a *= lr
             np.divide(adam_v, c2, out=adam_b)          # v_hat
             np.sqrt(adam_b, out=adam_b)
             adam_b += eps_adam
@@ -435,8 +464,8 @@ def train_mlp(
 
     best_weights, best_biases = _param_views(best, init_weights, init_biases)
     model = MlpModel(
-        weights=[w.copy() for w in best_weights],
-        biases=[b.copy() for b in best_biases],
+        weights=[w.astype(np.float64) for w in best_weights],
+        biases=[b.astype(np.float64) for b in best_biases],
         hidden_sizes=hidden,
         dropout_rate=float(dropout_rate),
         fit=fit,
