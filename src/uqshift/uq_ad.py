@@ -73,7 +73,7 @@ def _distances_to_train(train: np.ndarray, Q: np.ndarray, metric: str) -> np.nda
     on_train, on_query = train[None, :, :] == 1.0, Q[:, None, :] == 1.0
     inter = np.sum(on_train & on_query, axis=2).astype(float)
     union = np.sum(on_train | on_query, axis=2).astype(float)
-    with np.errstate(invalid="ignore"):  # 0/0 where union is 0, replaced below
+    with np.errstate(invalid="ignore"):  # 0/0 where the union is empty
         # two all-zero vectors are identical
         return np.where(union > 0, 1.0 - inter / union, 0.0)
 

@@ -53,11 +53,9 @@ def mc_dropout(model: MlpModel, features: np.ndarray,
         point = predict(model, X)
         return point, np.zeros_like(point)
 
-    # The first layer sees no mask, so its activations, already divided
-    # by keep, are shared by every pass.  A pass then applies each hidden
-    # layer's mask to the rows of the next weight matrix instead of the
-    # columns of the activations: every product inside the matmul is the
-    # same double as in ``forward``, so each pass is bit-identical to it.
+    # Masking the rows of the next weight matrix instead of the columns of
+    # the activations leaves every product inside the matmul the same
+    # double, so each pass is bit-identical to ``forward``'s.
     keep = 1.0 - model.dropout_rate
     weights, biases = model.weights, model.biases
     first = np.matmul(standardized(model, X), weights[0])

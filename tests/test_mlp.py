@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 
@@ -264,61 +265,20 @@ def _allocating_loss_and_gradients(weights, biases, X, y, dropout_rate=0.0, mask
     return loss, g_w, g_b
 
 
-def _float64_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=None):
-    """train_mlp as written before its reused buffers and before it trained
-    in float32: one float64 array per parameter, fresh activations,
-    gradients, masks and Adam temporaries every step.  Returns the best
-    weights and biases, the R^2 trace and the best epoch."""
+def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=None,
+                      dtype=np.float32):
+    """train_mlp as written before its reused buffers, trained in ``dtype``:
+    one array per parameter, fresh activations, gradients, masks and Adam
+    temporaries every step, every scalar of the step in ``dtype``, and
+    each epoch validated in float64 on float64 copies of the parameters.
+    Returns the best weights and biases as float64, the R^2 trace and the
+    best epoch."""
+    f = np.dtype(dtype).type
     scaler = fit_scaler(X)
-    Xs, Xvs = scaler.transform(X), scaler.transform(Xv)
+    Xs, Xvs = scaler.transform(X).astype(dtype), scaler.transform(Xv)
+    ys = y.astype(dtype)
     weights, biases = init_params(X.shape[1], hidden, seed)
-    params = weights + biases
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
-
-    scores = [r_squared(yv, _allocating_forward(weights, biases, Xvs))]
-    best = (0, [w.copy() for w in weights], [b.copy() for b in biases])
-    n = X.shape[0]
-    batch = n if not batch_size else min(batch_size, n)
-    t = 0
-    for epoch in range(1, epochs + 1):
-        perm = keyed_rng(seed, _SHUFFLE_DOMAIN, epoch).permutation(n) if batch < n else None
-        batches = [np.arange(n)] if perm is None else [perm[s:s + batch]
-                                                       for s in range(0, n, batch)]
-        for rows in batches:
-            masks = None
-            if rate > 0.0:
-                masks = [(keyed_rng(seed, _TRAIN_MASK_DOMAIN, t, layer)
-                          .random((len(rows), width)) >= rate).astype(float)
-                         for layer, width in enumerate(hidden)]
-            _, g_w, g_b = _allocating_loss_and_gradients(weights, biases, Xs[rows], y[rows],
-                                                         rate, masks)
-            t += 1
-            for p, g, m, v in zip(params, g_w + g_b, adam_m, adam_v):
-                m *= 0.9
-                m += (1 - 0.9) * g
-                v *= 0.999
-                v += (1 - 0.999) * (g * g)
-                m_hat = m / (1 - 0.9 ** t)
-                v_hat = v / (1 - 0.999 ** t)
-                p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        scores.append(r_squared(yv, _allocating_forward(weights, biases, Xvs)))
-        if scores[-1] > scores[best[0]]:
-            best = (epoch, [w.copy() for w in weights], [b.copy() for b in biases])
-    return best[1], best[2], np.array(scores), best[0]
-
-
-def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=None):
-    """_float64_train in train_mlp's precision: every training array and
-    scalar in float32, each epoch validated in float64 on a float64 copy
-    of the parameters.  Returns the best weights and biases as float64,
-    the R^2 trace and the best epoch."""
-    f32 = np.float32
-    scaler = fit_scaler(X)
-    Xs, Xvs = scaler.transform(X).astype(f32), scaler.transform(Xv)
-    ys = y.astype(f32)
-    weights, biases = init_params(X.shape[1], hidden, seed)
-    weights, biases = [w.astype(f32) for w in weights], [b.astype(f32) for b in biases]
+    weights, biases = [w.astype(dtype) for w in weights], [b.astype(dtype) for b in biases]
     params = weights + biases
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
@@ -340,24 +300,28 @@ def _allocating_train(X, y, Xv, yv, hidden, rate, lr, epochs, seed, batch_size=N
             masks = None
             if rate > 0.0:
                 masks = [(keyed_rng(seed, _TRAIN_MASK_DOMAIN, t, layer)
-                          .random((len(rows), width)) >= rate).astype(f32)
+                          .random((len(rows), width)) >= rate).astype(dtype)
                          for layer, width in enumerate(hidden)]
             _, g_w, g_b = _allocating_loss_and_gradients(weights, biases, Xs[rows], ys[rows],
                                                          rate, masks)
             t += 1
             for p, g, m, v in zip(params, g_w + g_b, adam_m, adam_v):
-                m *= f32(0.9)
-                m += f32(1 - 0.9) * g
-                v *= f32(0.999)
-                v += f32(1 - 0.999) * (g * g)
-                m_hat = m / f32(1 - 0.9 ** t)
-                v_hat = v / f32(1 - 0.999 ** t)
-                p -= f32(lr) * m_hat / (np.sqrt(v_hat) + f32(1e-8))
+                m *= f(0.9)
+                m += f(1 - 0.9) * g
+                v *= f(0.999)
+                v += f(1 - 0.999) * (g * g)
+                m_hat = m / f(1 - 0.9 ** t)
+                v_hat = v / f(1 - 0.999 ** t)
+                p -= f(lr) * m_hat / (np.sqrt(v_hat) + f(1e-8))
         scores.append(score())
         if scores[-1] > scores[best[0]]:
             best = (epoch, [w.copy() for w in weights], [b.copy() for b in biases])
     return ([w.astype(float) for w in best[1]], [b.astype(float) for b in best[2]],
             np.array(scores), best[0])
+
+
+# The loop train_mlp ran before it trained in float32.
+_float64_train = functools.partial(_allocating_train, dtype=np.float64)
 
 
 class TestReusedBuffersBitIdentity:
