@@ -10,13 +10,25 @@ Memory: at most four n x n arrays are alive at once.  The bandwidth
 search holds the squared distances, one n x (n - 1) copy of their
 off-diagonal entries less each row's minimum, and the conditional
 affinities; it bisects 64 rows at a time in (64, n - 1) blocks and
-writes each block straight into the conditional matrix.  The descent
-holds the joint affinities P, an exaggerated copy of P during early
-exaggeration only, and two n x n work buffers D and W reused by every
-iteration, plus thin buffers: n x 4 A = [-2Y, 1 + |y|^2, 1] and
-B = [Y, 1, |y|^2], whose product A B^T is 1 + d^2, and n x 3 [Y, 1],
-whose product with the gradient weights gives their product with Y and
-their row sums at once.  An iteration allocates no n x n array.
+writes each block straight into the conditional matrix.
+
+The descent splits the rows into equal blocks of at most
+``_DESCENT_ROWS`` and works on the tiles of block pairs I <= J only:
+P and the Student-t affinities are symmetric, so an off-diagonal tile
+stands for its mirror image too and counts twice in the trace and in
+the normalizer Z.  It holds P's upper tiles, tile by tile contiguous,
+an exaggerated copy of them during early exaggeration only, one
+affinity tile W_IJ per block pair, and one tile-sized work buffer,
+plus thin buffers: n x 4 A = [-2Y, 1 + |y|^2, 1] and B = [Y, 1, |y|^2],
+whose product A_I B_J^T is the tile of 1 + d^2, and n x 3 [Y, 1], whose
+product with a tile of gradient weights gives their product with Y and
+their row sums at once.  The full P is freed before the affinity tiles
+are allocated.  An iteration makes two passes over the tiles: the first
+takes 1 + d^2, its log against P for the trace, W = 1 / (1 + d^2) and
+Z; the second the gradient weights M_IJ = (P_IJ - W_IJ / Z) W_IJ, which
+add M_IJ [Y, 1]_J to block I's gradient and, off the diagonal,
+M_IJ^T [Y, 1]_I to block J's.  An iteration allocates no n x n array,
+and with one block (n <= ``_DESCENT_ROWS``) it is the untiled loop.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ _LOG2 = math.log(2.0)
 _SEARCH_TOL = 1e-5  # bits
 _SEARCH_MAX_ITER = 200
 _SEARCH_ROWS = 64  # rows bisected together
+_DESCENT_ROWS = 240  # most rows in one block of the descent's tiles
 
 
 @dataclass(frozen=True)
@@ -196,6 +209,17 @@ def joint_probabilities(features: np.ndarray, perplexity: float, *,
     return (cond + cond.T) / (2.0 * n)
 
 
+def _block_pairs(n: int) -> list[tuple[slice, slice, bool]]:
+    """The descent's tiles: the rows cut into ceil(n / _DESCENT_ROWS)
+    blocks of equal size to one row, and each pair of blocks I <= J as
+    (rows of I, rows of J, I == J), the diagonal pairs first."""
+    k = -(-n // _DESCENT_ROWS)
+    edges = [b * n // k for b in range(k + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    return ([(I, I, True) for I in blocks]
+            + [(I, J, False) for b, I in enumerate(blocks) for J in blocks[b + 1:]])
+
+
 def tsne(
     features: np.ndarray,
     perplexity: float = 30.0,
@@ -237,42 +261,57 @@ def tsne(
     velocity = np.zeros_like(Y)
     trace = np.empty(iterations)
 
-    # Every n x n intermediate goes into D or W, allocated once.  The trace
-    # needs no gather of P > 0: P's zeros and the diagonal (log 1) add
-    # exactly 0.
+    # The trace needs no gather of P > 0: P's zeros and the diagonal
+    # (log 1) add exactly 0.
     p_log_p = float(xlogy(P, P).sum())
     p_sum = float(P.sum())
-    D = np.empty((n, n))
-    W = np.empty((n, n))
+    tiles = _block_pairs(n)
+    P_tiles = [np.ascontiguousarray(P[I, J]) for I, J, _ in tiles]
+    P_eff = [t * early_exaggeration for t in P_tiles] if exaggeration_iters > 0 else P_tiles
+    del P
+    W_tiles = [np.empty_like(t) for t in P_tiles]
+    work = np.empty(max(t.size for t in P_tiles))
     A = np.ones((n, 4))  # [-2Y, 1 + |y|^2, 1]
     B = np.ones((n, 4))  # [Y, 1, |y|^2]
     Y1 = np.ones((n, 3))  # [Y, 1]
     G = np.empty((n, 3))
-    P_eff = P * early_exaggeration if exaggeration_iters > 0 else P
 
     for it in range(iterations):
         if it == exaggeration_iters:
-            P_eff = P  # frees the exaggerated copy
+            P_eff = P_tiles  # frees the exaggerated copies
         sq = np.sum(Y * Y, axis=1)
         np.multiply(-2.0, Y, out=A[:, :2])
         np.add(1.0, sq, out=A[:, 2])
         B[:, :2] = Y
         B[:, 3] = sq
-        np.matmul(A, B.T, out=D)  # D = 1 + d^2
-        np.maximum(D, 1.0, out=D)
-        np.fill_diagonal(D, 1.0)
-        np.log(D, out=W)
-        p_log_d = float(np.vdot(P, W))
-        np.divide(1.0, D, out=W)
-        np.fill_diagonal(W, 0.0)
-        Z = W.sum()
-        np.multiply(W, 1.0 / Z, out=D)  # D = Q
+        p_log_d = 0.0
+        Z = 0.0
+        for (I, J, diagonal), Pt, W in zip(tiles, P_tiles, W_tiles):
+            D = work[:W.size].reshape(W.shape)
+            np.matmul(A[I], B[J].T, out=D)  # D = 1 + d^2
+            np.maximum(D, 1.0, out=D)
+            if diagonal:
+                np.fill_diagonal(D, 1.0)
+            np.log(D, out=W)
+            weight = 1.0 if diagonal else 2.0  # and the mirror tile
+            p_log_d += weight * float(np.vdot(Pt, W))
+            np.divide(1.0, D, out=W)
+            if diagonal:
+                np.fill_diagonal(W, 0.0)
+            Z += weight * W.sum()
         trace[it] = p_log_p + p_log_d + p_sum * math.log(Z)
 
-        np.subtract(P_eff, D, out=D)
-        np.multiply(D, W, out=D)  # D = M
         Y1[:, :2] = Y
-        np.matmul(D, Y1, out=G)  # G = [M Y, M 1]
+        for (I, J, diagonal), Pt, W in zip(tiles, P_eff, W_tiles):
+            M = work[:W.size].reshape(W.shape)
+            np.multiply(W, 1.0 / Z, out=M)  # M = Q
+            np.subtract(Pt, M, out=M)
+            np.multiply(M, W, out=M)
+            if diagonal:  # the diagonal tiles come first and set G
+                np.matmul(M, Y1[I], out=G[I])  # G = [M Y, M 1]
+            else:
+                G[I] += M @ Y1[J]
+                G[J] += M.T @ Y1[I]
         grad = 4.0 * (G[:, 2:] * Y - G[:, :2])
         momentum = initial_momentum if it < momentum_switch else final_momentum
         velocity = momentum * velocity - lr * grad

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import xlogy
 
 from uqshift.embedding import (
+    _DESCENT_ROWS,
     _bandwidth_search,
     conditional_probabilities,
     joint_probabilities,
@@ -61,6 +62,81 @@ def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
     return Y, trace, gathered, P
+
+
+def _blocked_reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
+                            momentum_switch, early_exaggeration=12.0,
+                            initial_momentum=0.5, final_momentum=0.8):
+    """``_reference_tsne`` over the tiles of block pairs I <= J, allocating:
+    the rows cut into ceil(n / _DESCENT_ROWS) blocks of equal size to one
+    row, the diagonal tiles first, and each off-diagonal tile standing for
+    its mirror image in the trace, in Z and in both blocks' gradients.
+
+    Returns the final Y, the log-form KL trace, the KL of every iteration
+    gathered over P > 0 from the full Q at the same Y, and P.
+    """
+    P = joint_probabilities(X, perplexity)
+    p_log_p = float(xlogy(P, P).sum())
+    n = X.shape[0]
+    k = -(-n // _DESCENT_ROWS)
+    edges = [b * n // k for b in range(k + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    pairs = ([(I, I, True) for I in blocks]
+             + [(I, J, False) for b, I in enumerate(blocks) for J in blocks[b + 1:]])
+    ones = np.ones(n)
+    lr = n / early_exaggeration
+    Y = 1e-4 * keyed_rng(seed).standard_normal((n, 2))
+    velocity = np.zeros_like(Y)
+    trace = np.empty(iterations)
+    gathered = np.empty(iterations)
+    for it in range(iterations):
+        sq = np.sum(Y * Y, axis=1)
+        A = np.column_stack([-2.0 * Y, 1.0 + sq, ones])
+        B = np.column_stack([Y, ones, sq])
+        p_log_d, Z, Ws = 0.0, 0.0, []
+        for I, J, diagonal in pairs:
+            D = np.maximum(A[I] @ B[J].T, 1.0)
+            if diagonal:
+                np.fill_diagonal(D, 1.0)
+            weight = 1.0 if diagonal else 2.0
+            p_log_d += weight * float(np.vdot(P[I, J], np.log(D)))
+            W = 1.0 / D
+            if diagonal:
+                np.fill_diagonal(W, 0.0)
+            Z += weight * W.sum()
+            Ws.append(W)
+        trace[it] = p_log_p + p_log_d + float(P.sum()) * math.log(Z)
+        D_full = np.maximum(A @ B.T, 1.0)
+        np.fill_diagonal(D_full, 1.0)
+        W_full = 1.0 / D_full
+        np.fill_diagonal(W_full, 0.0)
+        Q = W_full / W_full.sum()
+        mask = P > 0
+        gathered[it] = float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
+        P_eff = P * early_exaggeration if it < exaggeration_iters else P
+        Y1 = np.column_stack([Y, ones])
+        G = np.empty((n, 3))
+        for (I, J, diagonal), W in zip(pairs, Ws):
+            M = (P_eff[I, J] - W * (1.0 / Z)) * W
+            if diagonal:
+                G[I] = M @ Y1[I]
+            else:
+                G[I] += M @ Y1[J]
+                G[J] += M.T @ Y1[I]
+        grad = 4.0 * (G[:, 2:] * Y - G[:, :2])
+        momentum = initial_momentum if it < momentum_switch else final_momentum
+        velocity = momentum * velocity - lr * grad
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+    return Y, trace, gathered, P
+
+
+def _three_block_blobs(shift):
+    """Two blobs of 3-D points, ``shift`` apart, in 2 * _DESCENT_ROWS + 40
+    rows: three blocks for the descent's tiles."""
+    n = 2 * _DESCENT_ROWS + 40
+    rng = keyed_rng(38)
+    return np.vstack([rng.normal(size=(n // 2, 3)), rng.normal(size=(n - n // 2, 3)) + shift])
 
 
 def _allocating_d2_plus_one(Y):
@@ -135,6 +211,21 @@ def _per_row_conditional(sq_dists, perplexity, tol=1e-5, max_iter=200):
         betas[i] = beta
         errors[i] = abs(diff)
     return P, np.sqrt(1.0 / (2.0 * betas)), errors
+
+
+def _assert_peak_memory_is_four_n_by_n_arrays(n):
+    import tracemalloc
+
+    rng = keyed_rng(36)
+    X = np.vstack([rng.normal(size=(n // 3, 5)) + 8.0 * k for k in range(3)])
+    tracemalloc.start()
+    try:
+        tsne(X, perplexity=20, iterations=5, seed=0, exaggeration_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    thin = 48 * n * 8  # the n x 4, n x 3 and n x 2 buffers and their temporaries
+    assert peak <= 4 * n * n * 8 + thin
 
 
 class TestPca:
@@ -351,6 +442,51 @@ class TestTsne:
         assert np.abs(emb.coordinates - want_Y).max() <= 1e-6 * scale
         np.testing.assert_allclose(emb.objective_trace, want_trace, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize(
+        "shift, iterations, exaggeration_iters, momentum_switch",
+        [
+            (60.0, 40, 25, 25),  # far-apart blobs: P has exact off-diagonal zeros
+            (0.0, 15, 30, 10),  # the run ends during early exaggeration
+        ],
+    )
+    def test_tiled_matches_blocked_reference_bitwise(self, shift, iterations,
+                                                     exaggeration_iters, momentum_switch):
+        X = _three_block_blobs(shift)
+        args = dict(perplexity=10, iterations=iterations, seed=3,
+                    exaggeration_iters=exaggeration_iters, momentum_switch=momentum_switch)
+        ref_Y, ref_trace, _, P = _blocked_reference_tsne(X, **args)
+        if shift:
+            assert np.count_nonzero(P == 0.0) > P.shape[0]  # more zeros than the diagonal
+        emb = tsne(X, **args)
+        assert np.array_equal(emb.coordinates, ref_Y)
+        assert np.array_equal(emb.objective_trace, ref_trace)
+
+    @pytest.mark.parametrize("shift", [60.0, 0.0])
+    def test_tiled_trace_matches_gathered_kl(self, shift):
+        # the mirror tiles count an upper tile of 1 + d^2 twice, which
+        # differs from the lower one in rounding only
+        X = _three_block_blobs(shift)
+        args = dict(perplexity=10, iterations=40, seed=3, exaggeration_iters=25,
+                    momentum_switch=25)
+        _, _, gathered, P = _blocked_reference_tsne(X, **args)
+        off_diagonal_zeros = np.count_nonzero(P == 0.0) - P.shape[0]
+        assert (off_diagonal_zeros > 0) == bool(shift)
+        emb = tsne(X, **args)
+        np.testing.assert_allclose(emb.objective_trace, gathered, rtol=0, atol=1e-12)
+
+    def test_tiled_close_to_difference_form_on_short_runs(self):
+        # summing each block pair once reorders sums only, so over three
+        # blocks the descent stays as close to the difference form as
+        # the untiled one does
+        X = _three_block_blobs(6.0)
+        args = dict(perplexity=10, iterations=15, seed=3, exaggeration_iters=10,
+                    momentum_switch=10)
+        want_Y, want_trace = _allocating_tsne(X, **args)
+        emb = tsne(X, **args)
+        scale = np.abs(want_Y).max()
+        assert np.abs(emb.coordinates - want_Y).max() <= 1e-6 * scale
+        np.testing.assert_allclose(emb.objective_trace, want_trace, rtol=1e-10, atol=0)
+
     def test_d2_plus_one_from_one_product(self):
         # both forms cancel |y_i|^2 + |y_j|^2 against 2 y_i.y_j, so each is
         # off by a few ulps of 1 + 2 max |y|^2; since 1 + d^2 >= 1 that
@@ -367,19 +503,14 @@ class TestTsne:
         np.testing.assert_allclose(D, _allocating_d2_plus_one(Y), rtol=tol, atol=0)
 
     def test_peak_memory_is_four_n_by_n_arrays(self):
-        import tracemalloc
+        _assert_peak_memory_is_four_n_by_n_arrays(300)
 
-        n = 300
-        rng = keyed_rng(36)
-        X = np.vstack([rng.normal(size=(n // 3, 5)) + 8.0 * k for k in range(3)])
-        tracemalloc.start()
-        try:
-            tsne(X, perplexity=20, iterations=5, seed=0, exaggeration_iters=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        thin = 48 * n * 8  # the n x 4, n x 3 and n x 2 buffers and their temporaries
-        assert peak <= 4 * n * n * 8 + thin
+    def test_peak_memory_above_block_rows(self):
+        # three blocks: P's tiles are copied and P freed before the
+        # affinity tiles are allocated
+        n = 700
+        assert n > 2 * _DESCENT_ROWS
+        _assert_peak_memory_is_four_n_by_n_arrays(n)
 
     def test_params_report_search(self):
         X = keyed_rng(37).normal(size=(30, 3))
