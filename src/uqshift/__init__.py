@@ -15,7 +15,7 @@ from .embedding import Embedding, pca, tsne
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError, UqshiftError
 from .evaluation import boxplot_stats, cross_cluster_table, r_squared, removal_curve
 from .mlp import HyperparamGrid, MlpModel, hyperparameter_search, predict, train_mlp
-from .uq_ad import AdModel, ad_dd_score, ad_ld_score, fit_ad, standard_normal_quantile
+from .uq_ad import AdModel, ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
 from .uq_dropout import McDropoutConfig, mc_dropout
 from .uq_rio import KernelConfig, RioModel, fit_rio, rio_predict
 
@@ -36,8 +36,8 @@ __all__ = [
     "SplitSpec",
     "TrainingDivergedError",
     "UqshiftError",
-    "ad_dd_score",
-    "ad_ld_score",
+    "ad_dd_scores",
+    "ad_ld_scores",
     "boxplot_stats",
     "cross_cluster_table",
     "dbscan",

@@ -1,18 +1,19 @@
 """Density clustering and cluster-held-out split construction.
 
-The DBSCAN here is deterministic by construction: points are scanned in
-row order, neighbor lists are kept sorted by index, and a border point
-reachable from several clusters goes to the lowest-numbered one.  Noise
-rows get the label -1 and never participate in splits.
+The DBSCAN here is deterministic by construction: clusters are numbered
+in the order of their lowest row, and a border point reachable from
+several clusters goes to the lowest-numbered one.  Noise rows get the
+label -1 and never participate in splits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .csvio import read_csv, write_csv
 from .dataset import Dataset
@@ -100,32 +101,22 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
         raise ConfigError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ConfigError(f"min_pts must be >= 1, got {min_pts}")
-    n = X.shape[0]
     within = sq_distances(X) <= eps * eps
-    neighbors = [np.flatnonzero(within[i]) for i in range(n)]  # sorted by index
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-
-    labels = np.full(n, -1, dtype=int)
-    k = 0
-    for i in range(n):
-        if not core[i] or labels[i] != -1:
-            continue
-        labels[i] = k
-        queue = deque([i])
-        while queue:
-            p = queue.popleft()
-            for q in neighbors[p]:
-                if core[q] and labels[q] == -1:
-                    labels[q] = k
-                    queue.append(q)
-        k += 1
-
-    for i in range(n):
-        if core[i]:
-            continue
-        claiming = [labels[j] for j in neighbors[i] if core[j]]
-        if claiming:
-            labels[i] = min(claiming)
+    core = np.flatnonzero(within.sum(axis=1) >= min_pts)
+    labels = np.full(X.shape[0], -1, dtype=int)
+    if core.size == 0:
+        return ClusterLabels(labels=labels, k=0, source="dbscan")
+    # undirected components are numbered by their lowest row: row-scan order
+    k, labels[core] = connected_components(csr_array(within[np.ix_(core, core)]),
+                                           directed=False)
+    # With the core columns ordered by cluster id, a border row's first
+    # core neighbour is in its lowest-numbered claiming cluster.
+    border = np.flatnonzero(labels == -1)
+    by_id = core[np.argsort(labels[core], kind="stable")]
+    hits = within[np.ix_(border, by_id)]
+    first = hits.argmax(axis=1)
+    claimed = hits[np.arange(border.size), first]
+    labels[border[claimed]] = labels[by_id[first[claimed]]]
     return ClusterLabels(labels=labels, k=k, source="dbscan")
 
 

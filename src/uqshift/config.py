@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .uq_ad import METRICS
 
 _AUTO = "auto"
 
@@ -110,12 +111,7 @@ def _parse_value(kind: str, raw: str, where: str):
         if kind == "str":
             return raw
         if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.RawConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "int_list":
             return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
         if kind == "float_list":
@@ -124,7 +120,7 @@ def _parse_value(kind: str, raw: str, where: str):
             if raw.lower() == _AUTO:
                 return None
             return float(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
     raise ConfigError(f"unknown schema kind {kind!r}")
 
@@ -183,8 +179,8 @@ def _validate(values: dict) -> None:
         raise ConfigError("run.seed must be non-negative")
     if values["run"]["jobs"] < 1:
         raise ConfigError("run.jobs must be >= 1")
-    if values["uq"]["metric"] not in ("euclidean", "jaccard"):
-        raise ConfigError(f"uq.metric must be euclidean or jaccard, got {values['uq']['metric']!r}")
+    if values["uq"]["metric"] not in METRICS:
+        raise ConfigError(f"uq.metric must be {' or '.join(METRICS)}, got {values['uq']['metric']!r}")
     split = values["split"]
     if split["dbscan_eps"] is None and split["min_pts"] < 2 and not split["external_labels"]:
         # auto eps is the median distance to the (min_pts - 1)-th neighbour,

@@ -165,10 +165,6 @@ def ad_dd_scores(model: AdModel, X: np.ndarray) -> np.ndarray:
     return np.where(z > 0.0, z, 0.0)
 
 
-def ad_dd_score(model: AdModel, x: np.ndarray) -> float:
-    return float(ad_dd_scores(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def ad_ld_scores(model: AdModel, X: np.ndarray) -> np.ndarray:
     """Local density ratios.
 
@@ -186,7 +182,3 @@ def ad_ld_scores(model: AdModel, X: np.ndarray) -> np.ndarray:
     np.divide(numerator, denominator, out=out, where=denominator != 0.0)
     out[numerator == 0.0] = 0.0
     return out
-
-
-def ad_ld_score(model: AdModel, x: np.ndarray) -> float:
-    return float(ad_ld_scores(model, np.asarray(x, dtype=float)[None, :])[0])

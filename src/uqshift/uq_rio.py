@@ -50,7 +50,7 @@ class KernelConfig:
     signal_variance_out: float = 1.0
     length_scale_out: float = 1.0
     noise_variance: float = 1.0
-    jitter: float | None = None  # None: 1e-8 * mean kernel diagonal
+    jitter: float | None = None  # None: 1e-8 * (signal_variance_in + signal_variance_out)
 
     def __post_init__(self):
         for name in _PARAM_NAMES:
@@ -68,6 +68,7 @@ class KernelConfig:
         return KernelConfig(*[float(v) for v in values], jitter=jitter)
 
     def base_jitter(self) -> float:
+        """The jitter a factorization starts from."""
         if self.jitter is not None:
             return self.jitter
         return 1e-8 * (self.signal_variance_in + self.signal_variance_out)
@@ -124,22 +125,19 @@ def _diagonal(S: np.ndarray) -> np.ndarray:
     return S.ravel(order="K")[:: S.shape[0] + 1]
 
 
-def _kernel_parts(ws: _Workspace, theta: np.ndarray):
-    """Fill ws.K_in and ws.K_out for log parameters theta."""
-    sv_in, ls_in, sv_out, ls_out, noise = np.exp(theta)
-    for K, D2, sv, ls in ((ws.K_in, ws.D2x, sv_in, ls_in), (ws.K_out, ws.D2y, sv_out, ls_out)):
+def _kernel_terms(D2x: np.ndarray, D2y: np.ndarray, cfg: KernelConfig, out=None):
+    """The input and output terms of the composite kernel, each
+    sv * exp(-D2 / (2 ls^2)), written into ``out`` (two arrays) or over
+    D2x and D2y."""
+    out = out or (D2x, D2y)
+    for K, D2, sv, ls in zip(out, (D2x, D2y),
+                             (cfg.signal_variance_in, cfg.signal_variance_out),
+                             (cfg.length_scale_in, cfg.length_scale_out)):
         np.negative(D2, out=K)
         K /= 2.0 * ls * ls
         np.exp(K, out=K)
         K *= sv
-    return sv_in, ls_in, sv_out, ls_out, noise
-
-
-def _covariance(ws: _Workspace, noise) -> np.ndarray:
-    """ws.A = K_in + K_out + noise * I."""
-    np.add(ws.K_in, ws.K_out, out=ws.A)
-    _diagonal(ws.A)[:] += noise
-    return ws.A
+    return out
 
 
 def _chol_with_escalation(A: np.ndarray, L: np.ndarray,
@@ -158,12 +156,19 @@ def _chol_with_escalation(A: np.ndarray, L: np.ndarray,
     )
 
 
+def _factor(ws: _Workspace, cfg: KernelConfig) -> tuple[np.ndarray, float]:
+    """Fill ws's kernel terms and covariance A = K_in + K_out + noise * I,
+    and factor A into ws.L from cfg's base jitter."""
+    _kernel_terms(ws.D2x, ws.D2y, cfg, out=(ws.K_in, ws.K_out))
+    np.add(ws.K_in, ws.K_out, out=ws.A)
+    _diagonal(ws.A)[:] += cfg.noise_variance
+    return _chol_with_escalation(ws.A, ws.L, cfg.base_jitter())
+
+
 def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: float | None):
-    sv_in, ls_in, sv_out, ls_out, noise = _kernel_parts(ws, theta)
+    cfg = KernelConfig.from_log_vector(theta, jitter)
     n = r.shape[0]
-    A = _covariance(ws, noise)
-    base = jitter if jitter is not None else 1e-8 * (sv_in + sv_out)
-    L, _ = _chol_with_escalation(A, ws.L, base)
+    L, _ = _factor(ws, cfg)
     alpha = cho_solve((L, True), r)
     value = (
         -0.5 * float(r @ alpha)
@@ -183,27 +188,28 @@ def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: floa
     M -= A_inv
     P = ws.product
     grad = []
-    for K, D2, ls in ((ws.K_in, ws.D2x, ls_in), (ws.K_out, ws.D2y, ls_out)):
+    for K, D2, ls in ((ws.K_in, ws.D2x, cfg.length_scale_in),
+                      (ws.K_out, ws.D2y, cfg.length_scale_out)):
         np.multiply(M, K, out=P)
         grad.append(0.5 * float(np.sum(P)))                   # log signal variance: K
         grad.append(0.5 * float(np.vdot(P, D2)) / (ls * ls))  # log length scale: K * D2 / ls^2
-    grad.append(0.5 * noise * float(np.trace(M)))             # log noise: noise * I
+    grad.append(0.5 * cfg.noise_variance * float(np.trace(M)))  # log noise: noise * I
     return value, np.array(grad)
 
 
-def _training_inputs(train_X, train_yhat, residuals=None):
+def _training_inputs(train_X, train_yhat, values, name: str):
+    """The training features, network outputs and one more per-row
+    vector (``name`` in its error message), as float arrays."""
     X = np.asarray(train_X, dtype=float)
     yhat = np.asarray(train_yhat, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise DataError("training features must be a non-empty 2-D matrix")
     if yhat.shape != (X.shape[0],):
         raise DataError("train_yhat must be one value per training row")
-    if residuals is not None:
-        r = np.asarray(residuals, dtype=float)
-        if r.shape != (X.shape[0],):
-            raise DataError("residuals must be one value per training row")
-        return X, yhat, r
-    return X, yhat, None
+    values = np.asarray(values, dtype=float)
+    if values.shape != (X.shape[0],):
+        raise DataError(f"{name} must be one value per training row")
+    return X, yhat, values
 
 
 def log_marginal_likelihood(train_X, train_yhat, residuals, config: KernelConfig):
@@ -212,7 +218,7 @@ def log_marginal_likelihood(train_X, train_yhat, residuals, config: KernelConfig
     Gradient order: log signal_variance_in, log length_scale_in,
     log signal_variance_out, log length_scale_out, log noise_variance.
     """
-    X, yhat, r = _training_inputs(train_X, train_yhat, residuals)
+    X, yhat, r = _training_inputs(train_X, train_yhat, residuals, "residuals")
     ws = _Workspace(X, yhat)
     return _lml_and_grad(ws, r, config.to_log_vector(), config.jitter)
 
@@ -234,10 +240,7 @@ def fit_rio(
     index.  Starts whose factorization fails are skipped; all starts
     failing is an error.
     """
-    X, yhat, _ = _training_inputs(train_X, train_yhat, np.zeros_like(np.asarray(train_yhat)))
-    y = np.asarray(train_y, dtype=float)
-    if y.shape != yhat.shape:
-        raise DataError("train_y must be one value per training row")
+    X, yhat, y = _training_inputs(train_X, train_yhat, train_y, "train_y")
     if n_starts < 1:
         raise ConfigError("n_starts must be >= 1")
     init = init or KernelConfig()
@@ -279,8 +282,7 @@ def fit_rio(
         raise NumericalError("every marginal-likelihood optimization start failed")
 
     kernel = KernelConfig.from_log_vector(best_theta, jitter=init.jitter)
-    noise = _kernel_parts(ws, best_theta)[-1]
-    L, jitter_used = _chol_with_escalation(_covariance(ws, noise), ws.L, kernel.base_jitter())
+    L, jitter_used = _factor(ws, kernel)
     alpha = cho_solve((L, True), r)
     return RioModel(
         train_X=X,
@@ -311,20 +313,9 @@ def rio_predict(model: RioModel, test_X, test_yhat,
     if ys.shape != (Xs.shape[0],):
         raise DataError("test_yhat must be one value per test row")
 
-    # Ks = s_in exp(-D2x / (2 l_in^2)) + s_out exp(-D2y / (2 l_out^2)),
-    # term by term in two n_train x n_test buffers
     cfg = model.kernel
-    Ks = sq_distances(model.train_X, Xs)
-    np.negative(Ks, out=Ks)
-    np.divide(Ks, 2.0 * cfg.length_scale_in ** 2, out=Ks)
-    np.exp(Ks, out=Ks)
-    np.multiply(cfg.signal_variance_in, Ks, out=Ks)
-    K_out = np.subtract(model.train_yhat[:, None], ys[None, :])
-    np.square(K_out, out=K_out)
-    np.negative(K_out, out=K_out)
-    np.divide(K_out, 2.0 * cfg.length_scale_out ** 2, out=K_out)
-    np.exp(K_out, out=K_out)
-    np.multiply(cfg.signal_variance_out, K_out, out=K_out)
+    Ks, K_out = _kernel_terms(sq_distances(model.train_X, Xs),
+                              np.square(model.train_yhat[:, None] - ys[None, :]), cfg)
     np.add(Ks, K_out, out=Ks)
     del K_out
     residual_mean = Ks.T @ model.alpha

@@ -20,7 +20,7 @@ from uqshift.errors import TrainingDivergedError
 from uqshift.evaluation import r_squared, removal_curve
 from uqshift.mlp import forward, loss_and_gradients
 from uqshift.rng import keyed_rng
-from uqshift.uq_ad import ad_dd_score, ad_ld_score, fit_ad
+from uqshift.uq_ad import ad_dd_scores, ad_ld_scores, fit_ad
 from uqshift.uq_dropout import McDropoutConfig, mc_dropout
 from uqshift.uq_rio import (
     KernelConfig,
@@ -119,9 +119,9 @@ class TestCriterion1AdOracle:
                     0.0 if dq[idx].mean() == 0.0
                     else dq[idx].mean() / mean_knn[idx].mean()
                 )
-                if abs(ad_dd_score(model, q) - dd_want) > 1e-10:
+                if abs(ad_dd_scores(model, q[None, :])[0] - dd_want) > 1e-10:
                     all_ok = False
-                if abs(ad_ld_score(model, q) - ld_want) > 1e-10:
+                if abs(ad_ld_scores(model, q[None, :])[0] - ld_want) > 1e-10:
                     all_ok = False
         elapsed = time.monotonic() - started
         fast = elapsed < 1.0

@@ -580,17 +580,27 @@ class TestAnyCorruption:
         assert Path(rel).name in errors[0]
 
 
-TRACE_EVAL_AND_REPORT = """\
+TRACE_STAGES = """\
 import json, sys
 sys.path[:0] = sys.argv[1:3]
 import tracing
 from uqshift import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
-for stage in ("eval", "report"):
+for stage in sys.argv[5:]:
     assert cli.main([stage, "--config", sys.argv[3], "--out", sys.argv[4]]) == 0, stage
 print(json.dumps(tracer.count))
 """
+
+
+def _traced_span_counts(config, out, stages):
+    """Span name -> calls, over the stages run under bench/tracing.py."""
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", TRACE_STAGES, str(root / "src"), str(root / "bench"),
+         str(config), str(out), *stages],
+        capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 class TestBenchTracing:
@@ -601,16 +611,21 @@ class TestBenchTracing:
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)
         shutil.rmtree(out / "eval")
-        root = Path(__file__).resolve().parent.parent
-        result = subprocess.run(
-            [sys.executable, "-c", TRACE_EVAL_AND_REPORT, str(root / "src"),
-             str(root / "bench"), str(config), str(out)],
-            capture_output=True, text=True, check=True)
-        count = json.loads(result.stdout.splitlines()[-1])
+        count = _traced_span_counts(config, out, ("eval", "report"))
         for span in ("evaluation.cross_cluster_table", "evaluation.removal_curve",
                      "evaluation.uq_summary_stats", "evaluation.novelty_separation",
                      "csvio.read_csv", "dataset.load_dataset", "mlp.predict",
                      "mlp.load_model"):
+            assert count.get(span, 0) > 0, span
+
+    def test_split_train_and_uq_spans_are_entered(self, pipeline, tmp_path):
+        config, _ = pipeline
+        count = _traced_span_counts(config, tmp_path / "o", ("synth", "split", "train", "uq"))
+        for span in ("embedding.pca", "embedding.tsne", "embedding.joint_probabilities",
+                     "clustering.dbscan", "clustering.make_cluster_splits",
+                     "mlp.hyperparameter_search", "mlp.train_mlp", "uq_dropout.mc_dropout",
+                     "uq_ad.fit_ad", "uq_ad.ad_dd_scores", "uq_ad.ad_ld_scores",
+                     "uq_rio.fit_rio", "uq_rio.rio_predict", "uq_rio.minimize"):
             assert count.get(span, 0) > 0, span
 
 

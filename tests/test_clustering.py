@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from uqshift.clustering import (
     write_split_csv,
 )
 from uqshift.dataset import Dataset
+from uqshift.embedding import sq_distances
 from uqshift.errors import DataError
 from uqshift.rng import keyed_rng
 
@@ -52,6 +55,39 @@ def _reference_dbscan(X, eps, min_pts):
     return core_sets, noise
 
 
+def _bfs_dbscan(X, eps, min_pts):
+    """Row-scan DBSCAN with a breadth-first search per cluster: the
+    numbering reference.  Clusters are numbered in the order their first
+    core row is met, and a border row takes the lowest id among its core
+    neighbours.  Returns (labels, k)."""
+    n = X.shape[0]
+    within = sq_distances(X) <= eps * eps
+    neighbors = [np.flatnonzero(within[i]) for i in range(n)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    labels = np.full(n, -1, dtype=int)
+    k = 0
+    for i in range(n):
+        if not core[i] or labels[i] != -1:
+            continue
+        labels[i] = k
+        queue = deque([i])
+        while queue:
+            p = queue.popleft()
+            for q in neighbors[p]:
+                if core[q] and labels[q] == -1:
+                    labels[q] = k
+                    queue.append(q)
+        k += 1
+
+    for i in range(n):
+        if core[i]:
+            continue
+        claiming = [labels[j] for j in neighbors[i] if core[j]]
+        if claiming:
+            labels[i] = min(claiming)
+    return labels, k
+
+
 class TestDbscan:
     def test_two_groups_and_noise(self):
         X = np.array([
@@ -83,6 +119,11 @@ class TestDbscan:
         X = np.array([[0.0], [0.5], [2.0], [3.5], [4.0]])
         labels = dbscan(X, eps=1.5, min_pts=3)
         assert labels.labels[2] == min(labels.labels[0], labels.labels[4])
+        # the border row 2.0 reaches core 0.5 (row 1, cluster 1) before
+        # core 3.5 (row 3, cluster 0)
+        X = np.array([[4.0], [0.5], [2.0], [3.5], [0.0], [-0.5], [0.2], [4.5], [3.8]])
+        labels = dbscan(X, eps=1.5, min_pts=4)
+        np.testing.assert_array_equal(labels.labels, [0, 1, 0, 0, 1, 1, 1, 0, 0])
 
     def test_matches_reference_on_random_data(self):
         rng = keyed_rng(77)
@@ -102,6 +143,21 @@ class TestDbscan:
                     int(i) for i in members if neighbor_counts[i] >= 3
                 ))
             assert got_cores == ref_cores
+
+    def test_matches_bfs_reference_exactly(self):
+        # one-decimal coordinates make distances tie with eps, copied rows
+        # coincide, and the eps ladder runs from all noise to one cluster
+        rng = keyed_rng(78)
+        for trial in range(400):
+            n, dim = int(rng.integers(1, 80)), int(rng.integers(1, 3))
+            X = np.round(rng.uniform(0.0, 0.3 * n ** (1 / dim), size=(n, dim)), 1)
+            X[rng.integers(0, n, size=n // 4)] = X[rng.integers(0, n, size=n // 4)]
+            eps = float(rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 100.0]))
+            min_pts = int(rng.integers(1, 9))
+            got = dbscan(X, eps=eps, min_pts=min_pts)
+            want_labels, want_k = _bfs_dbscan(X, eps, min_pts)
+            assert got.k == want_k, (trial, eps, min_pts)
+            np.testing.assert_array_equal(got.labels, want_labels, err_msg=f"trial {trial}")
 
     def test_all_noise(self):
         X = np.array([[0.0], [10.0], [20.0]])

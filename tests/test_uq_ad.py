@@ -7,9 +7,7 @@ import scipy.special
 from uqshift.errors import ConfigError, DataError, NumericalError
 from uqshift.rng import keyed_rng
 from uqshift.uq_ad import (
-    ad_dd_score,
     ad_dd_scores,
-    ad_ld_score,
     ad_ld_scores,
     fit_ad,
     standard_normal_quantile,
@@ -76,19 +74,19 @@ class TestDistanceDistribution:
         model = fit_ad(LINE, k=2)
         # query 10: nearest two are 4 and 3, mean 6.5
         want = (6.5 - 1.2) / math.sqrt(0.06)
-        assert ad_dd_score(model, np.array([10.0])) == pytest.approx(want)
+        assert ad_dd_scores(model, np.array([[10.0]]))[0] == pytest.approx(want)
 
     def test_interior_query_clamped_to_zero(self):
         model = fit_ad(LINE, k=2)
         # query 2.0 sits on a training point; mean of dists (0 and 1) is
         # 0.5, below the training mean, so the score clamps
-        assert ad_dd_score(model, np.array([2.0])) == 0.0
+        assert ad_dd_scores(model, np.array([[2.0]]))[0] == 0.0
 
     def test_batch_matches_single(self):
         model = fit_ad(LINE, k=2)
         queries = np.array([[10.0], [2.0], [-3.0]])
         batch = ad_dd_scores(model, queries)
-        singles = [ad_dd_score(model, q) for q in queries]
+        singles = [ad_dd_scores(model, q[None, :])[0] for q in queries]
         np.testing.assert_allclose(batch, singles)
 
     def test_brute_force_oracle_random(self):
@@ -105,7 +103,7 @@ class TestDistanceDistribution:
             dq = np.sqrt(((train - q) ** 2).sum(-1))
             mean_q = np.sort(dq)[:4].mean()
             want = max(0.0, (mean_q - mu) / sigma)
-            assert ad_dd_score(model, q) == pytest.approx(want, abs=1e-10)
+            assert ad_dd_scores(model, q[None, :])[0] == pytest.approx(want, abs=1e-10)
 
 
 class TestLocalDensity:
@@ -113,18 +111,18 @@ class TestLocalDensity:
         model = fit_ad(LINE, k=2)
         # query 2.5: dists to 2 and 3 are both 0.5 -> numerator 0.5;
         # those neighbors' own mean 2-NN distances are 1.0 and 1.0
-        assert ad_ld_score(model, np.array([2.5])) == pytest.approx(0.5)
+        assert ad_ld_scores(model, np.array([[2.5]]))[0] == pytest.approx(0.5)
 
     def test_fixture_at_edge(self):
         model = fit_ad(LINE, k=2)
         # query 5: nearest 4 (d=1) and 3 (d=2) -> 1.5; their means are
         # 1.5 and 1.0 -> 1.25
-        assert ad_ld_score(model, np.array([5.0])) == pytest.approx(1.2)
+        assert ad_ld_scores(model, np.array([[5.0]]))[0] == pytest.approx(1.2)
 
     def test_coincident_query_is_zero(self):
         X = np.array([[0.0], [0.0], [1.0], [3.0]])
         model = fit_ad(X, k=2)
-        assert ad_ld_score(model, np.array([0.0])) == 0.0
+        assert ad_ld_scores(model, np.array([[0.0]]))[0] == 0.0
 
     def test_zero_denominator_gives_inf(self):
         # training pair of coincident points: their own mean 1-NN
@@ -132,13 +130,13 @@ class TestLocalDensity:
         # by zero
         X = np.array([[0.0], [0.0], [10.0], [11.0]])
         model = fit_ad(X, k=1)
-        assert ad_ld_score(model, np.array([0.5])) == math.inf
+        assert ad_ld_scores(model, np.array([[0.5]]))[0] == math.inf
 
     def test_batch_matches_single(self):
         model = fit_ad(LINE, k=2)
         queries = np.array([[2.5], [5.0], [0.0]])
         batch = ad_ld_scores(model, queries)
-        singles = [ad_ld_score(model, q) for q in queries]
+        singles = [ad_ld_scores(model, q[None, :])[0] for q in queries]
         np.testing.assert_allclose(batch, singles)
 
     def test_brute_force_oracle_random(self):
@@ -154,7 +152,7 @@ class TestLocalDensity:
             dq = np.sqrt(((train - q) ** 2).sum(-1))
             idx = np.argsort(dq, kind="stable")[:k]
             want = dq[idx].mean() / mean_knn[idx].mean()
-            assert ad_ld_score(model, q) == pytest.approx(want, abs=1e-10)
+            assert ad_ld_scores(model, q[None, :])[0] == pytest.approx(want, abs=1e-10)
 
 
 class TestTies:
@@ -172,7 +170,7 @@ class TestTies:
         np.fill_diagonal(d, np.inf)
         mean_knn = np.sort(d, axis=1)[:, :2].mean(axis=1)
         want = 1.0 / mean_knn[[0, 1]].mean()
-        assert ad_ld_score(model, q) == pytest.approx(want, abs=1e-12)
+        assert ad_ld_scores(model, q[None, :])[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestJaccard:
@@ -182,7 +180,7 @@ class TestJaccard:
         model = fit_ad(train, k=1, metric="jaccard")
         q = np.array([1.0, 1.0, 0.0])
         dq_expected = 0.0  # identical to row 0
-        assert ad_ld_score(model, q) == dq_expected
+        assert ad_ld_scores(model, q[None, :])[0] == dq_expected
 
     def test_all_zeros_pair_distance_zero(self):
         train = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
