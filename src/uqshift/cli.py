@@ -51,7 +51,7 @@ from .clustering import (
     read_split_csv,
     write_split_csv,
 )
-from .config import _STAGE_SECTIONS, RunConfig, config_hash, load_config, stage_config_text
+from .config import RunConfig, config_hash, load_config, stage_config_text
 from .csvio import (
     format_value,
     parse_float,
@@ -157,12 +157,13 @@ def _sha256(path: Path) -> str:
 
 def _stage_hash(cfg: RunConfig, stage: str, outputs=()) -> str:
     """The config hash of a manifest line of stage (synth, split, train:k,
-    uq:k or eval:k): its sections of cfg and, for uq, the methods whose
-    files are among outputs, in _UQ_METHODS order."""
+    uq:k or eval:k): its _STAGES sections of cfg and, for uq, the methods
+    whose files are among outputs, in _UQ_METHODS order.  report, with no
+    sections, writes no line."""
     name = stage.partition(":")[0]
-    if name not in _STAGE_SECTIONS:
+    if not (name in _STAGES and _STAGES[name][2]):
         raise DataError(f"manifest.jsonl names an unknown stage {stage!r}")
-    text = stage_config_text(cfg, name)
+    text = stage_config_text(cfg, _STAGES[name][2])
     if name == "uq":
         names = {PurePosixPath(rel).name for rel in outputs}
         text += "\nmethods = " + ",".join(m for m, (f, _) in _UQ_METHODS.items() if f in names)
@@ -186,7 +187,7 @@ def _vouch(cfg: RunConfig, out: Path, rels) -> dict[str, str]:
         checked.add(id(line))
         stage = line["stage"].partition(":")[0]
         if line["config_hash"] != _stage_hash(cfg, line["stage"], line["outputs"]):
-            sections = " or ".join(f"[{name}]" for name in _STAGE_SECTIONS[stage])
+            sections = " or ".join(f"[{name}]" for name in _STAGES[stage][2])
             raise DataError(f"{rel} was made under another {sections} configuration; "
                             f"rerun {stage}")
         for source, recorded in line["inputs"].items():
@@ -250,7 +251,7 @@ def _split_ids(out: Path, requested: int | None = None) -> list[int]:
 
 # ------------------------------------------------------------------ stages
 
-def cmd_synth(cfg: RunConfig, out: Path) -> None:
+def cmd_synth(cfg: RunConfig, out: Path, args) -> None:
     def fn():
         seed = derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["synth"])
         data, labels = generate_synthetic(SyntheticConfig(**cfg["synth"], seed=seed))
@@ -275,7 +276,7 @@ def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
     return eps
 
 
-def cmd_split(cfg: RunConfig, out: Path) -> None:
+def cmd_split(cfg: RunConfig, out: Path, args) -> None:
     section = cfg["split"]
     inputs = ["data/dataset.csv"]
     external = section["external_labels"]
@@ -372,11 +373,11 @@ def cmd_split(cfg: RunConfig, out: Path) -> None:
     _run_stage(cfg, out, "split", inputs, fn)
 
 
-def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
+def cmd_train(cfg: RunConfig, out: Path, args) -> None:
     section = cfg["train"]
     grid = HyperparamGrid(tuple(section["layer_counts"]), tuple(section["widths"]),
                           tuple(section["learning_rates"]), section["dropout_rate"])
-    for k in _split_ids(out, split_id):
+    for k in _split_ids(out, args.split_id):
         inputs = ["data/dataset.csv", f"split/split_{k}.csv"]
 
         def fn(k=k):
@@ -422,7 +423,7 @@ def cmd_train(cfg: RunConfig, out: Path, split_id: int | None) -> None:
 
 def _parse_methods(raw: str | None) -> tuple[str, ...]:
     """The selected methods in _UQ_METHODS order: --methods rio,ad is ad,rio."""
-    if not raw:
+    if raw is None:
         return tuple(_UQ_METHODS)
     chosen = [part.strip() for part in raw.split(",") if part.strip()]
     for m in chosen:
@@ -433,19 +434,26 @@ def _parse_methods(raw: str | None) -> tuple[str, ...]:
     return tuple(m for m in _UQ_METHODS if m in chosen)
 
 
-def cmd_uq(cfg: RunConfig, out: Path, split_id: int | None, methods_raw: str | None) -> None:
-    methods = _parse_methods(methods_raw)
+def _load(out: Path, ids) -> tuple[Dataset, ClusterLabels, dict]:
+    """The dataset, the split stage's labels and {j: split} for ids."""
+    data = load_dataset(out / "data" / "dataset.csv")
+    labels = load_external_labels(out / "split" / "labels.csv", data)
+    return data, labels, {j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j)
+                          for j in ids}
+
+
+def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
+    methods = _parse_methods(args.methods)
     section = cfg["uq"]
     needs_model = "dropout" in methods or "rio" in methods
-    for k in _split_ids(out, split_id):
+    for k in _split_ids(out, args.split_id):
         inputs = ["data/dataset.csv", "split/labels.csv", f"split/split_{k}.csv"]
         if needs_model:
             inputs.append(f"train/model_{k}.json")
 
         def fn(k=k):
-            data = load_dataset(out / "data" / "dataset.csv")
-            labels = load_external_labels(out / "split" / "labels.csv", data)
-            split = read_split_csv(out / "split" / f"split_{k}.csv", data.ids, k)
+            data, labels, splits = _load(out, [k])
+            split = splits[k]
             _, scored = split.scored_rows(labels)
             if scored.size == 0:
                 raise DataError(f"split {k} has no rows to score")
@@ -665,22 +673,20 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
     return tables, _summary(cfg, split, labels, scores_header, scores_rows)
 
 
-def cmd_eval(cfg: RunConfig, out: Path, split_id: int | None) -> None:
+def cmd_eval(cfg: RunConfig, out: Path, args) -> None:
     ids = _split_ids(out)
 
     @functools.cache
     def sources():
         """The dataset, labels, splits and full-data predictions: built for
         the first split whose eval is not up to date, then shared."""
-        data = load_dataset(out / "data" / "dataset.csv")
-        labels = load_external_labels(out / "split" / "labels.csv", data)
-        splits = {j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in ids}
+        data, labels, splits = _load(out, ids)
         predictions = {
             j: predict(load_model(out / "train" / f"model_{j}.json"), data.features) for j in ids
         }
         return data, labels, splits, predictions
 
-    for k in _split_ids(out, split_id):
+    for k in _split_ids(out, args.split_id):
         uq = {m: rel for m, (name, _) in _UQ_METHODS.items()
               if (out / (rel := f"uq/split_{k}/{name}")).exists()}
         if not uq:
@@ -724,57 +730,23 @@ def _read_predictions(path: Path, ids, split_ids: list[int]) -> dict[int, np.nda
     return preds
 
 
-def _numbers_match(cells, values) -> bool | None:
-    """Whether the stored cells hold the derived numbers within 1e-12,
-    compared as float arrays; None when a cell is not a number, or is a
-    NaN where the derived value is not, and so needs a closer look."""
-    derived = np.array(values, dtype=float)
-    try:
-        stored = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return None
-    nan = np.isnan(derived)
-    if np.any(np.isnan(stored) & ~nan):
-        return None
-    with np.errstate(invalid="ignore"):  # inf - inf
-        close = (stored == derived) | (np.abs(stored - derived) <= 1e-12)
-    return bool(np.all(close | nan & np.isnan(stored)))
-
-
-def _cells_match(path: Path, cells, values) -> bool:
-    """Cell by cell: the same text, or a number within 1e-12 of the
-    derived one; a cell that is not a number raises DataError naming its row."""
-    for r, (cell, value) in enumerate(zip(cells, values), start=1):
-        if cell == format_value(value):
-            continue
-        if isinstance(value, str):
-            return False
-        if not abs(parse_float(cell, f"{path}: row {r}") - value) <= 1e-12:
-            return False
-    return True
-
-
 def _matches(path: Path, header: list[str], rows: list) -> bool:
-    """True when the file holds this header and these rows: string cells
-    the same text, numbers within 1e-12.
-
-    A column of strings is compared as a tuple and a column of numbers as
-    arrays.  A column that mixes them, or whose stored cells do not all
-    parse, goes cell by cell.
-    """
+    """True when the file holds this header and these rows.  Column by
+    column, each cell must be the text format_value gives its derived
+    value, or a number equal to it or within 1e-12; a cell that is not a
+    number raises DataError naming its row."""
     stored_header, stored_rows = read_csv(path)
     if stored_header != header or len(stored_rows) != len(rows):
         return False
     for cells, values in zip(zip(*stored_rows), zip(*rows)):
-        types = set(map(type, values))
-        if types == {str}:
-            same = cells == values
-        else:
-            same = None if str in types else _numbers_match(cells, values)
-            if same is None:
-                same = _cells_match(path, cells, values)
-        if not same:
-            return False
+        for r, (cell, value) in enumerate(zip(cells, values), start=1):
+            if cell == format_value(value):
+                continue
+            if isinstance(value, str):
+                return False
+            stored = parse_float(cell, f"{path}: row {r}")
+            if not (stored == value or abs(stored - value) <= 1e-12):
+                return False
     return True
 
 
@@ -788,13 +760,13 @@ def _same_json(stored, derived) -> bool:
     return type(stored) is type(derived) and stored == derived
 
 
-def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
+def cmd_report(cfg: RunConfig, out: Path, args) -> None:
     """Re-derive every file of eval/split_<k> from the persisted sources
     and check it against the written one (numbers within 1e-12)."""
     ids = _split_ids(out)
     entries = _manifest_entries(out)
     uq_files = {}
-    for k in _split_ids(out, split_id):
+    for k in _split_ids(out, args.split_id):
         writer = _newest_writer(entries, f"eval/split_{k}/summary.json")
         if writer is None:
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
@@ -802,9 +774,7 @@ def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
         uq_files[k] = {m: out / rel for m, (name, _) in _UQ_METHODS.items()
                        if (rel := f"uq/split_{k}/{name}") in writer["inputs"]}
         _vouch(cfg, out, [*writer["inputs"], *writer["outputs"]])
-    data = load_dataset(out / "data" / "dataset.csv")
-    labels = load_external_labels(out / "split" / "labels.csv", data)
-    splits = {j: read_split_csv(out / "split" / f"split_{j}.csv", data.ids, j) for j in ids}
+    data, labels, splits = _load(out, ids)
     failures: list[str] = []
     for k, present in uq_files.items():
         base = out / "eval" / f"split_{k}"
@@ -825,26 +795,30 @@ def cmd_report(cfg: RunConfig, out: Path, split_id: int | None) -> None:
 
 # ------------------------------------------------------------------- entry
 
+# stage: (help, command, config sections its manifest lines hash, takes --split-id)
+_STAGES = {
+    "synth": ("generate a synthetic clustered dataset", cmd_synth, ("synth",), False),
+    "split": ("embed, cluster, and build cluster-held-out splits", cmd_split, ("split",), False),
+    "train": ("hyperparameter search and model training per split", cmd_train, ("train",), True),
+    "uq": ("uncertainty estimates for the scored rows of a split", cmd_uq, ("uq",), True),
+    "eval": ("cross-cluster matrix, removal curves, summaries", cmd_eval, ("eval", "uq"), True),
+    "report": ("re-derive and verify the evaluation artifacts", cmd_report, (), True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uqshift",
         description="Uncertainty quantification pipeline for regression under cluster shift",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "generate a synthetic clustered dataset"),
-        ("split", "embed, cluster, and build cluster-held-out splits"),
-        ("train", "hyperparameter search and model training per split"),
-        ("uq", "uncertainty estimates for the scored rows of a split"),
-        ("eval", "cross-cluster matrix, removal curves, summaries"),
-        ("report", "re-derive and verify the evaluation artifacts"),
-    ):
+    for name, (help_text, _, _, per_split) in _STAGES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="run configuration file")
         cmd.add_argument("--seed", type=int, default=None, help="override run.seed")
         cmd.add_argument("--out", type=str, default=None, help="override run.out")
         cmd.add_argument("--jobs", type=int, default=None, help="override run.jobs")
-        if name in ("train", "uq", "eval", "report"):
+        if per_split:
             cmd.add_argument("--split-id", type=int, default=None, help="restrict to one split")
         if name == "uq":
             cmd.add_argument("--methods", type=str, default=None,
@@ -855,21 +829,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if args.seed is not None:
-            overrides[("run", "seed")] = args.seed
-        if args.out is not None:
-            overrides[("run", "out")] = args.out
-        if args.jobs is not None:
-            overrides[("run", "jobs")] = args.jobs
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {("run", key): getattr(args, key)
+                                        for key in ("seed", "out", "jobs")
+                                        if getattr(args, key) is not None})
         out = Path(cfg.get("run", "out"))
-        out.mkdir(parents=True, exist_ok=True)
-        command = {"synth": cmd_synth, "split": cmd_split, "train": cmd_train,
-                   "uq": cmd_uq, "eval": cmd_eval, "report": cmd_report}[args.command]
-        extra = [getattr(args, name) for name in ("split_id", "methods") if hasattr(args, name)]
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out} "
+                              f"({type(exc).__name__})") from None
         with _dir_lock(out):
-            command(cfg, out, *extra)
+            _STAGES[args.command][1](cfg, out, args)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2

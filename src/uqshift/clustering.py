@@ -106,8 +106,9 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
     labels = np.full(X.shape[0], -1, dtype=int)
     if core.size == 0:
         return ClusterLabels(labels=labels, k=0, source="dbscan")
-    # undirected components are numbered by their lowest row: row-scan order
-    k, labels[core] = connected_components(csr_array(within[np.ix_(core, core)]),
+    # undirected components are numbered by their lowest row: row-scan order.
+    # The relation is symmetric, so its upper triangle is the whole graph.
+    k, labels[core] = connected_components(csr_array(np.triu(within[np.ix_(core, core)])),
                                            directed=False)
     # With the core columns ordered by cluster id, a border row's first
     # core neighbour is in its lowest-numbered claiming cluster.

@@ -1,17 +1,19 @@
 """Run configuration: a small INI dialect with a canonical form.
 
 Every run is described by one file with fixed sections and keys.  The
-parser rejects unknown sections and keys outright.  ``canonical_text``
-always emits sections and keys in schema order with round-trippable
-values, so hashing that text identifies a configuration.  The semantic
-hash excludes ``run.out`` and ``run.jobs``: where results are written
-and how many workers compute them does not change what is computed.
+parser rejects unknown sections and keys, and non-finite numbers,
+outright.  ``canonical_text`` always emits sections and keys in schema
+order with round-trippable values, so hashing that text identifies a
+configuration.  The semantic hash excludes ``run.out`` and ``run.jobs``:
+where results are written and how many workers compute them does not
+change what is computed.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,15 +75,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-_STAGE_SECTIONS = {
-    "synth": ("synth",),
-    "split": ("split",),
-    "train": ("train",),
-    "uq": ("uq",),
-    "eval": ("eval", "uq"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     values: dict
@@ -101,13 +94,20 @@ def default_config() -> RunConfig:
     return RunConfig(values=values)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_value(kind: str, raw: str, where: str):
     raw = raw.strip()
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "str":
             return raw
         if kind == "bool":
@@ -115,11 +115,11 @@ def _parse_value(kind: str, raw: str, where: str):
         if kind == "int_list":
             return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
         if kind == "float_list":
-            return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+            return tuple(_finite(part.strip()) for part in raw.split(",") if part.strip())
         if kind == "float_or_auto":
             if raw.lower() == _AUTO:
                 return None
-            return float(raw)
+            return _finite(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
     raise ConfigError(f"unknown schema kind {kind!r}")
@@ -154,10 +154,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         parser = configparser.RawConfigParser()
         parser.optionxform = str  # keep keys case-sensitive
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read ({type(exc).__name__})") from None
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"{path}: unknown section [{section}]")
@@ -213,10 +215,11 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def stage_config_text(config: RunConfig, stage: str) -> str:
-    """The part of the configuration a stage's output depends on."""
+def stage_config_text(config: RunConfig, sections: tuple[str, ...]) -> str:
+    """The seed and these sections: the part of the configuration a
+    stage's output depends on."""
     parts = [f"seed = {config.get('run', 'seed')}"]
-    for section in _STAGE_SECTIONS[stage]:
+    for section in sections:
         parts.append(f"[{section}]")
         for key, (kind, _) in SCHEMA[section].items():
             parts.append(f"{key} = {_format_value(kind, config.values[section][key])}")

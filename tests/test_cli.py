@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import fcntl
 import io
@@ -19,6 +20,7 @@ from uqshift.cli import _STAGE_SEEDS, main
 from uqshift.clustering import read_split_csv
 from uqshift.csvio import read_csv
 from uqshift.dataset import load_dataset
+from uqshift.errors import DataError
 from uqshift.mlp import load_model, train_mlp
 from uqshift.rng import derive_seed
 
@@ -779,11 +781,105 @@ class TestCliErrors:
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
         assert not (out / ".lock").exists()
 
+    def test_empty_methods_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        code = main(["uq", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--methods", ""])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: no uq methods selected\n"
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["synth", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {out} (FileExistsError)\n")
+
+    def test_out_under_a_file_exits_2_from_the_module(self, tmp_path):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "o"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run([sys.executable, "-m", "uqshift.cli", "synth", "--out", str(out)],
+                                capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"config error: cannot create output directory {out} (NotADirectoryError)\n")
+
+    @pytest.mark.parametrize("case", ["directory", "latin-1"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        config = tmp_path / "run.ini"
+        if case == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes("[run]\n# caf\xe9\nseed = 3\n".encode("latin-1"))
+        error = {"directory": "IsADirectoryError", "latin-1": "UnicodeDecodeError"}[case]
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {config}: cannot read ({error})\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key,kind,template", [
+        ("split", "perplexity", "float", "{}"),
+        ("train", "learning_rates", "float_list", "0.01, {}"),
+        ("split", "dbscan_eps", "float_or_auto", "{}"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, kind, template,
+                                       value):
+        config = tmp_path / "run.ini"
+        raw = template.format(value)
+        config.write_text(f"[{section}]\n{key} = {raw}\n")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {config}: [{section}] {key}: cannot parse {raw!r} as {kind}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_split_id_exits_3(self, pipeline):
         config, out = pipeline
         code = main(["train", "--config", str(config), "--out", str(out),
                      "--split-id", "99"])
         assert code == 3
+
+
+class TestParser:
+    def test_six_stages_and_their_flags(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["synth", "split", "train", "uq", "eval", "report"]
+        for name, stage in sub.choices.items():
+            flags = {flag for action in stage._actions for flag in action.option_strings}
+            assert {"--config", "--seed", "--out", "--jobs"} <= flags
+            assert ("--split-id" in flags) == (name in ("train", "uq", "eval", "report"))
+            assert ("--methods" in flags) == (name == "uq")
+
+
+class TestMatches:
+    """report's comparison of a stored table with the derived one."""
+
+    HEADER = ["name", "x"]
+    ROWS = [("a", 0.1), ("b", float("inf")), ("c", "")]  # a column mixing numbers and text
+
+    def _matches(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text("name,x\n" + text)
+        return cli._matches(path, self.HEADER, self.ROWS)
+
+    @pytest.mark.parametrize("text,want", [
+        ("a,0.1\nb,inf\nc,\n", True),  # the same text
+        ("a,0.1000000000009\nb,inf\nc,\n", True),  # within 1e-12
+        ("a,0.100000000002\nb,inf\nc,\n", False),  # beyond 1e-12
+        ("a,0.1\nb,Infinity\nc,\n", True),  # another spelling of inf
+        ("a,0.1\nb,-inf\nc,\n", False),
+        ("z,0.1\nb,inf\nc,\n", False),  # a changed string
+        ("a,0.1\nb,inf\nc,0\n", False),  # a changed string in the mixed column
+    ])
+    def test_verdict(self, tmp_path, text, want):
+        assert self._matches(tmp_path, text) is want
+
+    def test_cell_that_is_not_a_number_names_its_row(self, tmp_path):
+        with pytest.raises(DataError, match=r"t\.csv: row 2: non-numeric value 'abc'"):
+            self._matches(tmp_path, "a,0.1\nb,abc\nc,\n")
 
 
 class TestMethodSubsets:

@@ -159,6 +159,24 @@ class TestDbscan:
             assert got.k == want_k, (trial, eps, min_pts)
             np.testing.assert_array_equal(got.labels, want_labels, err_msg=f"trial {trial}")
 
+    def test_one_cluster_peak_memory_is_the_distance_temporary(self):
+        # eps joins every row, so the core x core graph is full: scipy's
+        # sparse copies of both triangles outgrew sq_distances' two n x n
+        # floats (30 bytes per n^2 against 16 at n = 1200)
+        import tracemalloc
+
+        n = 600
+        rng = keyed_rng(79)
+        X = np.vstack([rng.normal(size=(n // 4, 2)) + 10.0 * c for c in range(4)])
+        tracemalloc.start()
+        try:
+            labels = dbscan(X, eps=100.0, min_pts=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.k == 1
+        assert peak <= 2 * n * n * 8 + 2 * n * n
+
     def test_all_noise(self):
         X = np.array([[0.0], [10.0], [20.0]])
         labels = dbscan(X, eps=1.0, min_pts=2)

@@ -99,17 +99,18 @@ class TestHashing:
 
     def test_stage_text_scopes_sections(self):
         cfg = default_config()
-        synth_text = stage_config_text(cfg, "synth")
+        synth_text = stage_config_text(cfg, ("synth",))
         assert "clusters" in synth_text
         assert "perplexity" not in synth_text
         assert "seed" in synth_text  # master seed always included
-        eval_text = stage_config_text(cfg, "eval")
+        eval_text = stage_config_text(cfg, ("eval", "uq"))
         assert "step_fraction" in eval_text
         assert "passes" in eval_text  # eval reads the uq outputs
 
     def test_stage_text_changes_with_relevant_key(self):
-        a = stage_config_text(default_config(), "train")
-        b = stage_config_text(load_config(None, {("train", "epochs"): 7}), "train")
+        a = stage_config_text(default_config(), ("train",))
+        b = stage_config_text(load_config(None, {("train", "epochs"): 7}), ("train",))
         assert a != b
-        c = stage_config_text(load_config(None, {("eval", "step_fraction"): 0.2}), "train")
+        c = stage_config_text(load_config(None, {("eval", "step_fraction"): 0.2}),
+                              ("train",))
         assert a == c
