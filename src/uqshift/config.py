@@ -112,10 +112,10 @@ def _parse_value(kind: str, raw: str, where: str):
             return raw
         if kind == "bool":
             return configparser.RawConfigParser.BOOLEAN_STATES[raw.lower()]
-        if kind == "int_list":
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        if kind == "float_list":
-            return tuple(_finite(part.strip()) for part in raw.split(",") if part.strip())
+        if kind in ("int_list", "float_list"):
+            # int() and float() refuse an empty entry: "", "," or "1,,2"
+            parse = int if kind == "int_list" else _finite
+            return tuple(parse(part) for part in raw.split(","))
         if kind == "float_or_auto":
             if raw.lower() == _AUTO:
                 return None

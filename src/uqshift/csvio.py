@@ -63,8 +63,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     _replace(path, write)
 
 
+def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenation of chunks, each chunk as it is made."""
+    _replace(path, lambda fh: fh.writelines(chunks))
+
+
 def write_text(path: str | Path, text: str) -> None:
-    _replace(path, lambda fh: fh.write(text))
+    write_chunks(path, (text,))
 
 
 def _read_text(path: str | Path) -> str:

@@ -20,32 +20,39 @@ the fit recorded, and saving, loading, ``predict`` and every inference
 path stay float64.  ``forward`` and ``loss_and_gradients`` compute in
 the dtype of their input.
 
-Memory: a fit holds every weight and bias as a view into one flat
-float32 vector.  Adam's two moments, its two step temporaries, the
-gradient and the best epoch's copy are flat float32 vectors of the same
-layout, so a step's Adam update is one pass of elementwise in-place
-operations over the whole vector, over half the bytes of float64.  The
-fit also holds, sized to one batch, one (batch, width) activation and
-one delta array per hidden layer and two row vectors for the backward
-pass, the batch's rows and targets, and the dropout mask of each hidden
-layer, all float32, and the float64 uniform draws behind those masks; no
-pass runs over all training rows at once.  The per-epoch validation pass
-has its own float64 (rows, width) buffers and one float64 copy of the
-parameter vector.  All are allocated once per fit, and a step allocates
-nothing of a layer's size.  ``forward`` given one (rows, width) buffer
-per hidden layer and an output vector writes the pass into them.
+Memory: a fit holds six flat float32 vectors of one layout: the
+parameters, of which every weight and bias is a view, the gradient,
+Adam's two moments, one step temporary and the best epoch's copy.  The
+initial float64 arrays are copied into the parameters' views and
+dropped, and the gradient, spent once Adam's second moment has taken
+it, is the step's second temporary.  A step's Adam update is one pass
+of elementwise in-place operations over the whole vector, over half the
+bytes of float64.  The fit also holds, sized to one batch, one (batch,
+width) activation and one delta array per hidden layer and two row
+vectors for the backward pass, the batch's rows and targets, and the
+dropout mask of each hidden layer, all float32, and the float64 uniform
+draws behind those masks; no pass runs over all training rows at once.
+The per-epoch validation pass has its own float64 (rows, width) buffers
+and one float64 copy of the parameter vector.  All are allocated once
+per fit, and a step allocates nothing of a layer's size.  ``forward``
+given one (rows, width) buffer per hidden layer and an output vector
+writes the pass into them.  A grid search holds one fit at a time per
+worker and, beside its rows, only the best model so far, and a
+checkpoint is written one row of a weight matrix at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_json, write_text
+from .csvio import read_json, write_chunks
 from .dataset import ScalerParams, fit_scaler
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError
 from .evaluation import r_squared
@@ -313,13 +320,20 @@ def predict(model: MlpModel, features: np.ndarray, dropout_active: bool = False,
     return forward(model.weights, model.biases, Xs, model.dropout_rate, masks)
 
 
-def _param_views(flat: np.ndarray, weights, biases) -> tuple[list, list]:
-    """Consecutive views into ``flat`` shaped like ``weights``, then ``biases``."""
+def _param_shapes(dim_in: int, hidden) -> list[tuple[int, ...]]:
+    """The shape of every weight, then of every bias, of a network."""
+    sizes = [dim_in, *hidden, 1]
+    return [*zip(sizes[:-1], sizes[1:]), *((size,) for size in sizes[1:])]
+
+
+def _param_views(flat: np.ndarray, shapes) -> tuple[list, list]:
+    """Consecutive views into ``flat`` of these weight, then bias, shapes."""
     views, start = [], 0
-    for a in [*weights, *biases]:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return views[:len(weights)], views[len(weights):]
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views[:len(views) // 2], views[len(views) // 2:]
 
 
 def train_mlp(
@@ -371,15 +385,20 @@ def train_mlp(
     ys = y.astype(np.float32)
     Xvs = scaler.transform(Xv)
 
+    shapes = _param_shapes(X.shape[1], hidden)
+    params = np.empty(sum(map(math.prod, shapes)), np.float32)
+    weights, biases = _param_views(params, shapes)
     init_weights, init_biases = init_params(X.shape[1], hidden, seed)
-    params = np.concatenate([p.ravel() for p in init_weights + init_biases]).astype(np.float32)
-    weights, biases = _param_views(params, init_weights, init_biases)
-    grad = np.zeros_like(params)
-    grads = _param_views(grad, init_weights, init_biases)
+    for view, init in zip(weights + biases, init_weights + init_biases):
+        np.copyto(view, init)
+    del init_weights, init_biases
+    # The gradient is spent once Adam's second moment has taken it, so it
+    # is the step's second temporary.
+    grad = np.empty_like(params)
+    grads = _param_views(grad, shapes)
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     adam_a = np.empty_like(params)
-    adam_b = np.empty_like(params)
     # Every scalar that meets a float32 array is a float32 itself, so no
     # operation is promoted to float64 under either of NumPy's casting rules.
     beta1, beta2 = 0.9, 0.999
@@ -399,7 +418,7 @@ def train_mlp(
     # Validation runs in float64 on a float64 copy of the parameters, so
     # each epoch's R^2 is that of the model it would return.
     shadow = np.empty(params.shape)
-    shadow_weights, shadow_biases = _param_views(shadow, init_weights, init_biases)
+    shadow_weights, shadow_biases = _param_views(shadow, shapes)
     valid_acts = [np.empty((Xv.shape[0], width)) for width in hidden]
     valid_out = np.empty(Xv.shape[0])
 
@@ -442,15 +461,15 @@ def train_mlp(
             np.multiply(grad, one_minus_b1, out=adam_a)
             adam_m += adam_a
             adam_v *= b2
-            np.multiply(grad, grad, out=adam_b)
-            adam_b *= one_minus_b2
-            adam_v += adam_b
+            np.multiply(grad, grad, out=grad)
+            grad *= one_minus_b2
+            adam_v += grad
             np.divide(adam_m, c1, out=adam_a)          # m_hat
             adam_a *= lr
-            np.divide(adam_v, c2, out=adam_b)          # v_hat
-            np.sqrt(adam_b, out=adam_b)
-            adam_b += eps_adam
-            adam_a /= adam_b
+            np.divide(adam_v, c2, out=grad)            # v_hat
+            np.sqrt(grad, out=grad)
+            grad += eps_adam
+            adam_a /= grad
             params -= adam_a
             step += 1
         score = valid_score()
@@ -462,7 +481,7 @@ def train_mlp(
             best_epoch = epoch
             np.copyto(best, params)
 
-    best_weights, best_biases = _param_views(best, init_weights, init_biases)
+    best_weights, best_biases = _param_views(best, shapes)
     model = MlpModel(
         weights=[w.astype(np.float64) for w in best_weights],
         biases=[b.astype(np.float64) for b in best_biases],
@@ -503,35 +522,50 @@ def hyperparameter_search(
                 hidden, grid.dropout_rate, lr, epochs, cand_seed, batch_size,
             )
         except TrainingDivergedError:
-            return index, None, SearchRow(index, hidden, lr, None, None, True)
+            return None, SearchRow(index, hidden, lr, None, None, True)
         train_pred = predict(result.model, np.asarray(train_features, dtype=float))
         train_r2 = r_squared(np.asarray(train_target, dtype=float), train_pred)
         row = SearchRow(index, hidden, lr, train_r2,
                         float(result.valid_r2[result.best_epoch]), False)
-        return index, result.model, row
+        return result.model, row
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, points))
-    else:
-        outcomes = [run(p) for p in points]
-    outcomes.sort(key=lambda item: item[0])
-
-    rows = [row for _, _, row in outcomes]
-    best = None
-    for index, model, row in outcomes:
-        if row.diverged:
-            continue
-        if best is None or row.valid_r2 > best[2]:
-            best = (index, model, row.valid_r2)
+    # Both maps yield in grid order, so a tie goes to the lowest grid
+    # index, and only the best model so far is held: a loser is dropped
+    # before the next candidate trains.
+    rows, best, best_r2 = [], None, -math.inf
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for model, row in map(run, points) if pool is None else pool.map(run, points):
+            rows.append(row)
+            if not row.diverged and row.valid_r2 > best_r2:
+                best, best_r2 = model, row.valid_r2
+            del model
     if best is None:
         raise NumericalError("every hyperparameter candidate diverged")
-    return best[1], rows
+    return best, rows
+
+
+def _json_array(arrays):
+    """The JSON list of these arrays, encoded one 1-D row at a time."""
+    yield "["
+    for i, a in enumerate(arrays):
+        if i:
+            yield ", "
+        if a.ndim == 1:
+            yield json.dumps(a.tolist())
+        else:
+            yield from _json_array(a)
+    yield "]"
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """Versioned JSON checkpoint; floats survive a round trip exactly."""
-    payload = {
+    """Versioned JSON checkpoint; floats survive a round trip exactly.
+
+    The file is ``json.dumps`` of one object holding the fields below and
+    then "weights" and "biases", but it is written one row of a weight
+    matrix at a time, so no more than one row is ever held as Python
+    floats or text.
+    """
+    header = {
         "format": "uqshift-mlp",
         "version": 1,
         "hidden_sizes": list(model.hidden_sizes),
@@ -547,23 +581,43 @@ def save_model(model: MlpModel, path: str | Path) -> None:
             "stddevs": model.scaler.stddevs.tolist(),
             "constant_mask": [bool(b) for b in model.scaler.constant_mask],
         },
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
     }
-    write_text(path, json.dumps(payload) + "\n")
+
+    def chunks():
+        yield json.dumps(header)[:-1]  # without its closing brace
+        yield ', "weights": '
+        yield from _json_array(model.weights)
+        yield ', "biases": '
+        yield from _json_array(model.biases)
+        yield "}\n"
+
+    write_chunks(path, chunks())
 
 
 def load_model(path: str | Path) -> MlpModel:
+    """The model of a checkpoint; a file whose arrays do not fit the
+    architecture it names raises DataError."""
     payload = read_json(path)
+    if (not isinstance(payload, dict) or payload.get("format") != "uqshift-mlp"
+            or payload.get("version") != 1):
+        raise DataError(f"{path}: not a recognized model checkpoint")
     try:
-        if payload.get("format") != "uqshift-mlp" or payload.get("version") != 1:
-            raise DataError(f"{path}: not a recognized model checkpoint")
+        weights = [np.array(w, dtype=float) for w in payload["weights"]]
+        biases = [np.array(b, dtype=float) for b in payload["biases"]]
+        dropout_rate = float(payload["dropout_rate"])
+        dim_in = weights[0].shape[0] if weights and weights[0].ndim == 2 else 0
+        hidden = _validate_arch(dim_in, payload["hidden_sizes"], dropout_rate)
+        if list(hidden) != payload["hidden_sizes"]:
+            raise ValueError(f"hidden sizes {payload['hidden_sizes']} are not integers")
+        shapes = [a.shape for a in weights + biases]
+        if shapes != _param_shapes(dim_in, hidden):
+            raise ValueError(f"array shapes {shapes} do not fit hidden sizes {list(hidden)}")
         scaler = payload["scaler"]
-        return MlpModel(
-            weights=[np.array(w, dtype=float) for w in payload["weights"]],
-            biases=[np.array(b, dtype=float) for b in payload["biases"]],
-            hidden_sizes=tuple(payload["hidden_sizes"]),
-            dropout_rate=float(payload["dropout_rate"]),
+        model = MlpModel(
+            weights=weights,
+            biases=biases,
+            hidden_sizes=hidden,
+            dropout_rate=dropout_rate,
             fit=FitConfig(**payload["fit"]),
             scaler=ScalerParams(
                 means=np.array(scaler["means"], dtype=float),
@@ -571,7 +625,10 @@ def load_model(path: str | Path) -> MlpModel:
                 constant_mask=np.array(scaler["constant_mask"], dtype=bool),
             ),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if len(model.scaler.means) != dim_in:  # ScalerParams aligns its three vectors
+            raise ValueError(f"the scaler has {len(model.scaler.means)} columns, not {dim_in}")
+        return model
+    except (AttributeError, ConfigError, DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(
             f"{path}: malformed model checkpoint ({type(exc).__name__}: {exc})"
         ) from None

@@ -240,6 +240,12 @@ def _drop_scaler(path):
     path.write_text(json.dumps(payload))
 
 
+def _drop_last_weight_column(path):
+    payload = json.loads(path.read_text())
+    payload["weights"][0] = [row[:-1] for row in payload["weights"][0]]
+    path.write_text(json.dumps(payload))
+
+
 def _append_non_utf8_byte(path):
     path.write_bytes(path.read_bytes() + b"\xff")
 
@@ -271,6 +277,8 @@ CORRUPTIONS = {
     "uq-table-without-id": (
         "eval", "uq/split_*/uq_dropout.csv", lambda p: _edit_csv(p, _drop_first_column)),
     "model-without-scaler": ("eval", "train/model_*.json", _drop_scaler),
+    "model-weight-without-its-last-column": (
+        "uq", "train/model_*.json", _drop_last_weight_column),
     "half-written-model": (
         "eval", "train/model_*.json",
         lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2])),
@@ -679,6 +687,15 @@ class TestCliErrors:
         config = tmp_path / "bad.ini"
         config.write_text("[run]\nseed = banana\n")
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_list_entry_exits_2_at_load(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(SMALL_CONFIG.replace("widths = 16", "widths = ,"))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: {config}: [train] widths: "
+                                    f"cannot parse ',' as int_list"]
+        assert not (tmp_path / "o" / "data").exists()
 
     def test_missing_input_exits_3(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -63,6 +63,20 @@ class TestLoad:
         assert tuple(cfg.get("train", "widths")) == (8, 16, 32)
         assert tuple(cfg.get("train", "learning_rates")) == (0.1, 0.01)
 
+    @pytest.mark.parametrize("line, kind", [
+        ("widths = ,", "int_list"),
+        ("widths =", "int_list"),
+        ("layer_counts = 1,,2", "int_list"),
+        ("widths = 16,", "int_list"),
+        ("learning_rates = 0.01,,0.001", "float_list"),
+        ("learning_rates = ,0.01", "float_list"),
+    ])
+    def test_list_with_an_empty_entry_rejected(self, tmp_path, line, kind):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[train]\n{line}\n")
+        with pytest.raises(ConfigError, match=f"cannot parse .* as {kind}"):
+            load_config(path)
+
     def test_eps_auto_is_none(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[split]\ndbscan_eps = auto\n")

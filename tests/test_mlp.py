@@ -1,12 +1,13 @@
 import functools
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uqshift.dataset import ScalerParams, fit_scaler
-from uqshift.errors import NumericalError, TrainingDivergedError
+from uqshift.errors import DataError, NumericalError, TrainingDivergedError
 from uqshift.evaluation import r_squared
 from uqshift.mlp import (
     _SHUFFLE_DOMAIN,
@@ -40,6 +41,16 @@ def _random_net(seed, sizes):
         weights.append(rng.normal(size=(fan_in, fan_out)) * 0.5)
         biases.append(rng.normal(size=fan_out) * 0.1)
     return weights, biases
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    """The tracemalloc peak of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestForward:
@@ -484,6 +495,26 @@ class TestHyperparamGrid:
             np.testing.assert_array_equal(wa, wb)
 
 
+    def test_search_holds_one_model_beside_the_fit(self):
+        # A search keeps its rows and the best model so far, so two more
+        # candidates add at most one float64 model to its peak (the best,
+        # held while the next one trains), not one model each.
+        X, y = _linear_problem(21, n=120, d=10)
+
+        def search(learning_rates):
+            grid = HyperparamGrid(layer_counts=(2,), widths=(128,),
+                                  learning_rates=learning_rates, dropout_rate=0.3)
+            found = []
+            peak = _peak_bytes(lambda: found.append(hyperparameter_search(
+                X[:100], y[:100], X[100:], y[100:], grid, epochs=3, seed=0)))
+            return peak, found[0][0]
+
+        one, model = search((0.01,))
+        three, _ = search((0.01, 0.001, 0.0001))
+        model_bytes = sum(a.nbytes for a in model.weights + model.biases)
+        assert three <= one + model_bytes + 16_000
+
+
 class TestModelSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         X, y = _linear_problem(18, n=60)
@@ -531,3 +562,80 @@ class TestModelSerialization:
         streamed = io.StringIO()
         json.dump(payload, streamed)  # the pure-Python encoder
         assert path.read_text() == streamed.getvalue() + "\n"
+
+    @pytest.mark.parametrize("hidden", [(1,), (6, 1), (5, 1, 3)])
+    def test_round_trip_keeps_every_bit(self, tmp_path, hidden):
+        weights, biases = _random_net(22, [4, *hidden, 1])
+        weights[0][0, 0] = 5e-324  # the smallest subnormal
+        weights[-1][0, 0] = -1.7976931348623157e308
+        biases[0][0] = 1 / 3
+        rng = keyed_rng(23)
+        model = MlpModel(
+            weights=weights, biases=biases, hidden_sizes=hidden, dropout_rate=0.3,
+            fit=FitConfig(learning_rate=1e-3, epochs=7, seed=11, batch_size=16),
+            scaler=ScalerParams(means=rng.normal(size=4), stddevs=rng.random(4) + 0.5,
+                                constant_mask=np.array([False, True, False, False])),
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        arrays = lambda m: [*m.weights, *m.biases, m.scaler.means, m.scaler.stddevs,
+                            m.scaler.constant_mask]
+        for got, want in zip(arrays(back), arrays(model), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert (back.hidden_sizes, back.dropout_rate, back.fit) == (
+            model.hidden_sizes, model.dropout_rate, model.fit)
+
+    def test_save_holds_one_row_at_a_time(self, tmp_path):
+        weights, biases = init_params(10, (256, 256, 256), 0)
+        model = MlpModel(weights=weights, biases=biases, hidden_sizes=(256, 256, 256),
+                         dropout_rate=0.3, fit=FitConfig(learning_rate=0.01, epochs=1, seed=0),
+                         scaler=_identity_scaler(10))
+        save_model(model, tmp_path / "first.json")  # first-call set-up is not the save's
+        # the whole checkpoint as Python floats and text is about 10 MB
+        assert _peak_bytes(save_model, model, tmp_path / "model.json") < 0.5e6
+
+
+def _tamper(key, edit):
+    def apply(payload):
+        edit(payload[key] if key else payload)
+    return apply
+
+
+# tampering with a saved (3, 8, 4, 1) network that keeps the file valid JSON
+CHECKPOINT_TAMPERINGS = {
+    "weight-column-dropped": _tamper("weights", lambda w: [row.pop() for row in w[0]]),
+    "weight-row-dropped": _tamper("weights", lambda w: w[1].pop()),
+    "bias-entry-added": _tamper("biases", lambda b: b[0].append(0.0)),
+    "output-bias-dropped": _tamper("biases", lambda b: b[-1].pop()),
+    "layer-dropped": _tamper(None, lambda p: (p["weights"].pop(), p["biases"].pop())),
+    "hidden-sizes-disagree": _tamper(None, lambda p: p.__setitem__("hidden_sizes", [8, 5])),
+    "hidden-size-zero": _tamper(None, lambda p: p.__setitem__("hidden_sizes", [8, 0])),
+    "hidden-size-fractional": _tamper(None, lambda p: p.__setitem__("hidden_sizes", [8.5, 4])),
+    "hidden-size-text": _tamper(None, lambda p: p.__setitem__("hidden_sizes", ["8", 4])),
+    "four-hidden-layers": _tamper(None, lambda p: p.__setitem__("hidden_sizes", [8, 4, 4, 4])),
+    "dropout-rate-one": _tamper(None, lambda p: p.__setitem__("dropout_rate", 1.0)),
+    "means-short": _tamper("scaler", lambda s: s["means"].pop()),
+    "stddevs-long": _tamper("scaler", lambda s: s["stddevs"].append(1.0)),
+    "scaler-one-column-short": _tamper(
+        "scaler", lambda s: [s[name].pop() for name in ("means", "stddevs", "constant_mask")]),
+    "constant-mask-scalar": _tamper("scaler", lambda s: s.__setitem__("constant_mask", False)),
+}
+
+
+class TestCheckpointChecks:
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_TAMPERINGS))
+    def test_inconsistent_checkpoint_is_a_data_error(self, tmp_path, case):
+        weights, biases = _random_net(24, [3, 8, 4, 1])
+        model = MlpModel(weights=weights, biases=biases, hidden_sizes=(8, 4), dropout_rate=0.3,
+                         fit=FitConfig(learning_rate=0.01, epochs=1, seed=0),
+                         scaler=_identity_scaler(3))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        load_model(path)
+        payload = json.loads(path.read_text())
+        CHECKPOINT_TAMPERINGS[case](payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=f"{path}: malformed model checkpoint"):
+            load_model(path)
