@@ -18,11 +18,13 @@ the dataset, the models' predictions and the split's uq CSVs, and the
 R^2 matrix, the removal curves, the box-plot statistics and
 summary.json come from those tables.  ``eval`` writes what it returns.
 ``report`` calls it on the persisted sources (the dataset, the split
-files, the ``pred_<k>`` columns of cross_predictions.csv and the uq CSVs
-that the newest eval:k manifest line records as inputs) under the
-current configuration and compares every file, summary.json and the
-per-point tables included; a file that differs by more than 1e-12 in
-any number exits 4 and is named.
+files, the ``pred_<j>`` column of cross_predictions.csv for each current
+split j, and the uq CSVs that the newest eval:k manifest line records as
+inputs) under the current configuration and compares every file,
+summary.json and the per-point tables included; a file that differs by
+more than 1e-12 in any number exits 4 and is named.  Every per-row
+source is read by its ``id`` column through ``csvio.keyed_cells``: a
+missing column, an id not in the dataset or an id on two rows exits 3.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .clustering import (
 from .config import RunConfig, config_hash, load_config, stage_config_text
 from .csvio import (
     format_value,
+    keyed_cells,
     parse_float,
     read_csv,
     read_json,
@@ -83,7 +86,7 @@ from .mlp import HyperparamGrid, hyperparameter_search, load_model, predict, sav
 from .rng import derive_seed
 from .uq_ad import ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
 from .uq_dropout import McDropoutConfig, mc_dropout
-from .uq_rio import KernelConfig, fit_rio, rio_predict
+from .uq_rio import fit_rio, rio_predict
 
 # method: (uq CSV, {uq CSV column: uq_scores.csv column}), in file order
 _UQ_METHODS = {
@@ -91,8 +94,6 @@ _UQ_METHODS = {
     "ad": ("uq_ad.csv", {"ad_dd": "ad_dd", "ad_ld": "ad_ld"}),
     "rio": ("uq_rio.csv", {"residual_std": "rio"}),
 }
-_METHOD_COLUMNS = tuple(col for _, cols in _UQ_METHODS.values() for col in cols.values())
-_SCORE_COLUMNS = ["id", "group", "actual", "predicted"]
 _STAGE_SEEDS = {"synth": 0, "split_embed": 1, "split_sample": 2, "train": 3, "uq_dropout": 4, "uq_rio": 5}
 
 
@@ -506,7 +507,6 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
                     model.scaler.transform(X_train),
                     yhat_train,
                     data.target[split.train_idx],
-                    init=KernelConfig(),
                     n_starts=section["rio_starts"],
                     max_iter=section["rio_max_iter"],
                     seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["uq_rio"], k),
@@ -529,67 +529,43 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
         _run_stage(cfg, out, f"uq:{k}", inputs, fn, [_UQ_METHODS[m][0] for m in methods])
 
 
-def _read_uq_table(path: Path, columns: dict[str, str]) -> dict[str, dict[str, float]]:
-    """{output_name: {id: value}} for the requested columns of one uq CSV."""
+def _read_columns(path: Path, ids, columns: list[str]) -> list[np.ndarray]:
+    """The named number columns of an id-keyed CSV, each a vector over
+    the dataset rows ids, NaN where the file has no row."""
     header, rows = read_csv(path)
-    for col in ("id", *columns):
-        if col not in header:
-            raise DataError(f"{path}: missing column {col!r}")
-    id_pos = header.index("id")
-    return {
-        name: {
-            row[id_pos]: parse_float(row[header.index(col)], f"{path} id {row[id_pos]}")
-            for row in rows
-        }
-        for col, name in columns.items()
-    }
+    at, cells = keyed_cells(path, header, rows, ids, columns)
+    vectors = [np.full(len(ids), np.nan) for _ in columns]
+    for vector, column in zip(vectors, cells):
+        vector[at] = [parse_float(cell, f"{path}: row {r}")
+                      for r, cell in enumerate(column, start=1)]
+    return vectors
 
 
-def _score_table(data: Dataset, labels: ClusterLabels, split, prediction: np.ndarray,
-                 uq_files: dict[str, Path]) -> tuple[list[str], list[tuple]]:
-    """Header and rows of uq_scores.csv: every scored row of the split
-    with its group, actual and predicted value and each method's score."""
-    _, scored = split.scored_rows(labels)
-    ids = [data.ids[i] for i in scored]
-    in_cluster = ~np.isin(scored, split.test_idx)
-    scores: dict[str, dict[str, float]] = {}
+def _uq_scores(data: Dataset, scored: np.ndarray, k: int,
+               uq_files: dict[str, Path]) -> dict[str, np.ndarray]:
+    """{uq_scores.csv column: vector over the dataset rows} from split k's
+    uq CSVs, in uq_files order; each must have a row for every scored row."""
+    scores = {}
     for method, path in uq_files.items():
-        scores.update(_read_uq_table(path, _UQ_METHODS[method][1]))
-    for name, mapping in scores.items():
-        missing = [rid for rid in ids if rid not in mapping]
-        if missing:
-            raise DataError(
-                f"uq outputs for split {split.train_cluster} are stale: "
-                f"{name} misses id {missing[0]}"
-            )
-    method_names = [m for m in _METHOD_COLUMNS if m in scores]
-    rows = [
-        (
-            rid,
-            "heldout" if in_cluster[i] else "test",
-            float(data.target[r]),
-            float(prediction[r]),
-            *[scores[name][rid] for name in method_names],
-        )
-        for i, (rid, r) in enumerate(zip(ids, scored))
-    ]
-    return [*_SCORE_COLUMNS, *method_names], rows
+        columns = _UQ_METHODS[method][1]
+        for name, vector in zip(columns.values(), _read_columns(path, data.ids, list(columns))):
+            missing = np.isnan(vector[scored])
+            if missing.any():
+                raise DataError(f"uq outputs for split {k} are stale: {name} misses id "
+                                f"{data.ids[scored[missing.argmax()]]}")
+            scores[name] = vector
+    return scores
 
 
-def _summary(cfg: RunConfig, split, labels: ClusterLabels, scores_header: list[str],
-             scores_rows: list[tuple]) -> dict:
+def _summary(cfg: RunConfig, split, scored: np.ndarray, in_cluster: np.ndarray,
+             scores: dict[str, np.ndarray]) -> dict:
     """summary.json: the run's identity, the methods, the row counts and
-    the novelty rates of the ad_dd column, a heldout row being in-cluster."""
-    methods = scores_header[len(_SCORE_COLUMNS):]
+    the novelty rates of the ad_dd column over the scored rows, a heldout
+    row being in-cluster."""
     novelty = None
-    if "ad_dd" in methods:
+    if "ad_dd" in scores:
         alpha = cfg["uq"]["alpha"]
-        column = scores_header.index("ad_dd")
-        in_rate, out_rate = novelty_separation(
-            np.array([row[column] for row in scores_rows]),
-            np.array([row[1] == "heldout" for row in scores_rows]),
-            alpha,
-        )
+        in_rate, out_rate = novelty_separation(scores["ad_dd"][scored], in_cluster, alpha)
         novelty = {
             "alpha": alpha,
             "threshold": standard_normal_quantile(1.0 - alpha),
@@ -601,10 +577,10 @@ def _summary(cfg: RunConfig, split, labels: ClusterLabels, scores_header: list[s
         "seed": cfg.get("run", "seed"),
         "split": split.train_cluster,
         "package_version": __version__,
-        "methods": methods,
+        "methods": list(scores),
         "n_train": int(split.train_idx.size),
         "n_valid": int(split.valid_idx.size),
-        "n_heldout": int(split.scored_rows(labels)[0].size),
+        "n_heldout": int(in_cluster.sum()),
         "n_test": int(split.test_idx.size),
         "novelty": novelty,
     }
@@ -623,7 +599,9 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
     """
     split = splits[k]
     split_ids = sorted(predictions)
-    scores_header, scores_rows = _score_table(data, labels, split, predictions[k], uq_files)
+    heldout, scored = split.scored_rows(labels)
+    scores = _uq_scores(data, scored, k, uq_files)
+    in_cluster = np.isin(scored, heldout)
     table, clusters = cross_cluster_table(predictions, data.target, labels, list(splits.values()))
     tables = {
         "cross_predictions.csv": (
@@ -638,23 +616,29 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
                 for i in range(data.n)
             ],
         ),
-        "uq_scores.csv": (scores_header, scores_rows),
+        "uq_scores.csv": (
+            ["id", "group", "actual", "predicted", *scores],
+            [
+                (
+                    data.ids[r],
+                    "heldout" if in_cluster[i] else "test",
+                    float(data.target[r]),
+                    float(predictions[k][r]),
+                    *[float(vector[r]) for vector in scores.values()],
+                )
+                for i, r in enumerate(scored)
+            ],
+        ),
         "r2_matrix.csv": (
             ["train_cluster", *[str(c) for c in clusters]],
             [(c, *["" if math.isnan(v) else v for v in row]) for c, row in zip(clusters, table)],
         ),
     }
-    width = len(_SCORE_COLUMNS)
-    test = [row for row in scores_rows if row[1] == "test"]
-    actual = np.array([row[2] for row in test])
-    predicted = np.array([row[3] for row in test])
-    values = {
-        name: np.array([row[width + i] for row in test])
-        for i, name in enumerate(scores_header[width:])
-    }
-    for name, uncertainty in values.items():
+    test = split.test_idx
+    actual, predicted = data.target[test], predictions[k][test]
+    for name, vector in scores.items():
         curve = removal_curve(
-            uncertainty, actual, predicted,
+            vector[test], actual, predicted,
             step_fraction=cfg["eval"]["step_fraction"],
             min_remaining=cfg["eval"]["min_remaining"],
         )
@@ -662,7 +646,8 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
             ["fraction_removed", "r2", "n_remaining"],
             [(p.fraction_removed, p.r2, p.n_remaining) for p in curve.points],
         )
-    stats, _ = uq_summary_stats(values, actual, predicted)
+    stats = uq_summary_stats({name: vector[test] for name, vector in scores.items()},
+                             actual, predicted)
     tables["boxplot_stats.csv"] = (
         ["method", "median", "q1", "q3", "whisker_low", "whisker_high", "n_outliers"],
         [
@@ -670,7 +655,7 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
             for name, s in stats.items()
         ],
     )
-    return tables, _summary(cfg, split, labels, scores_header, scores_rows)
+    return tables, _summary(cfg, split, scored, in_cluster, scores)
 
 
 def cmd_eval(cfg: RunConfig, out: Path, args) -> None:
@@ -708,26 +693,6 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> None:
             return outputs
 
         _run_stage(cfg, out, f"eval:{k}", inputs, fn)
-
-
-def _read_predictions(path: Path, ids, split_ids: list[int]) -> dict[int, np.ndarray]:
-    """{split id: full-data prediction vector} from cross_predictions.csv."""
-    header, rows = read_csv(path)
-    try:
-        cols = {int(h[len("pred_"):]): c for c, h in enumerate(header) if h.startswith("pred_")}
-    except ValueError:
-        raise DataError(f"{path}: prediction columns must be named pred_<split id>") from None
-    if sorted(cols) != split_ids:
-        raise DataError(f"{path}: prediction columns {sorted(cols)} do not match "
-                        f"the splits {split_ids}")
-    row_of = {rid: i for i, rid in enumerate(ids)}
-    preds = {j: np.full(len(ids), np.nan) for j in cols}
-    for r, row in enumerate(rows, start=1):
-        if row[0] not in row_of:
-            raise DataError(f"{path}: row {r}: unknown id {row[0]!r}")
-        for j, c in cols.items():
-            preds[j][row_of[row[0]]] = parse_float(row[c], f"{path}: row {r}")
-    return preds
 
 
 def _matches(path: Path, header: list[str], rows: list) -> bool:
@@ -778,7 +743,8 @@ def cmd_report(cfg: RunConfig, out: Path, args) -> None:
     failures: list[str] = []
     for k, present in uq_files.items():
         base = out / "eval" / f"split_{k}"
-        predictions = _read_predictions(base / "cross_predictions.csv", data.ids, ids)
+        predictions = dict(zip(ids, _read_columns(base / "cross_predictions.csv", data.ids,
+                                                  [f"pred_{j}" for j in ids])))
         tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k, present)
         checks = [(name, _matches(base / name, header, rows))
                   for name, (header, rows) in tables.items()]

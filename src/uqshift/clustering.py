@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .csvio import read_csv, write_csv
+from .csvio import keyed_cells, read_csv, write_csv
 from .dataset import Dataset
 from .embedding import sq_distances
 from .errors import ConfigError, DataError
@@ -26,7 +26,6 @@ from .rng import keyed_rng
 class ClusterLabels:
     labels: np.ndarray
     k: int
-    source: str
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=int)
@@ -105,7 +104,7 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
     core = np.flatnonzero(within.sum(axis=1) >= min_pts)
     labels = np.full(X.shape[0], -1, dtype=int)
     if core.size == 0:
-        return ClusterLabels(labels=labels, k=0, source="dbscan")
+        return ClusterLabels(labels=labels, k=0)
     # undirected components are numbered by their lowest row: row-scan order.
     # The relation is symmetric, so its upper triangle is the whole graph.
     k, labels[core] = connected_components(csr_array(np.triu(within[np.ix_(core, core)])),
@@ -118,7 +117,7 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
     first = hits.argmax(axis=1)
     claimed = hits[np.arange(border.size), first]
     labels[border[claimed]] = labels[by_id[first[claimed]]]
-    return ClusterLabels(labels=labels, k=k, source="dbscan")
+    return ClusterLabels(labels=labels, k=k)
 
 
 def make_cluster_splits(
@@ -170,38 +169,29 @@ def make_cluster_splits(
 
 
 def load_external_labels(path: str | Path, data: Dataset) -> ClusterLabels:
-    """Read an ``id,cluster`` file and align it to the dataset row order.
+    """Read a CSV with ``id`` and ``cluster`` columns and align it to the
+    dataset row order.
 
     Every dataset id must appear exactly once.  Non-noise cluster values
     are remapped, in sorted order, onto 0..K-1 so downstream code can
     rely on contiguous ids; -1 stays noise.
     """
-    path = Path(path)
     header, rows = read_csv(path)
-    if [h.strip() for h in header[:2]] != ["id", "cluster"]:
-        raise DataError(f"{path}: expected header 'id,cluster'")
-    mapping: dict[str, int] = {}
-    for r, row in enumerate(rows, start=1):
-        rid = row[0].strip()
-        if rid in mapping:
-            raise DataError(f"{path}: duplicate id {rid!r}")
+    at, (cells,) = keyed_cells(path, header, rows, data.ids, ["cluster"])
+    if len(at) < data.n:
+        missing = sorted(set(range(data.n)) - set(at))
+        raise DataError(f"{path}: missing labels for dataset ids: "
+                        f"{[data.ids[i] for i in missing[:5]]}")
+    raw = np.empty(data.n, dtype=int)
+    for r, (i, cell) in enumerate(zip(at, cells), start=1):
         try:
-            mapping[rid] = int(row[1])
-        except ValueError:
-            raise DataError(f"{path}: row {r}: non-integer cluster {row[1]!r}") from None
-
-    unknown = set(mapping) - set(data.ids)
-    if unknown:
-        raise DataError(f"{path}: ids not present in dataset: {sorted(unknown)[:5]}")
-    missing = [rid for rid in data.ids if rid not in mapping]
-    if missing:
-        raise DataError(f"{path}: missing labels for dataset ids: {missing[:5]}")
-
-    raw = np.array([mapping[rid] for rid in data.ids], dtype=int)
+            raw[i] = int(cell)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: row {r}: non-integer cluster {cell!r}") from None
     distinct = sorted(v for v in set(raw.tolist()) if v != -1)
     remap = {v: i for i, v in enumerate(distinct)}
     labels = np.array([remap.get(v, -1) for v in raw], dtype=int)
-    return ClusterLabels(labels=labels, k=len(distinct), source="external")
+    return ClusterLabels(labels=labels, k=len(distinct))
 
 
 def write_split_csv(split: SplitSpec, ids, path: str | Path) -> None:
@@ -210,22 +200,12 @@ def write_split_csv(split: SplitSpec, ids, path: str | Path) -> None:
 
 
 def read_split_csv(path: str | Path, ids, train_cluster: int) -> SplitSpec:
-    path = Path(path)
     header, rows = read_csv(path)
-    if [h.strip() for h in header[:2]] != ["id", "role"]:
-        raise DataError(f"{path}: expected header 'id,role'")
-    index_of = {rid: i for i, rid in enumerate(ids)}
+    at, (roles,) = keyed_cells(path, header, rows, ids, ["role"])
     buckets: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
-    for r, row in enumerate(rows, start=1):
-        rid, role = row[0].strip(), row[1].strip()
-        if rid not in index_of:
-            raise DataError(f"{path}: row {r}: unknown id {rid!r}")
+    for r, (i, role) in enumerate(zip(at, roles), start=1):
         if role not in buckets:
             raise DataError(f"{path}: row {r}: unknown role {role!r}")
-        buckets[role].append(index_of[rid])
-    return SplitSpec(
-        train_idx=np.sort(np.array(buckets["train"], dtype=int)),
-        valid_idx=np.sort(np.array(buckets["valid"], dtype=int)),
-        test_idx=np.sort(np.array(buckets["test"], dtype=int)),
-        train_cluster=train_cluster,
-    )
+        buckets[role].append(i)
+    return SplitSpec(*(np.sort(np.array(idx, dtype=int)) for idx in buckets.values()),
+                     train_cluster=train_cluster)

@@ -9,6 +9,8 @@ A write lands atomically: the text goes to a sibling ``<name>.tmp``,
 which is then renamed over the target, so a run killed part-way leaves
 either the old file or the new one, never a truncated one.  A read that
 finds a missing, unreadable or malformed file raises ``DataError`` naming it.
+A per-row table is keyed by its ``id`` column, each id once; ``keyed_cells``
+is the one place that aligns such a table to the dataset rows.
 """
 
 from __future__ import annotations
@@ -92,6 +94,36 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
     return header, rows
+
+
+def keyed_cells(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[str]],
+                ids: Sequence[str], columns: Sequence[str]) -> tuple[list[int], list[list[str]]]:
+    """The rows of a table keyed by its ``id`` column, aligned to ids.
+
+    header and rows are ``read_csv(path)``'s.  Returns each row's
+    position in ids and, for each name in columns, that column's cells
+    in row order.  Names, ids and cells are compared and returned with
+    surrounding whitespace stripped.  A missing column, an id not in ids
+    or an id on two rows raises DataError naming path and the row(s).
+    """
+    names = [h.strip() for h in header]
+    for col in ("id", *columns):
+        if col not in names:
+            raise DataError(f"{path}: missing column {col!r}")
+    index_of = {rid: i for i, rid in enumerate(ids)}
+    row_of = [0] * len(ids)  # the 1-based row that gave each id, 0 if none yet
+    id_pos = names.index("id")
+    at = []
+    for r, row in enumerate(rows, start=1):
+        rid = row[id_pos].strip()
+        i = index_of.get(rid)
+        if i is None:
+            raise DataError(f"{path}: row {r}: unknown id {rid!r}")
+        if row_of[i]:
+            raise DataError(f"{path}: rows {row_of[i]} and {r}: repeated id {rid!r}")
+        row_of[i] = r
+        at.append(i)
+    return at, [[row[names.index(col)].strip() for row in rows] for col in columns]
 
 
 def read_json(path: str | Path):

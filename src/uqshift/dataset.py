@@ -100,7 +100,6 @@ class CorrelationRanking:
     strongest first."""
 
     entries: tuple[tuple[str, float], ...]
-    threshold: float
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
@@ -151,7 +150,7 @@ def rank_correlated_features(data: Dataset, threshold: float) -> CorrelationRank
         if abs(r) > threshold:
             kept.append((name, r))
     kept.sort(key=lambda item: -abs(item[1]))  # stable: ties keep column order
-    return CorrelationRanking(entries=tuple(kept), threshold=float(threshold))
+    return CorrelationRanking(entries=tuple(kept))
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -52,7 +52,6 @@ _DESCENT_ROWS = 240  # most rows in one block of the descent's tiles
 @dataclass(frozen=True)
 class Embedding:
     coordinates: np.ndarray
-    method: str
     params: dict = field(default_factory=dict)
     objective_trace: np.ndarray | None = None
 
@@ -92,7 +91,7 @@ def pca(features: np.ndarray, n_components: int) -> tuple[Embedding, np.ndarray,
             basis[:, j] = -basis[:, j]
     coords = centered @ basis
     variances = (svals[:n_components] ** 2) / n
-    emb = Embedding(coordinates=coords, method="pca", params={"n_components": int(n_components)})
+    emb = Embedding(coordinates=coords, params={"n_components": int(n_components)})
     return emb, basis, variances
 
 
@@ -326,4 +325,4 @@ def tsne(
         "early_exaggeration": float(early_exaggeration),
         **search,
     }
-    return Embedding(coordinates=Y, method="tsne", params=params, objective_trace=trace)
+    return Embedding(coordinates=Y, params=params, objective_trace=trace)

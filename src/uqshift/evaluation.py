@@ -164,12 +164,9 @@ def uq_summary_stats(
     estimates: Mapping[str, np.ndarray],
     actual: np.ndarray,
     predicted: np.ndarray,
-) -> tuple[dict[str, BoxplotStats], np.ndarray]:
-    """Boxplot summaries per method plus the signed actual errors.
-
-    The returned mapping carries one entry per method and one extra
-    ``actual_error`` entry summarizing y - yhat.
-    """
+) -> dict[str, BoxplotStats]:
+    """Boxplot summaries per method, and one extra ``actual_error``
+    entry summarizing the signed errors y - yhat."""
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape or a.ndim != 1:
@@ -180,9 +177,8 @@ def uq_summary_stats(
         if values.shape != a.shape:
             raise DataError(f"estimates for {name!r} are not aligned with the points")
         out[name] = boxplot_stats(values)
-    errors = a - p
-    out["actual_error"] = boxplot_stats(errors)
-    return out, errors
+    out["actual_error"] = boxplot_stats(a - p)
+    return out
 
 
 def novelty_separation(

@@ -19,7 +19,7 @@ from uqshift import cli
 from uqshift.cli import _STAGE_SEEDS, main
 from uqshift.clustering import read_split_csv
 from uqshift.csvio import read_csv
-from uqshift.dataset import load_dataset
+from uqshift.dataset import load_dataset, rank_correlated_features
 from uqshift.errors import DataError
 from uqshift.mlp import load_model, train_mlp
 from uqshift.rng import derive_seed
@@ -342,6 +342,12 @@ def _set_heldout_predicted(header, rows):
     row[header.index("predicted")] = "999.0"
 
 
+def _add_pred_column(header, rows):
+    header.append("pred_9")
+    for row in rows:
+        row.append("0.0")
+
+
 # (file glob in the finished tree, tampering that leaves the file well formed)
 TAMPERINGS = {
     "summary-in-cluster-rate": (
@@ -352,6 +358,8 @@ TAMPERINGS = {
         lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(2, "123.0"))),
     "uq-scores-heldout-predicted": (
         "eval/split_*/uq_scores.csv", lambda p: _edit_csv(p, _set_heldout_predicted)),
+    "cross-predictions-extra-split-column": (
+        "eval/split_*/cross_predictions.csv", lambda p: _edit_csv(p, _add_pred_column)),
 }
 
 
@@ -513,6 +521,105 @@ class TestReadRule:
         assert code == 3
         assert last == ("data error: eval/split_0/boxplot_stats.csv was made under another "
                         "[eval] or [uq] configuration; rerun eval")
+
+
+# (stage, file of split 0, the row appended given the file's first row, the
+# error after "<path>: "); a split file's first row is a train row
+EXTRA_ROWS = {
+    "split-file-repeats-a-train-id": (
+        "train", "split/split_0.csv", list, "rows 1 and {n}: repeated id {rid!r}"),
+    "uq-table-repeats-an-id": (
+        "eval", "uq/split_0/uq_dropout.csv", lambda first: [first[0], "0.5", "0.25"],
+        "rows 1 and {n}: repeated id {rid!r}"),
+    "uq-table-has-a-foreign-id": (
+        "eval", "uq/split_0/uq_dropout.csv", lambda first: ["nobody", "0.5", "0.25"],
+        "row {n}: unknown id 'nobody'"),
+    "cross-predictions-repeat-a-row": (
+        "report", "eval/split_0/cross_predictions.csv", list,
+        "rows 1 and {n}: repeated id {rid!r}"),
+}
+
+
+class TestIdKeyedTables:
+    """A per-row table gives each dataset id at most once and no other id."""
+
+    @pytest.mark.parametrize("case", sorted(EXTRA_ROWS))
+    def test_extra_row_exits_3_naming_the_file_and_rows(self, pipeline, tmp_path, capsys,
+                                                       case):
+        config, finished = pipeline
+        stage, rel, extra, want = EXTRA_ROWS[case]
+        out = _copy_tree(finished, tmp_path)
+        path = out / rel
+        _, rows = read_csv(path)
+        _edit_csv(path, lambda h, rows: rows.append(extra(rows[0])))
+        code, last = _stage_runner(out, capsys)(stage, config, "--split-id", "0")
+        assert code == 3
+        assert last == f"data error: {path}: " + want.format(n=len(rows) + 1, rid=rows[0][0])
+
+
+class TestCorrelationFilter:
+    def _config(self, tmp_path, threshold):
+        path = tmp_path / "filtered.ini"
+        path.write_text(SMALL_CONFIG.replace(
+            "[train]", f"use_correlation_filter = true\n"
+                       f"correlation_threshold = {threshold}\n\n[train]"))
+        return path
+
+    def test_filtered_split_runs_to_report(self, pipeline, tmp_path, capsys):
+        _, finished = pipeline
+        out = tmp_path / "own"
+        (out / "data").mkdir(parents=True)
+        shutil.copy(finished / "data" / "dataset.csv", out / "data" / "dataset.csv")
+        config = self._config(tmp_path, 0.5)
+        run = _stage_runner(out, capsys)
+        for stage in ("split", "train", "uq", "eval"):
+            assert run(stage, config)[0] == 0, stage
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 0
+        assert "report: all evaluation artifacts verified" in capsys.readouterr().out
+
+        want = rank_correlated_features(load_dataset(out / "data" / "dataset.csv"), 0.5)
+        assert 0 < len(want.entries) < 5  # some features kept, some dropped
+        assert read_csv(out / "split" / "ranking.csv") == (
+            ["feature", "r"], [[name, repr(r)] for name, r in want.entries])
+        # the embedding saw only the kept features
+        assert (out / "split" / "embedding.csv").read_bytes() != (
+            finished / "split" / "embedding.csv").read_bytes()
+
+    def test_threshold_above_every_correlation_exits_3(self, pipeline, tmp_path, capsys):
+        _, finished = pipeline
+        out = tmp_path / "own"
+        (out / "data").mkdir(parents=True)
+        shutil.copy(finished / "data" / "dataset.csv", out / "data" / "dataset.csv")
+        capsys.readouterr()
+        assert main(["split", "--config", str(self._config(tmp_path, 0.9)),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: correlation filter selected no features; lower the threshold"]
+        assert not (out / "split").exists()
+
+
+class TestStageOrder:
+    def test_eval_before_uq_exits_3(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        shutil.rmtree(out / "uq")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: no uq outputs for split 0; run the uq stage"]
+
+    def test_report_before_eval_exits_3(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        shutil.rmtree(out / "eval")
+        manifest = out / "manifest.jsonl"
+        manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
+                                    if not json.loads(line)["stage"].startswith("eval:")))
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: no eval outputs for split 0; run the eval stage"]
 
 
 def _truncate_mid_row(path, out):

@@ -197,7 +197,7 @@ def _dataset_of_size(n):
 def _labels_with_sizes(sizes):
     parts = [np.full(s, c) for c, s in enumerate(sizes)]
     labels = np.concatenate(parts).astype(int)
-    return ClusterLabels(labels=labels, k=len(sizes), source="external")
+    return ClusterLabels(labels=labels, k=len(sizes))
 
 
 class TestClusterSplits:
@@ -260,7 +260,7 @@ class TestClusterSplits:
         data = _dataset_of_size(400)
         labels_a = _labels_with_sizes((200, 200))
         swapped = np.where(labels_a.labels == 0, 1, 0)
-        labels_b = ClusterLabels(labels=swapped, k=2, source="external")
+        labels_b = ClusterLabels(labels=swapped, k=2)
         a = make_cluster_splits(data, labels_a, 50, 10, 50, seed=7)
         b = make_cluster_splits(data, labels_b, 50, 10, 50, seed=7)
         by_rows_a = {frozenset(s.train_idx.tolist()) for s in a}
@@ -270,7 +270,7 @@ class TestClusterSplits:
     def test_noise_rows_never_selected(self):
         data = _dataset_of_size(250)
         labels = np.concatenate([np.full(200, 0), np.full(50, -1)])
-        cl = ClusterLabels(labels=labels, k=1, source="density")
+        cl = ClusterLabels(labels=labels, k=1)
         splits = make_cluster_splits(data, cl, 50, 10, 50, seed=1)
         assert len(splits) == 1
         assert np.all(labels[splits[0].train_idx] == 0)
@@ -300,6 +300,22 @@ class TestExternalLabels:
         np.testing.assert_array_equal(labels.labels, [0, 0, 1, -1])
         assert labels.k == 2
 
+    def test_columns_found_by_name(self, tmp_path):
+        data = _dataset_of_size(4)
+        path = tmp_path / "labels.csv"
+        path.write_text("cluster,id\n" + "".join(
+            f"{c},{rid}\n" for rid, c in zip(reversed(data.ids), [-1, 9, 5, 5])))
+        labels = load_external_labels(path, data)
+        np.testing.assert_array_equal(labels.labels, [0, 0, 1, -1])
+        assert labels.k == 2
+
+    def test_missing_cluster_column_is_named(self, tmp_path):
+        data = _dataset_of_size(2)
+        path = tmp_path / "labels.csv"
+        path.write_text("id,label\np00000,0\np00001,0\n")
+        with pytest.raises(DataError, match="missing column 'cluster'"):
+            load_external_labels(path, data)
+
     def test_unknown_id_rejected(self, tmp_path):
         data = _dataset_of_size(2)
         path = tmp_path / "labels.csv"
@@ -319,4 +335,11 @@ class TestExternalLabels:
         path = tmp_path / "labels.csv"
         path.write_text("id,cluster\np00000,0\np00000,1\np00001,0\n")
         with pytest.raises(DataError):
+            load_external_labels(path, data)
+
+    def test_non_integer_cluster_names_its_row(self, tmp_path):
+        data = _dataset_of_size(2)
+        path = tmp_path / "labels.csv"
+        path.write_text("id,cluster\np00000,0\np00001,99999999999999999999\n")
+        with pytest.raises(DataError, match="row 2: non-integer cluster '99999999999999999999'"):
             load_external_labels(path, data)

@@ -140,10 +140,9 @@ class TestBoxplotStats:
         rng = keyed_rng(62)
         actual = rng.normal(size=50)
         predicted = actual + 0.2 * rng.normal(size=50)
-        stats, _ = uq_summary_stats(
-            {"dropout": rng.random(50)}, actual, predicted
-        )
+        stats = uq_summary_stats({"dropout": rng.random(50)}, actual, predicted)
         assert set(stats) == {"dropout", "actual_error"}
+        assert stats["actual_error"] == boxplot_stats(actual - predicted)
 
 
 class TestCrossClusterTable:
@@ -159,7 +158,7 @@ class TestCrossClusterTable:
             feature_names=("f01", "f02"),
             target=target,
         )
-        cl = ClusterLabels(labels=labels, k=3, source="external")
+        cl = ClusterLabels(labels=labels, k=3)
         splits = []
         for c in range(3):
             members = np.flatnonzero(labels == c)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqshift.csvio import format_value, parse_float, read_csv, write_csv
+from uqshift.csvio import format_value, keyed_cells, parse_float, read_csv, write_csv
 from uqshift.errors import ConfigError, DataError
 from uqshift.rng import derive_seed, keyed_rng
 
@@ -90,3 +90,36 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             parse_float("nan", "row 1")
         assert parse_float("inf", "row 1") == float("inf")
+
+
+class TestKeyedCells:
+    IDS = ("p0", "p1", "p2")
+
+    def _cells(self, tmp_path, text, columns=("x",)):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        header, rows = read_csv(path)
+        return keyed_cells(path, header, rows, self.IDS, list(columns))
+
+    def test_rows_aligned_to_ids_in_file_order(self, tmp_path):
+        at, cells = self._cells(tmp_path, "x,id,y\n1,p2,a\n2,p0,b\n", ("y", "x"))
+        assert at == [2, 0]
+        assert cells == [["a", "b"], ["1", "2"]]
+
+    def test_padded_header_ids_and_cells_are_stripped(self, tmp_path):
+        at, cells = self._cells(tmp_path, " id , x \n p1 , 7 \n")
+        assert (at, cells) == ([1], [["7"]])
+
+    @pytest.mark.parametrize("column", ["id", "x"])
+    def test_missing_column_is_named(self, tmp_path, column):
+        text = "id,y\np0,1\n" if column == "x" else "x,y\n1,2\n"
+        with pytest.raises(DataError, match=rf"t\.csv: missing column '{column}'"):
+            self._cells(tmp_path, text)
+
+    def test_unknown_id_names_its_row(self, tmp_path):
+        with pytest.raises(DataError, match=r"t\.csv: row 2: unknown id 'p9'"):
+            self._cells(tmp_path, "id,x\np0,1\np9,2\n")
+
+    def test_repeated_id_names_both_rows(self, tmp_path):
+        with pytest.raises(DataError, match=r"t\.csv: rows 1 and 3: repeated id 'p1'"):
+            self._cells(tmp_path, "id,x\np1,1\np0,2\n p1,3\n")
