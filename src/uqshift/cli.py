@@ -551,8 +551,8 @@ def _uq_scores(data: Dataset, scored: np.ndarray, k: int,
         for name, vector in zip(columns.values(), _read_columns(path, data.ids, list(columns))):
             missing = np.isnan(vector[scored])
             if missing.any():
-                raise DataError(f"uq outputs for split {k} are stale: {name} misses id "
-                                f"{data.ids[scored[missing.argmax()]]}")
+                raise DataError(f"{path}: uq outputs for split {k} are stale: {name} misses "
+                                f"id {data.ids[scored[missing.argmax()]]}; rerun uq")
             scores[name] = vector
     return scores
 

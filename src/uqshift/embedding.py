@@ -6,11 +6,19 @@ entropy, symmetrized joint probabilities, Student-t low-dimensional
 affinities, and plain momentum gradient descent with an early
 exaggeration phase.  Everything is deterministic for a given seed.
 
-Memory: at most four n x n arrays are alive at once.  The bandwidth
-search holds the squared distances, one n x (n - 1) copy of their
-off-diagonal entries less each row's minimum, and the conditional
-affinities; it bisects 64 rows at a time in (64, n - 1) blocks and
-writes each block straight into the conditional matrix.
+Memory: the affinities are built in one n x n buffer.  The squared
+distances are one product, doubled in place and subtracted from
+|a|^2 + |b|^2 64 rows at a time.  The bandwidth search bisects 64 rows
+at a time, each block gathered from its own rows less the diagonal,
+and writes each finished block's conditional rows over its distances.
+Symmetrization forms P_IJ + P_JI^T once per pair of the descent's
+blocks, writes it to both tiles, and then divides by 2n.  So
+``joint_probabilities`` holds one n x n array plus a few (64, n) blocks
+and one tile.  ``tsne`` holds about two: P with its P log P temporary,
+then P and its upper tiles, then in the descent three sets of upper
+tiles (P, its exaggerated copy and the affinities), each a little over
+half of n x n, and one work tile; 2.5 with the large tiles of two
+blocks (n = 300).
 
 The descent splits the rows into equal blocks of at most
 ``_DESCENT_ROWS`` and works on the tiles of block pairs I <= J only:
@@ -22,13 +30,14 @@ affinity tile W_IJ per block pair, and one tile-sized work buffer,
 plus thin buffers: n x 4 A = [-2Y, 1 + |y|^2, 1] and B = [Y, 1, |y|^2],
 whose product A_I B_J^T is the tile of 1 + d^2, and n x 3 [Y, 1], whose
 product with a tile of gradient weights gives their product with Y and
-their row sums at once.  The full P is freed before the affinity tiles
-are allocated.  An iteration makes two passes over the tiles: the first
-takes 1 + d^2, its log against P for the trace, W = 1 / (1 + d^2) and
-Z; the second the gradient weights M_IJ = (P_IJ - W_IJ / Z) W_IJ, which
-add M_IJ [Y, 1]_J to block I's gradient and, off the diagonal,
-M_IJ^T [Y, 1]_I to block J's.  An iteration allocates no n x n array,
-and with one block (n <= ``_DESCENT_ROWS``) it is the untiled loop.
+their row sums at once.  The full P is freed once its upper tiles are
+copied, before the exaggerated copies are made.  An iteration makes two
+passes over the tiles: the first takes 1 + d^2, its log against P for
+the trace, W = 1 / (1 + d^2) and Z; the second the gradient weights
+M_IJ = (P_IJ - W_IJ / Z) W_IJ, which add M_IJ [Y, 1]_J to block I's
+gradient and, off the diagonal, M_IJ^T [Y, 1]_I to block J's.  An
+iteration allocates no n x n array, and with one block
+(n <= ``_DESCENT_ROWS``) it is the untiled loop.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .rng import keyed_rng
 _LOG2 = math.log(2.0)
 _SEARCH_TOL = 1e-5  # bits
 _SEARCH_MAX_ITER = 200
-_SEARCH_ROWS = 64  # rows bisected together
+_SEARCH_ROWS = 64  # rows bisected, or distances finished, together
 _DESCENT_ROWS = 240  # most rows in one block of the descent's tiles
 
 
@@ -98,11 +107,17 @@ def pca(features: np.ndarray, n_components: int) -> tuple[Embedding, np.ndarray,
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B
     (default A), clipped at zero.  The diagonal of A against itself is
-    left as computed, not forced to zero."""
+    left as computed, not forced to zero.  The result is built in the
+    buffer of the one product A B^T; |a|^2 + |b|^2 is formed 64 rows at a
+    time."""
     B = A if B is None else B
     sq_a = np.sum(A * A, axis=1)
     sq_b = sq_a if B is A else np.sum(B * B, axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
+    d2 = A @ B.T  # one product: A against itself goes through syrk
+    d2 *= 2.0
+    for start in range(0, d2.shape[0], _SEARCH_ROWS):
+        rows = slice(start, start + _SEARCH_ROWS)
+        np.subtract(sq_a[rows, None] + sq_b[None, :], d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -124,7 +139,8 @@ def conditional_probabilities(
 
 
 def _bandwidth_search(
-    sq_dists: np.ndarray, perplexity: float, tol: float, max_iter: int
+    sq_dists: np.ndarray, perplexity: float, tol: float, max_iter: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """The bisection behind ``conditional_probabilities``, run on blocks of
     rows at once.
@@ -133,22 +149,27 @@ def _bandwidth_search(
     beta until the entropy is bracketed, then take midpoints, and stop
     once it is within ``tol``.  Only those decisions read the entropy,
     taken in closed form, H = log s + beta <p, d> nats for p = w / s and
-    w = exp(-beta d); each p is w / s itself.  Returns (P_conditional,
-    betas, the number of rows that hit ``max_iter``, the largest
-    |entropy - log2(perplexity)| in bits over the rows' kept tries).
+    w = exp(-beta d); each p is w / s itself.  Each block reads only its
+    own rows of ``sq_dists``, so ``out`` may be ``sq_dists`` itself: a
+    finished block's conditional rows then replace its distances.
+    Returns (P_conditional, betas, the number of rows that hit
+    ``max_iter``, the largest |entropy - log2(perplexity)| in bits over
+    the rows' kept tries).
     """
     n = sq_dists.shape[0]
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     target = math.log2(perplexity)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    dist = np.asarray(sq_dists, dtype=float)[off_diagonal].reshape(n, n - 1)
-    dist -= dist.min(axis=1, keepdims=True)
-    P = np.zeros((n, n))
+    sq_dists = np.asarray(sq_dists, dtype=float)
+    P = np.empty((n, n)) if out is None else out
+    columns = np.arange(n)
     betas = np.ones(n)
     capped, worst = 0, 0.0
     for start in range(0, n, _SEARCH_ROWS):
-        d = dist[start:start + _SEARCH_ROWS]
+        stop = min(start + _SEARCH_ROWS, n)
+        off_diagonal = columns[None, :] != columns[start:stop, None]
+        d = sq_dists[start:stop][off_diagonal].reshape(stop - start, n - 1)
+        d -= d.min(axis=1, keepdims=True)
         kept = np.empty_like(d)
         w_buf = np.empty_like(d)
         rows = np.arange(d.shape[0])
@@ -184,8 +205,8 @@ def _bandwidth_search(
             rows, d, beta, lo, hi = rows[todo], d[todo], beta[todo], lo[todo], hi[todo]
             if not rows.size:
                 break
-        stop = start + kept.shape[0]
-        P[start:stop][off_diagonal[start:stop]] = kept.ravel()
+        P[start:stop][off_diagonal] = kept.ravel()
+        np.fill_diagonal(P[start:stop, start:stop], 0.0)
     return P, betas, capped, worst
 
 
@@ -199,13 +220,20 @@ def joint_probabilities(features: np.ndarray, perplexity: float, *,
     perplexity| over all rows).
     """
     d2 = sq_distances(np.asarray(features, dtype=float))
-    cond, _, capped, worst = _bandwidth_search(d2, perplexity, _SEARCH_TOL, _SEARCH_MAX_ITER)
-    del d2
+    P, _, capped, worst = _bandwidth_search(d2, perplexity, _SEARCH_TOL, _SEARCH_MAX_ITER,
+                                            out=d2)
     if stats is not None:
         stats["perplexity_capped_rows"] = capped
         stats["perplexity_max_error_bits"] = worst
-    n = cond.shape[0]
-    return (cond + cond.T) / (2.0 * n)
+    # (cond + cond^T) / 2n in place: addition commutes exactly, so one
+    # sum serves a tile and its mirror
+    for I, J, diagonal in _block_pairs(P.shape[0]):
+        S = P[I, J] + P[J, I].T
+        P[I, J] = S
+        if not diagonal:
+            P[J, I] = S.T
+    P /= 2.0 * P.shape[0]
+    return P
 
 
 def _block_pairs(n: int) -> list[tuple[slice, slice, bool]]:
@@ -266,8 +294,8 @@ def tsne(
     p_sum = float(P.sum())
     tiles = _block_pairs(n)
     P_tiles = [np.ascontiguousarray(P[I, J]) for I, J, _ in tiles]
-    P_eff = [t * early_exaggeration for t in P_tiles] if exaggeration_iters > 0 else P_tiles
     del P
+    P_eff = [t * early_exaggeration for t in P_tiles] if exaggeration_iters > 0 else P_tiles
     W_tiles = [np.empty_like(t) for t in P_tiles]
     work = np.empty(max(t.size for t in P_tiles))
     A = np.ones((n, 4))  # [-2Y, 1 + |y|^2, 1]

@@ -12,11 +12,13 @@ noisy-target posterior standard deviation; the corrected prediction is
 yhat + residual_mean.
 
 Memory: a fit holds the two n x n squared-distance matrices (inputs and
-network outputs) and a workspace of seven more n x n buffers: the two
-kernel terms, the covariance, its Cholesky factor, the inverse, the
-gradient's weight matrix and one product buffer.  LAPACK's ``potri``
-turns the Cholesky factor into the lower triangle of the inverse in
-place, and one pass mirrors it into ``A_inv``.  The buffers are
+network outputs) and a workspace of five more n x n buffers: the two
+kernel terms, the covariance, its Cholesky factor and the gradient's
+weight matrix.  LAPACK's ``potri`` turns the Cholesky factor into the
+lower triangle of the inverse in place, and one pass mirrors it over
+the covariance, which the factor has made free; each kernel term's
+product with the weight matrix is written over that term, its last
+use.  The buffers are
 allocated once per fit and reused by every likelihood evaluation of
 every start, so an evaluation allocates no n x n array;
 ``log_marginal_likelihood`` builds the same workspace for its single
@@ -104,19 +106,18 @@ class _Workspace:
     likelihood evaluations.
 
     ``L`` is Fortran-ordered so LAPACK factors it, and then inverts it
-    with ``potri``, in place; ``A_inv`` receives the mirrored inverse.
-    The others are C-ordered, and the gradient's summed products
-    ``M * K`` must stay so, because a sum walks memory in layout order
-    and a different walk changes the gradient's bits.
+    with ``potri``, in place; ``A`` receives the mirrored inverse once
+    the covariance is factored.  The others are C-ordered, and the
+    gradient's summed products ``M * K`` must stay so, because a sum
+    walks memory in layout order and a different walk changes the
+    gradient's bits.
     """
 
     def __init__(self, X: np.ndarray, yhat: np.ndarray):
         n = X.shape[0]
         self.D2x = sq_distances(X)
         self.D2y = (yhat[:, None] - yhat[None, :]) ** 2
-        self.K_in, self.K_out, self.A, self.A_inv, self.M, self.product = (
-            np.empty((n, n)) for _ in range(6)
-        )
+        self.K_in, self.K_out, self.A, self.M = (np.empty((n, n)) for _ in range(4))
         self.L = np.empty((n, n), order="F")
 
 
@@ -177,22 +178,22 @@ def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: floa
     )
     # L is spent: potri overwrites its lower triangle with that of A^-1.
     # Its upper triangle stays zero (cholesky cleans it), so L + L^T is
-    # the whole inverse with the diagonal counted twice.
+    # the whole inverse with the diagonal counted twice.  The factor
+    # copied A, so A is free to hold it.
     L_inv, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"covariance inversion failed (potri info {info})")
-    A_inv = np.add(L_inv, L_inv.T, out=ws.A_inv)
+    A_inv = np.add(L_inv, L_inv.T, out=ws.A)
     _diagonal(A_inv)[:] = _diagonal(L_inv)
     # d LML / d theta_j = 1/2 tr((alpha alpha^T - A^-1) dA/d theta_j)
     M = np.outer(alpha, alpha, out=ws.M)
     M -= A_inv
-    P = ws.product
     grad = []
     for K, D2, ls in ((ws.K_in, ws.D2x, cfg.length_scale_in),
                       (ws.K_out, ws.D2y, cfg.length_scale_out)):
-        np.multiply(M, K, out=P)
-        grad.append(0.5 * float(np.sum(P)))                   # log signal variance: K
-        grad.append(0.5 * float(np.vdot(P, D2)) / (ls * ls))  # log length scale: K * D2 / ls^2
+        K *= M  # K's last use
+        grad.append(0.5 * float(np.sum(K)))                   # log signal variance: K
+        grad.append(0.5 * float(np.vdot(K, D2)) / (ls * ls))  # log length scale: K * D2 / ls^2
     grad.append(0.5 * cfg.noise_variance * float(np.trace(M)))  # log noise: noise * I
     return value, np.array(grad)
 

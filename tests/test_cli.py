@@ -609,6 +609,19 @@ class TestStageOrder:
         assert capsys.readouterr().err.splitlines() == [
             "data error: no uq outputs for split 0; run the uq stage"]
 
+    def test_uq_table_missing_a_scored_row_names_the_file(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        path = out / "uq" / "split_0" / "uq_ad.csv"
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, *rest]))
+        dropped = first.split(",")[0]
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {path}: uq outputs for split 0 are stale: ad_dd misses id "
+            f"{dropped}; rerun uq"]
+
     def test_report_before_eval_exits_3(self, pipeline, tmp_path, capsys):
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)

@@ -10,6 +10,7 @@ from uqshift.embedding import (
     conditional_probabilities,
     joint_probabilities,
     pca,
+    sq_distances,
     tsne,
 )
 from uqshift.errors import ConfigError, DataError
@@ -213,19 +214,26 @@ def _per_row_conditional(sq_dists, perplexity, tol=1e-5, max_iter=200):
     return P, np.sqrt(1.0 / (2.0 * betas)), errors
 
 
-def _assert_peak_memory_is_four_n_by_n_arrays(n):
+def _peak_memory_in_n_by_n_arrays(fn, n):
+    """tracemalloc's peak over fn() on three 5-D blobs of n rows, in n x n
+    float64 arrays, less an allowance for the thin buffers: the n x 4,
+    n x 3 and n x 2 buffers and their temporaries."""
     import tracemalloc
 
     rng = keyed_rng(36)
     X = np.vstack([rng.normal(size=(n // 3, 5)) + 8.0 * k for k in range(3)])
     tracemalloc.start()
     try:
-        tsne(X, perplexity=20, iterations=5, seed=0, exaggeration_iters=3)
+        fn(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    thin = 48 * n * 8  # the n x 4, n x 3 and n x 2 buffers and their temporaries
-    assert peak <= 4 * n * n * 8 + thin
+    return (peak - 48 * n * 8) / (n * n * 8)
+
+
+def _tsne_peak(n):
+    return _peak_memory_in_n_by_n_arrays(
+        lambda X: tsne(X, perplexity=20, iterations=5, seed=0, exaggeration_iters=3), n)
 
 
 class TestPca:
@@ -333,12 +341,32 @@ class TestConditionalProbabilities:
             conditional_probabilities(_sq_dists(keyed_rng(34).normal(size=(10, 2))), 3.0,
                                       max_iter=0)
 
+    def test_distances_left_untouched(self):
+        sq = _sq_dists(keyed_rng(40).normal(size=(150, 4)))
+        before = sq.tobytes()
+        conditional_probabilities(sq, 12.0)
+        assert sq.tobytes() == before
+
     def test_diagonal_not_read(self):
         sq = _sq_dists(keyed_rng(34).normal(size=(20, 3)))
         P, sigmas = conditional_probabilities(sq, 5.0)
         np.fill_diagonal(sq, 7.0)
         P2, sigmas2 = conditional_probabilities(sq, 5.0)
         assert np.array_equal(P, P2) and np.array_equal(sigmas, sigmas2)
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("rows", [1, 64, 65, 150])
+    @pytest.mark.parametrize("against_itself", [True, False])
+    def test_matches_broadcast_expression_bitwise(self, rows, against_itself):
+        rng = keyed_rng(39)
+        A = 3.0 * rng.normal(size=(rows, 6))
+        B = A if against_itself else rng.normal(size=(rows + 7, 6))
+        sq_a, sq_b = np.sum(A * A, axis=1), np.sum(B * B, axis=1)
+        want = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0)
+        got = sq_distances(A) if against_itself else sq_distances(A, B)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestJointProbabilities:
@@ -349,6 +377,19 @@ class TestJointProbabilities:
         np.testing.assert_allclose(P, P.T, atol=1e-15)
         assert P.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(P >= 0)
+
+    @pytest.mark.parametrize("shift", [60.0, 0.0])
+    def test_matches_symmetrized_conditionals_bitwise(self, shift):
+        X = _three_block_blobs(shift)
+        n = X.shape[0]
+        assert n % _DESCENT_ROWS
+        cond, _ = conditional_probabilities(sq_distances(X), 10.0)
+        assert np.array_equal(joint_probabilities(X, 10.0), (cond + cond.T) / (2.0 * n))
+
+    @pytest.mark.parametrize("n", [300, 540, 700, 1200])
+    def test_peak_memory_below_two_n_by_n_arrays(self, n):
+        # the distances become the conditionals and then P in place
+        assert _peak_memory_in_n_by_n_arrays(lambda X: joint_probabilities(X, 20.0), n) <= 2.0
 
 
 class TestTsne:
@@ -502,15 +543,17 @@ class TestTsne:
         tol = 8 * np.finfo(float).eps * (1.0 + 2.0 * sq.max())
         np.testing.assert_allclose(D, _allocating_d2_plus_one(Y), rtol=tol, atol=0)
 
-    def test_peak_memory_is_four_n_by_n_arrays(self):
-        _assert_peak_memory_is_four_n_by_n_arrays(300)
+    def test_peak_memory_with_two_blocks(self):
+        # two blocks of 150 rows: P's three upper tiles, their exaggerated
+        # copies and the affinity tiles are each 3/4 of n x n
+        assert _tsne_peak(300) <= 2.6
 
     def test_peak_memory_above_block_rows(self):
-        # three blocks: P's tiles are copied and P freed before the
-        # affinity tiles are allocated
-        n = 700
-        assert n > 2 * _DESCENT_ROWS
-        _assert_peak_memory_is_four_n_by_n_arrays(n)
+        # P is freed once its tiles are copied, before the exaggerated
+        # copies and the affinity tiles are allocated
+        for n in (540, 700, 1200):
+            assert n > 2 * _DESCENT_ROWS
+            assert _tsne_peak(n) <= 2.25, n
 
     def test_params_report_search(self):
         X = keyed_rng(37).normal(size=(30, 3))
