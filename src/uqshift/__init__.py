@@ -9,6 +9,17 @@ out splits, MLP training, and the evaluation protocol.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# One BLAS thread: threaded dot products and LAPACK factorizations sum in
+# an order that depends on the thread count, which would move output
+# bits.  OpenBLAS reads these when numpy is first imported, so a caller
+# that imported numpy before this package keeps its own setting.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
 from .clustering import ClusterLabels, SplitSpec, dbscan, make_cluster_splits
 from .dataset import Dataset, ScalerParams, fit_scaler, generate_synthetic, load_dataset
 from .embedding import Embedding, pca, tsne

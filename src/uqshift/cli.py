@@ -55,9 +55,8 @@ from .clustering import (
 )
 from .config import RunConfig, config_hash, load_config, stage_config_text
 from .csvio import (
-    format_value,
     keyed_cells,
-    parse_float,
+    parse_floats,
     read_csv,
     read_json,
     read_json_lines,
@@ -323,17 +322,9 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> None:
                  f"{data.n} rows hit max_iter, largest entropy error "
                  f"{emb.params['perplexity_max_error_bits']:.3g} bits")
             emb_path = out / "split" / "embedding.csv"
-            write_csv(
-                emb_path,
-                ["id", "dim1", "dim2"],
-                [(data.ids[i], float(coords[i, 0]), float(coords[i, 1])) for i in range(data.n)],
-            )
+            write_csv(emb_path, ["id", "dim1", "dim2"], zip(data.ids, *coords.T.tolist()))
             trace_path = out / "split" / "kl_trace.csv"
-            write_csv(
-                trace_path,
-                ["iter", "kl"],
-                [(it, float(v)) for it, v in enumerate(emb.objective_trace)],
-            )
+            write_csv(trace_path, ["iter", "kl"], enumerate(emb.objective_trace.tolist()))
             outputs.extend([emb_path, trace_path])
 
         if external:
@@ -475,7 +466,8 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
                     ),
                 )
                 path = base / "uq_dropout.csv"
-                write_csv(path, ["id", "pred_mean", "pred_std"], zip(ids, means, stds))
+                write_csv(path, ["id", "pred_mean", "pred_std"],
+                          zip(ids, means.tolist(), stds.tolist()))
                 outputs.append(path)
 
             if "ad" in methods:
@@ -490,14 +482,8 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
                 ld = ad_ld_scores(ad_model, query_space)
                 threshold = standard_normal_quantile(1.0 - section["alpha"])
                 path = base / "uq_ad.csv"
-                write_csv(
-                    path,
-                    ["id", "ad_dd", "ad_ld", "novel_at_alpha"],
-                    [
-                        (rid, float(dd[i]), float(ld[i]), int(dd[i] > threshold))
-                        for i, rid in enumerate(ids)
-                    ],
-                )
+                write_csv(path, ["id", "ad_dd", "ad_ld", "novel_at_alpha"],
+                          zip(ids, dd.tolist(), ld.tolist(), (dd > threshold).astype(int).tolist()))
                 outputs.append(path)
 
             if "rio" in methods:
@@ -521,7 +507,8 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
                 write_csv(
                     path,
                     ["id", "yhat", "residual_mean", "residual_std", "corrected_pred"],
-                    zip(ids, yhat_query, residual_mean, residual_std, yhat_query + residual_mean),
+                    zip(ids, *(v.tolist() for v in (yhat_query, residual_mean, residual_std,
+                                                    yhat_query + residual_mean))),
                 )
                 outputs.append(path)
             return outputs
@@ -536,8 +523,7 @@ def _read_columns(path: Path, ids, columns: list[str]) -> list[np.ndarray]:
     at, cells = keyed_cells(path, header, rows, ids, columns)
     vectors = [np.full(len(ids), np.nan) for _ in columns]
     for vector, column in zip(vectors, cells):
-        vector[at] = [parse_float(cell, f"{path}: row {r}")
-                      for r, cell in enumerate(column, start=1)]
+        vector[at] = parse_floats(column, lambda i: f"{path}: row {i + 1}")
     return vectors
 
 
@@ -606,32 +592,20 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
     tables = {
         "cross_predictions.csv": (
             ["id", "cluster", "actual", *[f"pred_{j}" for j in split_ids]],
-            [
-                (
-                    data.ids[i],
-                    int(labels.labels[i]),
-                    float(data.target[i]),
-                    *[float(predictions[j][i]) for j in split_ids],
-                )
-                for i in range(data.n)
-            ],
+            list(zip(data.ids, labels.labels.tolist(), data.target.tolist(),
+                     *(predictions[j].tolist() for j in split_ids))),
         ),
         "uq_scores.csv": (
             ["id", "group", "actual", "predicted", *scores],
-            [
-                (
-                    data.ids[r],
-                    "heldout" if in_cluster[i] else "test",
-                    float(data.target[r]),
-                    float(predictions[k][r]),
-                    *[float(vector[r]) for vector in scores.values()],
-                )
-                for i, r in enumerate(scored)
-            ],
+            list(zip([data.ids[r] for r in scored],
+                     ["heldout" if h else "test" for h in in_cluster.tolist()],
+                     *(v[scored].tolist() for v in [data.target, predictions[k],
+                                                   *scores.values()]))),
         ),
         "r2_matrix.csv": (
             ["train_cluster", *[str(c) for c in clusters]],
-            [(c, *["" if math.isnan(v) else v for v in row]) for c, row in zip(clusters, table)],
+            [(c, *["" if math.isnan(v) else v for v in row])
+             for c, row in zip(clusters, table.tolist())],
         ),
     }
     test = split.test_idx
@@ -697,20 +671,22 @@ def cmd_eval(cfg: RunConfig, out: Path, args) -> None:
 
 def _matches(path: Path, header: list[str], rows: list) -> bool:
     """True when the file holds this header and these rows.  Column by
-    column, each cell must be the text format_value gives its derived
-    value, or a number equal to it or within 1e-12; a cell that is not a
-    number raises DataError naming its row."""
+    column, the cell of a text value must be that text, and the cell of a
+    number must hold a number equal to it or within 1e-12; the text cells
+    are compared first, and a number's cell that is not a number raises
+    DataError naming its row."""
     stored_header, stored_rows = read_csv(path)
     if stored_header != header or len(stored_rows) != len(rows):
         return False
     for cells, values in zip(zip(*stored_rows), zip(*rows)):
-        for r, (cell, value) in enumerate(zip(cells, values), start=1):
-            if cell == format_value(value):
-                continue
-            if isinstance(value, str):
-                return False
-            stored = parse_float(cell, f"{path}: row {r}")
-            if not (stored == value or abs(stored - value) <= 1e-12):
+        if any(cell != value for cell, value in zip(cells, values) if isinstance(value, str)):
+            return False
+        numbers = [r for r, value in enumerate(values) if not isinstance(value, str)]
+        stored = parse_floats([cells[r] for r in numbers],
+                              lambda i: f"{path}: row {numbers[i] + 1}")
+        derived = np.array([values[r] for r in numbers], dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            if not np.all((stored == derived) | (np.abs(stored - derived) <= 1e-12)):
                 return False
     return True
 

@@ -21,7 +21,9 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -113,6 +115,7 @@ def keyed_cells(path: str | Path, header: Sequence[str], rows: Sequence[Sequence
     index_of = {rid: i for i, rid in enumerate(ids)}
     row_of = [0] * len(ids)  # the 1-based row that gave each id, 0 if none yet
     id_pos = names.index("id")
+    positions = [names.index(col) for col in columns]
     at = []
     for r, row in enumerate(rows, start=1):
         rid = row[id_pos].strip()
@@ -123,7 +126,7 @@ def keyed_cells(path: str | Path, header: Sequence[str], rows: Sequence[Sequence
             raise DataError(f"{path}: rows {row_of[i]} and {r}: repeated id {rid!r}")
         row_of[i] = r
         at.append(i)
-    return at, [[row[names.index(col)].strip() for row in rows] for col in columns]
+    return at, [[row[pos].strip() for row in rows] for pos in positions]
 
 
 def read_json(path: str | Path):
@@ -148,13 +151,23 @@ def read_json_lines(path: str | Path) -> list[dict]:
     return entries
 
 
-def parse_float(text: str, where: str) -> float:
-    """The float in text.  NaN is refused: no stage writes one, so a NaN
-    read back marks a damaged file."""
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
-    if math.isnan(value):
-        raise DataError(f"{where}: non-numeric value {text!r}")
-    return value
+        return math.nan
+
+
+def parse_floats(cells: Sequence[str], where: Callable[[int], str]) -> np.ndarray:
+    """The floats in a column of cells, as a vector; +-inf is kept.
+
+    NaN is refused: no stage writes one, so a NaN read back marks a
+    damaged file.  The first cell that is not a number or reads as NaN
+    raises DataError naming ``where(i)``, i being its index in cells.
+    """
+    values = np.fromiter(map(_number, cells), float, len(cells))
+    refused = np.isnan(values)
+    if refused.any():
+        i = int(refused.argmax())
+        raise DataError(f"{where(i)}: non-numeric value {cells[i]!r}")
+    return values

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import parse_floats, read_csv, write_csv
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
@@ -158,7 +158,8 @@ def load_dataset(path: str | Path) -> Dataset:
     rest being features, validating every cell.
 
     Errors carry the 1-based data row number and the column name so bad
-    cells can be located directly in the file.
+    cells can be located directly in the file.  The ids are checked
+    first, then the cells column by column in header order.
     """
     path = Path(path)
     header, raw_rows = read_csv(path)
@@ -168,44 +169,34 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(f"{path}: required column {col!r} missing from header")
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
-    id_pos = header.index("id")
-    tgt_pos = header.index("target")
-    feature_names = [h for i, h in enumerate(header) if i not in (id_pos, tgt_pos)]
-    feature_pos = [i for i in range(len(header)) if i not in (id_pos, tgt_pos)]
-    if not feature_names:
+    if len(header) == 2:
         raise DataError(f"{path}: no feature columns")
     if not raw_rows:
         raise DataError(f"{path}: no data rows")
 
-    ids: list[str] = []
-    seen: dict[str, int] = {}
-    n = len(raw_rows)
-    features = np.empty((n, len(feature_names)), dtype=float)
-    target = np.empty(n, dtype=float)
-    for r, row in enumerate(raw_rows, start=1):
-        rid = row[id_pos].strip()
+    id_pos = header.index("id")
+    ids = [row[id_pos].strip() for row in raw_rows]
+    first_row: dict[str, int] = {}
+    for r, rid in enumerate(ids, start=1):
         if not rid:
             raise DataError(f"{path}: row {r}, column 'id': missing id")
-        if rid in seen:
-            raise DataError(
-                f"{path}: duplicate id {rid!r} on rows {seen[rid]} and {r}"
-            )
-        seen[rid] = r
-        ids.append(rid)
-        for k, (pos, name) in enumerate(zip(feature_pos, feature_names)):
-            features[r - 1, k] = _parse_cell(row[pos], path, r, name)
-        target[r - 1] = _parse_cell(row[tgt_pos], path, r, "target")
-    return Dataset(ids=tuple(ids), features=features, feature_names=tuple(feature_names), target=target)
-
-
-def _parse_cell(text: str, path: Path, row: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"{path}: row {row}, column {column!r}: non-numeric value {text!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"{path}: row {row}, column {column!r}: non-finite value {text!r}")
-    return value
+        if rid in first_row:
+            raise DataError(f"{path}: duplicate id {rid!r} on rows {first_row[rid]} and {r}")
+        first_row[rid] = r
+    columns = {}
+    for pos, name in enumerate(header):
+        if pos == id_pos:
+            continue
+        cells = [row[pos] for row in raw_rows]
+        values = parse_floats(cells, lambda i: f"{path}: row {i + 1}, column {name!r}")
+        infinite = np.flatnonzero(np.isinf(values))
+        if infinite.size:
+            i = infinite[0]
+            raise DataError(f"{path}: row {i + 1}, column {name!r}: non-finite value {cells[i]!r}")
+        columns[name] = values
+    target = columns.pop("target")
+    return Dataset(ids=tuple(ids), features=np.column_stack(list(columns.values())),
+                   feature_names=tuple(columns), target=target)
 
 
 def save_dataset(data: Dataset, path: str | Path) -> None:
@@ -215,7 +206,7 @@ def save_dataset(data: Dataset, path: str | Path) -> None:
 
 
 def write_labels_csv(ids, labels, path: str | Path) -> None:
-    write_csv(path, ["id", "cluster"], zip(ids, map(int, labels)))
+    write_csv(path, ["id", "cluster"], zip(ids, np.asarray(labels).tolist()))
 
 
 @dataclass(frozen=True)

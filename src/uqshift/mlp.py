@@ -14,11 +14,11 @@ gradient, Adam's state and the pass buffers are float32, and so is every
 scalar they meet, so nothing is computed in float64 and cast back.  The
 dropout masks come from the same float64 draws as in float64 training,
 so they are the same masks.  Each epoch's validation runs in float64 on
-a float64 copy of the parameters, and the returned model holds the best
-epoch's float32 values as float64 arrays: its validation R^2 is the one
-the fit recorded, and saving, loading, ``predict`` and every inference
-path stay float64.  ``forward`` and ``loss_and_gradients`` compute in
-the dtype of their input.
+the float32 parameters, which numpy promotes to float64 exactly, and the
+returned model holds the best epoch's float32 values as float64 arrays:
+its validation R^2 is the one the fit recorded, and saving, loading,
+``predict`` and every inference path stay float64.  ``forward`` and
+``loss_and_gradients`` compute in the dtype of their input.
 
 Memory: a fit holds six flat float32 vectors of one layout: the
 parameters, of which every weight and bias is a view, the gradient,
@@ -32,13 +32,14 @@ width) activation and one delta array per hidden layer and two row
 vectors for the backward pass, the batch's rows and targets, and the
 dropout mask of each hidden layer, all float32, and the float64 uniform
 draws behind those masks; no pass runs over all training rows at once.
-The per-epoch validation pass has its own float64 (rows, width) buffers
-and one float64 copy of the parameter vector.  All are allocated once
-per fit, and a step allocates nothing of a layer's size.  ``forward``
-given one (rows, width) buffer per hidden layer and an output vector
-writes the pass into them.  A grid search holds one fit at a time per
-worker and, beside its rows, only the best model so far, and a
-checkpoint is written one row of a weight matrix at a time.
+The per-epoch validation pass has its own float64 (rows, width) buffers,
+and each of its products promotes one weight matrix to a float64
+temporary.  All buffers are allocated once per fit, and a step
+allocates nothing of a layer's size.  ``forward`` given one (rows,
+width) buffer per hidden layer and an output vector writes the pass
+into them.  A grid search holds one fit at a time per worker and,
+beside its rows, only the best model so far, and a checkpoint is
+written one row of a weight matrix at a time.
 """
 
 from __future__ import annotations
@@ -415,17 +416,14 @@ def train_mlp(
     mask_buffers = [np.empty((batch, width), np.float32) for width in hidden]
     draw_buffers = [np.empty((batch, width)) for width in hidden]
 
-    # Validation runs in float64 on a float64 copy of the parameters, so
-    # each epoch's R^2 is that of the model it would return.
-    shadow = np.empty(params.shape)
-    shadow_weights, shadow_biases = _param_views(shadow, shapes)
+    # Validation runs in float64 on the float32 parameters, each of which
+    # numpy promotes exactly, so each epoch's R^2 is that of the model it
+    # would return.
     valid_acts = [np.empty((Xv.shape[0], width)) for width in hidden]
     valid_out = np.empty(Xv.shape[0])
 
     def valid_score() -> float:
-        np.copyto(shadow, params)
-        return r_squared(yv, forward(shadow_weights, shadow_biases, Xvs,
-                                     buffers=valid_acts, out=valid_out))
+        return r_squared(yv, forward(weights, biases, Xvs, buffers=valid_acts, out=valid_out))
 
     valid_r2 = [valid_score()]
     best_epoch = 0
@@ -596,7 +594,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MlpModel:
     """The model of a checkpoint; a file whose arrays do not fit the
-    architecture it names raises DataError."""
+    architecture it names, or hold a non-finite number, raises DataError."""
     payload = read_json(path)
     if (not isinstance(payload, dict) or payload.get("format") != "uqshift-mlp"
             or payload.get("version") != 1):
@@ -613,17 +611,20 @@ def load_model(path: str | Path) -> MlpModel:
         if shapes != _param_shapes(dim_in, hidden):
             raise ValueError(f"array shapes {shapes} do not fit hidden sizes {list(hidden)}")
         scaler = payload["scaler"]
+        means = np.array(scaler["means"], dtype=float)
+        stddevs = np.array(scaler["stddevs"], dtype=float)
+        # json reads NaN, Infinity and 1e999; ScalerParams would let a NaN stddev by
+        for name, arrays in (("weights", weights), ("biases", biases),
+                             ("scaler means", [means]), ("scaler stddevs", [stddevs])):
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ValueError(f"the {name} hold a non-finite number")
         model = MlpModel(
             weights=weights,
             biases=biases,
             hidden_sizes=hidden,
             dropout_rate=dropout_rate,
             fit=FitConfig(**payload["fit"]),
-            scaler=ScalerParams(
-                means=np.array(scaler["means"], dtype=float),
-                stddevs=np.array(scaler["stddevs"], dtype=float),
-                constant_mask=np.array(scaler["constant_mask"], dtype=bool),
-            ),
+            scaler=ScalerParams(means, stddevs, np.array(scaler["constant_mask"], dtype=bool)),
         )
         if len(model.scaler.means) != dim_in:  # ScalerParams aligns its three vectors
             raise ValueError(f"the scaler has {len(model.scaler.means)} columns, not {dim_in}")

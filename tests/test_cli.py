@@ -310,6 +310,24 @@ class TestCorruptTree:
         assert errors == err.splitlines()[-1:]
         assert path.name in errors[0]
 
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    def test_non_finite_weight_exits_3_naming_the_model(self, pipeline, tmp_path, capsys,
+                                                        value):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        path = out / "train" / "model_0.json"
+        text = path.read_text()
+        first = text.index('"weights": [[[') + len('"weights": [[[')
+        path.write_text(text[:first] + value + text[text.index(",", first):])
+        run = _stage_runner(out, capsys)
+        code, err = run("uq", config, "--split-id", "0", "--methods", "rio")
+        assert code == 3 and "train/model_0.json: malformed model checkpoint" in err
+        # ad needs no model, so eval is the first stage to load this one
+        shutil.rmtree(out / "uq")
+        assert run("uq", config, "--methods", "ad")[0] == 0
+        code, err = run("eval", config)
+        assert code == 3 and "train/model_0.json: malformed model checkpoint" in err
+
     @pytest.mark.parametrize("name", ["r2_matrix.csv", "removal_curve_rio.csv",
                                       "boxplot_stats.csv"])
     def test_report_catches_tampered_cell(self, pipeline, tmp_path, capsys, name):
@@ -759,6 +777,42 @@ class TestBenchTracing:
             assert count.get(span, 0) > 0, span
 
 
+SIX_STAGES_DIGEST = """\
+import hashlib, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from uqshift import cli  # first: before anything imports numpy
+for stage in ("synth", "split", "train", "uq", "eval", "report"):
+    assert cli.main([stage, "--config", sys.argv[2], "--out", sys.argv[3]]) == 0, stage
+digest = hashlib.sha256()
+root = Path(sys.argv[3])
+for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    digest.update(path.relative_to(root).as_posix().encode() + b"\\0")
+    digest.update(path.read_bytes() + b"\\0")
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_same_tree_at_any_openblas_thread_count(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", SIX_STAGES_DIGEST, str(src), str(config),
+                 str(tmp_path / f"out_{threads}")],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True))
+        outputs = [run.communicate()[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0, 0]
+        assert len({output.split()[-1] for output in outputs}) == 1
+
+
 class TestEachModelLoadedOnce:
     @pytest.mark.parametrize("stage", ["uq", "eval"])
     def test_one_load_per_split(self, pipeline, tmp_path, monkeypatch, stage):
@@ -1017,6 +1071,11 @@ class TestMatches:
     def test_cell_that_is_not_a_number_names_its_row(self, tmp_path):
         with pytest.raises(DataError, match=r"t\.csv: row 2: non-numeric value 'abc'"):
             self._matches(tmp_path, "a,0.1\nb,abc\nc,\n")
+
+    def test_non_number_beside_a_wrong_number_is_named(self, tmp_path):
+        # the number cells of a column are parsed before they are compared
+        with pytest.raises(DataError, match=r"t\.csv: row 2: non-numeric value 'abc'"):
+            self._matches(tmp_path, "a,0.5\nb,abc\nc,\n")
 
 
 class TestMethodSubsets:

@@ -96,9 +96,33 @@ class TestCsvRoundTrip:
             load_dataset(path)
 
     def test_nan_cell_rejected(self, tmp_path):
+        # the rule of every table of the tree: a NaN read back is not a number
         path = tmp_path / "d.csv"
         path.write_text("id,target,f01\np0,1.0,nan\n")
-        with pytest.raises(DataError, match="f01"):
+        with pytest.raises(DataError, match=r"row 1, column 'f01': non-numeric value 'nan'"):
+            load_dataset(path)
+
+    def test_infinite_cell_reads_as_non_finite(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,target,f01\np0,1.0,2.0\np1,-inf,3.0\n")
+        with pytest.raises(DataError, match=r"row 2, column 'target': non-finite value '-inf'"):
+            load_dataset(path)
+
+    def test_id_errors_come_before_cell_errors(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rows = ["p0,1,1", "p1,oops,1", "p2,1,1", "p3,1,1", "p1,1,1"]
+        path.write_text("id,target,f01\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"duplicate id 'p1' on rows 2 and 5"):
+            load_dataset(path)
+
+    def test_bad_cells_found_column_by_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rows = [[f"p{r}", "1", "1", "1", "1", "1", "1"] for r in range(3)]
+        rows[2][3] = "bad"  # row 3, f02
+        rows[1][6] = "worse"  # row 2, f05
+        path.write_text("id,target,f01,f02,f03,f04,f05\n"
+                        + "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(DataError, match=r"row 3, column 'f02': non-numeric value 'bad'"):
             load_dataset(path)
 
     def test_duplicate_id_names_both_rows(self, tmp_path):

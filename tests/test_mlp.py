@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,15 @@ class TestTraining:
             learning_rate=0.01, epochs=5, seed=0,
         )
         np.testing.assert_allclose(result.model.scaler.means, shifted[:40].mean(axis=0))
+
+    def test_peak_memory_holds_no_float64_parameter_copy(self):
+        # Validation reads the float32 parameters: a float64 copy of the
+        # 134,657 parameters of this network would add 1.08 MB.  Measured:
+        # 6.18 MB without the copy, 7.26 MB with it.
+        X, y = _linear_problem(19, n=150, d=10)
+        args = (X[:100], y[:100], X[100:], y[100:], (256, 256, 256), 0.3, 0.01)
+        train_mlp(*args, 1, 0)  # first-call set-up is not the fit's
+        assert _peak_bytes(train_mlp, *args, 2, 0) < 6.6e6
 
 
 def _allocating_forward(weights, biases, X, dropout_rate=0.0, masks=None):
@@ -621,6 +631,11 @@ CHECKPOINT_TAMPERINGS = {
     "scaler-one-column-short": _tamper(
         "scaler", lambda s: [s[name].pop() for name in ("means", "stddevs", "constant_mask")]),
     "constant-mask-scalar": _tamper("scaler", lambda s: s.__setitem__("constant_mask", False)),
+    "weight-nan": _tamper("weights", lambda w: w[0][0].__setitem__(0, math.nan)),
+    "bias-infinite": _tamper("biases", lambda b: b[1].__setitem__(0, math.inf)),
+    "mean-nan": _tamper("scaler", lambda s: s["means"].__setitem__(0, math.nan)),
+    "stddev-nan": _tamper("scaler", lambda s: s["stddevs"].__setitem__(0, math.nan)),
+    "stddev-infinite": _tamper("scaler", lambda s: s["stddevs"].__setitem__(0, math.inf)),
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqshift.csvio import format_value, keyed_cells, parse_float, read_csv, write_csv
+from uqshift.csvio import format_value, keyed_cells, parse_floats, read_csv, write_csv
 from uqshift.errors import ConfigError, DataError
 from uqshift.rng import derive_seed, keyed_rng
 
@@ -82,14 +82,15 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_parse_float_error_mentions_location(self):
-        with pytest.raises(DataError, match="row 3"):
-            parse_float("abc", "row 3, column 'f01'")
+    def test_parse_floats_error_mentions_location(self):
+        with pytest.raises(DataError, match=r"^row 3, column 'f01': non-numeric value 'abc'$"):
+            parse_floats(["1", "2", "abc", "xyz"], lambda i: f"row {i + 1}, column 'f01'")
 
-    def test_parse_float_refuses_nan(self):
-        with pytest.raises(DataError):
-            parse_float("nan", "row 1")
-        assert parse_float("inf", "row 1") == float("inf")
+    def test_parse_floats_refuses_nan(self):
+        with pytest.raises(DataError, match="row 2: non-numeric value 'nan'"):
+            parse_floats(["1", "nan", "abc"], lambda i: f"row {i + 1}")
+        values = parse_floats(["inf", " -Infinity ", "0.1"], lambda i: f"row {i + 1}")
+        np.testing.assert_array_equal(values, [np.inf, -np.inf, 0.1])
 
 
 class TestKeyedCells:
