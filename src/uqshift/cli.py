@@ -53,7 +53,7 @@ from .clustering import (
     read_split_csv,
     write_split_csv,
 )
-from .config import RunConfig, config_hash, load_config, stage_config_text
+from .config import config_hash, load_config, stage_config_text
 from .csvio import (
     keyed_cells,
     parse_floats,
@@ -155,7 +155,7 @@ def _sha256(path: Path) -> str:
         raise DataError(f"cannot read {path} ({type(exc).__name__})") from None
 
 
-def _stage_hash(cfg: RunConfig, stage: str, outputs=()) -> str:
+def _stage_hash(cfg: dict, stage: str, outputs=()) -> str:
     """The config hash of a manifest line of stage (synth, split, train:k,
     uq:k or eval:k): its _STAGES sections of cfg and, for uq, the methods
     whose files are among outputs, in _UQ_METHODS order.  report, with no
@@ -170,7 +170,7 @@ def _stage_hash(cfg: RunConfig, stage: str, outputs=()) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _vouch(cfg: RunConfig, out: Path, rels) -> dict[str, str]:
+def _vouch(cfg: dict, out: Path, rels) -> dict[str, str]:
     """{rel: sha256} of the upstream files rels, paths relative to out, once
     the read rule of the module docstring accepts each; else a DataError
     naming the first it refuses.  An input outside the tree reads as
@@ -202,7 +202,7 @@ def _vouch(cfg: RunConfig, out: Path, rels) -> dict[str, str]:
     return {rel: sha(rel) for rel in rels}
 
 
-def _run_stage(cfg: RunConfig, out: Path, stage: str, inputs: list[str], fn,
+def _run_stage(cfg: dict, out: Path, stage: str, inputs: list[str], fn,
                outputs=()) -> None:
     """Run one stage on the upstream files inputs (paths relative to out)
     once ``_vouch`` accepts them, unless a manifest line with the same
@@ -251,9 +251,9 @@ def _split_ids(out: Path, requested: int | None = None) -> list[int]:
 
 # ------------------------------------------------------------------ stages
 
-def cmd_synth(cfg: RunConfig, out: Path, args) -> None:
+def cmd_synth(cfg: dict, out: Path, args) -> None:
     def fn():
-        seed = derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["synth"])
+        seed = derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["synth"])
         data, labels = generate_synthetic(SyntheticConfig(**cfg["synth"], seed=seed))
         dataset_path = out / "data" / "dataset.csv"
         labels_path = out / "data" / "labels.csv"
@@ -276,7 +276,7 @@ def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
     return eps
 
 
-def cmd_split(cfg: RunConfig, out: Path, args) -> None:
+def cmd_split(cfg: dict, out: Path, args) -> None:
     section = cfg["split"]
     inputs = ["data/dataset.csv"]
     external = section["external_labels"]
@@ -315,7 +315,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> None:
                 pca_emb.coordinates,
                 perplexity=section["perplexity"],
                 iterations=section["tsne_iterations"],
-                seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["split_embed"]),
+                seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["split_embed"]),
             )
             coords = emb.coordinates
             _log(f"[split] perplexity search: {emb.params['perplexity_capped_rows']} of "
@@ -348,7 +348,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> None:
             train_n=section["train_n"],
             valid_n=section["valid_n"],
             min_cluster_size=section["min_cluster_size"],
-            seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["split_sample"]),
+            seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["split_sample"]),
         )
         if len(splits) < 2:
             raise DataError(
@@ -365,7 +365,7 @@ def cmd_split(cfg: RunConfig, out: Path, args) -> None:
     _run_stage(cfg, out, "split", inputs, fn)
 
 
-def cmd_train(cfg: RunConfig, out: Path, args) -> None:
+def cmd_train(cfg: dict, out: Path, args) -> None:
     section = cfg["train"]
     grid = HyperparamGrid(tuple(section["layer_counts"]), tuple(section["widths"]),
                           tuple(section["learning_rates"]), section["dropout_rate"])
@@ -385,8 +385,8 @@ def cmd_train(cfg: RunConfig, out: Path, args) -> None:
                 data.target[split.valid_idx],
                 grid,
                 epochs=section["epochs"],
-                seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["train"], k),
-                jobs=cfg.get("run", "jobs"),
+                seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["train"], k),
+                jobs=cfg["run"]["jobs"],
                 batch_size=batch,
             )
             model_path = out / "train" / f"model_{k}.json"
@@ -434,7 +434,7 @@ def _load(out: Path, ids) -> tuple[Dataset, ClusterLabels, dict]:
                           for j in ids}
 
 
-def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
+def cmd_uq(cfg: dict, out: Path, args) -> None:
     methods = _parse_methods(args.methods)
     section = cfg["uq"]
     needs_model = "dropout" in methods or "rio" in methods
@@ -462,7 +462,7 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
                     X_query,
                     McDropoutConfig(
                         passes=section["passes"],
-                        seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["uq_dropout"], k),
+                        seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["uq_dropout"], k),
                     ),
                 )
                 path = base / "uq_dropout.csv"
@@ -495,7 +495,7 @@ def cmd_uq(cfg: RunConfig, out: Path, args) -> None:
                     data.target[split.train_idx],
                     n_starts=section["rio_starts"],
                     max_iter=section["rio_max_iter"],
-                    seed=derive_seed(cfg.get("run", "seed"), _STAGE_SEEDS["uq_rio"], k),
+                    seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["uq_rio"], k),
                 )
                 residual_mean, residual_std = rio_predict(
                     rio_model,
@@ -543,7 +543,7 @@ def _uq_scores(data: Dataset, scored: np.ndarray, k: int,
     return scores
 
 
-def _summary(cfg: RunConfig, split, scored: np.ndarray, in_cluster: np.ndarray,
+def _summary(cfg: dict, split, scored: np.ndarray, in_cluster: np.ndarray,
              scores: dict[str, np.ndarray]) -> dict:
     """summary.json: the run's identity, the methods, the row counts and
     the novelty rates of the ad_dd column over the scored rows, a heldout
@@ -560,7 +560,7 @@ def _summary(cfg: RunConfig, split, scored: np.ndarray, in_cluster: np.ndarray,
         }
     return {
         "config_hash": config_hash(cfg),
-        "seed": cfg.get("run", "seed"),
+        "seed": cfg["run"]["seed"],
         "split": split.train_cluster,
         "package_version": __version__,
         "methods": list(scores),
@@ -572,7 +572,7 @@ def _summary(cfg: RunConfig, split, scored: np.ndarray, in_cluster: np.ndarray,
     }
 
 
-def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits: dict,
+def _eval_artifacts(cfg: dict, data: Dataset, labels: ClusterLabels, splits: dict,
                     predictions: dict, k: int, uq_files: dict[str, Path]):
     """Every file of eval/split_<k>: {CSV name: (header, rows)} and the
     summary.json dict.
@@ -632,7 +632,7 @@ def _eval_artifacts(cfg: RunConfig, data: Dataset, labels: ClusterLabels, splits
     return tables, _summary(cfg, split, scored, in_cluster, scores)
 
 
-def cmd_eval(cfg: RunConfig, out: Path, args) -> None:
+def cmd_eval(cfg: dict, out: Path, args) -> None:
     ids = _split_ids(out)
 
     @functools.cache
@@ -701,7 +701,7 @@ def _same_json(stored, derived) -> bool:
     return type(stored) is type(derived) and stored == derived
 
 
-def cmd_report(cfg: RunConfig, out: Path, args) -> None:
+def cmd_report(cfg: dict, out: Path, args) -> None:
     """Re-derive every file of eval/split_<k> from the persisted sources
     and check it against the written one (numbers within 1e-12)."""
     ids = _split_ids(out)
@@ -774,7 +774,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {("run", key): getattr(args, key)
                                         for key in ("seed", "out", "jobs")
                                         if getattr(args, key) is not None})
-        out = Path(cfg.get("run", "out"))
+        out = Path(cfg["run"]["out"])
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -793,6 +793,9 @@ def main(argv=None) -> int:
         return 4
     except UqshiftError as exc:
         _log(f"error: {exc}")
+        return 1
+    except MemoryError as exc:
+        _log(f"out of memory: {exc}")
         return 1
     return 0
 

@@ -1,12 +1,12 @@
 """Run configuration: a small INI dialect with a canonical form.
 
-Every run is described by one file with fixed sections and keys.  The
-parser rejects unknown sections and keys, and non-finite numbers,
-outright.  ``canonical_text`` always emits sections and keys in schema
-order with round-trippable values, so hashing that text identifies a
-configuration.  The semantic hash excludes ``run.out`` and ``run.jobs``:
-where results are written and how many workers compute them does not
-change what is computed.
+Every run is described by one file with fixed sections and keys, read
+into a plain dict {section: {key: value}}.  The parser rejects unknown
+sections and keys, and non-finite numbers, outright.  ``canonical_text``
+always emits sections and keys in schema order with round-trippable
+values, so hashing that text identifies a configuration.  The semantic
+hash excludes ``run.out`` and ``run.jobs``: where results are written
+and how many workers compute them does not change what is computed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -75,23 +74,12 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-@dataclass(frozen=True)
-class RunConfig:
-    values: dict
 
-    def __getitem__(self, section: str) -> dict:
-        return self.values[section]
-
-    def get(self, section: str, key: str):
-        return self.values[section][key]
-
-
-def default_config() -> RunConfig:
-    values = {
+def default_config() -> dict:
+    return {
         section: {key: default for key, (_, default) in keys.items()}
         for section, keys in SCHEMA.items()
     }
-    return RunConfig(values=values)
 
 
 def _finite(raw: str) -> float:
@@ -139,14 +127,13 @@ def _format_value(kind: str, value) -> str:
     return str(value)
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
     """Defaults, optionally overlaid with a file, then with overrides.
 
     ``overrides`` maps (section, key) to a final value, used for
     command-line flags like --seed and --out.
     """
-    config = default_config()
-    values = {section: dict(keys) for section, keys in config.values.items()}
+    values = default_config()
     if path is not None:
         path = Path(path)
         if not path.exists():
@@ -173,7 +160,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise ConfigError(f"unknown config override {section}.{key}")
         values[section][key] = value
     _validate(values)
-    return RunConfig(values=values)
+    return values
 
 
 def _validate(values: dict) -> None:
@@ -194,14 +181,14 @@ def _validate(values: dict) -> None:
         )
 
 
-def canonical_text(config: RunConfig, skip: tuple[tuple[str, str], ...] = ()) -> str:
+def canonical_text(config: dict, skip: tuple[tuple[str, str], ...] = ()) -> str:
     lines = []
     for section, keys in SCHEMA.items():
         emitted = []
         for key, (kind, _) in keys.items():
             if (section, key) in skip:
                 continue
-            emitted.append(f"{key} = {_format_value(kind, config.values[section][key])}")
+            emitted.append(f"{key} = {_format_value(kind, config[section][key])}")
         if emitted:
             lines.append(f"[{section}]")
             lines.extend(emitted)
@@ -209,18 +196,18 @@ def canonical_text(config: RunConfig, skip: tuple[tuple[str, str], ...] = ()) ->
     return "\n".join(lines)
 
 
-def config_hash(config: RunConfig) -> str:
+def config_hash(config: dict) -> str:
     """Semantic identity of the run: canonical text minus out/jobs."""
     text = canonical_text(config, skip=(("run", "out"), ("run", "jobs")))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def stage_config_text(config: RunConfig, sections: tuple[str, ...]) -> str:
+def stage_config_text(config: dict, sections: tuple[str, ...]) -> str:
     """The seed and these sections: the part of the configuration a
     stage's output depends on."""
-    parts = [f"seed = {config.get('run', 'seed')}"]
+    parts = [f"seed = {config['run']['seed']}"]
     for section in sections:
         parts.append(f"[{section}]")
         for key, (kind, _) in SCHEMA[section].items():
-            parts.append(f"{key} = {_format_value(kind, config.values[section][key])}")
+            parts.append(f"{key} = {_format_value(kind, config[section][key])}")
     return "\n".join(parts)

@@ -56,6 +56,8 @@ _SEARCH_TOL = 1e-5  # bits
 _SEARCH_MAX_ITER = 200
 _SEARCH_ROWS = 64  # rows bisected, or distances finished, together
 _DESCENT_ROWS = 240  # most rows in one block of the descent's tiles
+_EXAGGERATION = 12.0  # P's factor in the early phase; the step is n / _EXAGGERATION
+_MOMENTUM = (0.5, 0.8)  # before and from momentum_switch
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,7 @@ def pca(features: np.ndarray, n_components: int) -> tuple[Embedding, np.ndarray,
             basis[:, j] = -basis[:, j]
     coords = centered @ basis
     variances = (svals[:n_components] ** 2) / n
-    emb = Embedding(coordinates=coords, params={"n_components": int(n_components)})
-    return emb, basis, variances
+    return Embedding(coordinates=coords), basis, variances
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -123,33 +124,31 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
 
 def conditional_probabilities(
-    sq_dists: np.ndarray, perplexity: float, tol: float = _SEARCH_TOL,
-    max_iter: int = _SEARCH_MAX_ITER,
+    sq_dists: np.ndarray, perplexity: float, max_iter: int = _SEARCH_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-stochastic conditional affinities with per-point bandwidths.
 
     For each point i a precision beta_i = 1 / (2 sigma_i^2) is found by
     binary search so that the entropy of p(.|i) equals log2(perplexity)
-    within ``tol`` bits.  A row that does not get there in ``max_iter``
-    tries keeps its last try.  The diagonal of ``sq_dists`` is not read.
-    Returns (P_conditional, sigmas).
+    within ``_SEARCH_TOL`` bits.  A row that does not get there in
+    ``max_iter`` tries keeps its last try.  The diagonal of ``sq_dists``
+    is not read.  Returns (P_conditional, sigmas).
     """
-    P, betas, _, _ = _bandwidth_search(sq_dists, perplexity, tol, max_iter)
+    P, betas, _, _ = _bandwidth_search(sq_dists, perplexity, max_iter)
     return P, np.sqrt(1.0 / (2.0 * betas))
 
 
 def _bandwidth_search(
-    sq_dists: np.ndarray, perplexity: float, tol: float, max_iter: int,
-    out: np.ndarray | None = None,
+    sq_dists: np.ndarray, perplexity: float, max_iter: int, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """The bisection behind ``conditional_probabilities``, run on blocks of
     rows at once.
 
     Every row takes the steps of a search of its own: double or halve
     beta until the entropy is bracketed, then take midpoints, and stop
-    once it is within ``tol``.  Only those decisions read the entropy,
-    taken in closed form, H = log s + beta <p, d> nats for p = w / s and
-    w = exp(-beta d); each p is w / s itself.  Each block reads only its
+    once it is within ``_SEARCH_TOL``.  Only those decisions read the
+    entropy, taken in closed form, H = log s + beta <p, d> nats for
+    p = w / s and w = exp(-beta d); each p is w / s itself.  Each block reads only its
     own rows of ``sq_dists``, so ``out`` may be ``sq_dists`` itself: a
     finished block's conditional rows then replace its distances.
     Returns (P_conditional, betas, the number of rows that hit
@@ -183,7 +182,7 @@ def _bandwidth_search(
             s = w.sum(axis=1)
             entropy = (np.log(s) + beta * np.einsum("ij,ij->i", w, d) / s) / _LOG2
             diff = entropy - target
-            done = np.abs(diff) <= tol
+            done = np.abs(diff) <= _SEARCH_TOL
             narrow = diff > 0  # too flat: narrow the kernel
             step = np.where(
                 narrow,
@@ -220,8 +219,7 @@ def joint_probabilities(features: np.ndarray, perplexity: float, *,
     perplexity| over all rows).
     """
     d2 = sq_distances(np.asarray(features, dtype=float))
-    P, _, capped, worst = _bandwidth_search(d2, perplexity, _SEARCH_TOL, _SEARCH_MAX_ITER,
-                                            out=d2)
+    P, _, capped, worst = _bandwidth_search(d2, perplexity, _SEARCH_MAX_ITER, out=d2)
     if stats is not None:
         stats["perplexity_capped_rows"] = capped
         stats["perplexity_max_error_bits"] = worst
@@ -252,19 +250,16 @@ def tsne(
     perplexity: float = 30.0,
     iterations: int = 1000,
     seed: int = 0,
-    learning_rate: float | None = None,
-    early_exaggeration: float = 12.0,
     exaggeration_iters: int = 250,
     momentum_switch: int = 250,
-    initial_momentum: float = 0.5,
-    final_momentum: float = 0.8,
 ) -> Embedding:
-    """Exact t-SNE to two dimensions.
-
-    The objective trace records the true KL divergence (without the
-    exaggeration factor) at every iteration, in log form: sum P log P +
-    sum P log(1 + d^2) + (sum P) log sum_{i != j} 1 / (1 + d^2_ij).  The
-    learning rate defaults to n / early_exaggeration.
+    """Exact t-SNE to two dimensions at learning rate n / 12, with P times
+    12 before ``exaggeration_iters`` and momentum 0.5 before
+    ``momentum_switch``, 0.8 from it.  The objective trace records the
+    true KL divergence (without the exaggeration factor) at every
+    iteration, in log form: sum P log P + sum P log(1 + d^2) + (sum P) log
+    sum_{i != j} 1 / (1 + d^2_ij).  ``params`` holds the perplexity
+    search's stats (see ``joint_probabilities``).
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -281,7 +276,7 @@ def tsne(
 
     search: dict = {}
     P = joint_probabilities(X, perplexity, stats=search)
-    lr = float(learning_rate) if learning_rate is not None else n / early_exaggeration
+    lr = n / _EXAGGERATION
 
     rng = keyed_rng(seed)
     Y = 1e-4 * rng.standard_normal((n, 2))
@@ -295,7 +290,7 @@ def tsne(
     tiles = _block_pairs(n)
     P_tiles = [np.ascontiguousarray(P[I, J]) for I, J, _ in tiles]
     del P
-    P_eff = [t * early_exaggeration for t in P_tiles] if exaggeration_iters > 0 else P_tiles
+    P_eff = [t * _EXAGGERATION for t in P_tiles] if exaggeration_iters > 0 else P_tiles
     W_tiles = [np.empty_like(t) for t in P_tiles]
     work = np.empty(max(t.size for t in P_tiles))
     A = np.ones((n, 4))  # [-2Y, 1 + |y|^2, 1]
@@ -340,17 +335,9 @@ def tsne(
                 G[I] += M @ Y1[J]
                 G[J] += M.T @ Y1[I]
         grad = 4.0 * (G[:, 2:] * Y - G[:, :2])
-        momentum = initial_momentum if it < momentum_switch else final_momentum
+        momentum = _MOMENTUM[it >= momentum_switch]
         velocity = momentum * velocity - lr * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
 
-    params = {
-        "perplexity": float(perplexity),
-        "iterations": int(iterations),
-        "seed": int(seed),
-        "learning_rate": lr,
-        "early_exaggeration": float(early_exaggeration),
-        **search,
-    }
-    return Embedding(coordinates=Y, params=params, objective_trace=trace)
+    return Embedding(coordinates=Y, params=search, objective_trace=trace)

@@ -304,21 +304,10 @@ def standardized(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return model.scaler.transform(X)
 
 
-def predict(model: MlpModel, features: np.ndarray, dropout_active: bool = False,
-            seed: int | None = None, pass_index: int = 0) -> np.ndarray:
-    """Predictions on raw features; the stored scaler is applied internally.
-
-    With ``dropout_active`` one stochastic pass is run using masks keyed
-    by (seed, pass_index, layer); the same key always gives the same
-    pass, independent of how rows are batched.
-    """
-    Xs = standardized(model, features)
-    if not dropout_active or model.dropout_rate == 0.0:
-        return forward(model.weights, model.biases, Xs)
-    if seed is None:
-        raise ConfigError("dropout_active predictions require a seed")
-    masks = inference_masks(model, seed, pass_index)
-    return forward(model.weights, model.biases, Xs, model.dropout_rate, masks)
+def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Predictions on raw features through the stored scaler, dropout off;
+    ``uq_dropout.mc_dropout`` runs the stochastic passes."""
+    return forward(model.weights, model.biases, standardized(model, features))
 
 
 def _param_shapes(dim_in: int, hidden) -> list[tuple[int, ...]]:

@@ -82,23 +82,10 @@ class RioModel:
 
     train_X: np.ndarray
     train_yhat: np.ndarray
-    residuals: np.ndarray
     kernel: KernelConfig
     chol: np.ndarray
     alpha: np.ndarray
     jitter_used: float
-
-
-def composite_kernel(xi: np.ndarray, yhat_i: float, xj: np.ndarray, yhat_j: float,
-                     config: KernelConfig) -> float:
-    """Kernel value for one pair: input term plus output term."""
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    d2x = float(np.sum((xi - xj) ** 2))
-    d2y = (float(yhat_i) - float(yhat_j)) ** 2
-    term_in = config.signal_variance_in * math.exp(-d2x / (2.0 * config.length_scale_in ** 2))
-    term_out = config.signal_variance_out * math.exp(-d2y / (2.0 * config.length_scale_out ** 2))
-    return term_in + term_out
 
 
 class _Workspace:
@@ -288,7 +275,6 @@ def fit_rio(
     return RioModel(
         train_X=X,
         train_yhat=yhat,
-        residuals=r,
         kernel=kernel,
         chol=L,
         alpha=alpha,

@@ -24,11 +24,12 @@ from uqshift.uq_ad import ad_dd_scores, ad_ld_scores, fit_ad
 from uqshift.uq_dropout import McDropoutConfig, mc_dropout
 from uqshift.uq_rio import (
     KernelConfig,
-    composite_kernel,
     fit_rio,
     log_marginal_likelihood,
     rio_predict,
 )
+
+from oracles import composite_kernel
 
 PIPELINE_CONFIG = """\
 [run]

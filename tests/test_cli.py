@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import fcntl
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from uqshift import cli
 from uqshift.cli import _STAGE_SEEDS, main
 from uqshift.clustering import read_split_csv
-from uqshift.csvio import read_csv
+from uqshift.csvio import read_csv, write_csv
 from uqshift.dataset import load_dataset, rank_correlated_features
 from uqshift.errors import DataError
 from uqshift.mlp import load_model, train_mlp
@@ -813,6 +814,95 @@ class TestBlasThreads:
         assert len({output.split()[-1] for output in outputs}) == 1
 
 
+STAGES = ("synth", "split", "train", "uq", "eval", "report")
+_KILLED = 75  # the exit status of a child killed at a rename
+
+
+def _tree_digest(root):
+    """sha256 over the sorted relative paths and bytes of every file."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def stage_prefixes(tmp_path_factory):
+    """The six stages run once on the small config: the config, a directory
+    holding a copy of the tree each stage started from, each stage's
+    number of renames and the final tree's digest."""
+    root = tmp_path_factory.mktemp("prefixes")
+    config = root / "run.ini"
+    config.write_text(SMALL_CONFIG)
+    out = root / "out"
+    out.mkdir()
+    renames, real_replace = [], os.replace
+
+    def counting_replace(src, dst):
+        renames.append(dst)
+        real_replace(src, dst)
+
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "replace", counting_replace)
+        for stage in STAGES:
+            shutil.copytree(out, root / "before" / stage)
+            before = len(renames)
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+            counts[stage] = len(renames) - before
+    return config, root / "before", counts, _tree_digest(out)
+
+
+def _killed_at_rename(stage, config, out, kill_at, after):
+    """Run stage in a forked child that dies (os._exit) just before, or just
+    after, its kill_at-th rename; the child's exit status."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        try:
+            real_replace, calls = os.replace, []
+
+            def replace(src, dst):
+                calls.append(dst)
+                if len(calls) == kill_at and not after:
+                    os._exit(_KILLED)
+                real_replace(src, dst)
+                if len(calls) == kill_at:
+                    os._exit(_KILLED)
+
+            os.replace = replace
+            main([stage, "--config", str(config), "--out", str(out)])
+        finally:
+            os._exit(1)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestKillResume:
+    """Every file lands by a rename and manifest.jsonl is rewritten last, so
+    a stage killed at any rename leaves a tree that rerunning the six stages
+    completes to the uninterrupted bytes."""
+
+    def test_every_stage_but_report_renames(self, stage_prefixes):
+        _, _, counts, _ = stage_prefixes
+        assert counts.pop("report") == 0
+        assert all(n > 0 for n in counts.values()), counts
+
+    @pytest.mark.parametrize("at", ["before first", "after first", "before last", "after last"])
+    @pytest.mark.parametrize("stage", STAGES[:-1])
+    def test_rerun_after_a_kill_gives_the_uninterrupted_tree(self, stage_prefixes, tmp_path,
+                                                              stage, at):
+        config, prefixes, counts, digest = stage_prefixes
+        out = tmp_path / "o"
+        shutil.copytree(prefixes / stage, out)
+        when, which = at.split()
+        kill_at = 1 if which == "first" else counts[stage]
+        assert _killed_at_rename(stage, config, out, kill_at, when == "after") == _KILLED
+        for rerun in STAGES:
+            assert main([rerun, "--config", str(config), "--out", str(out)]) == 0, rerun
+        assert _tree_digest(out) == digest
+
+
 class TestEachModelLoadedOnce:
     @pytest.mark.parametrize("stage", ["uq", "eval"])
     def test_one_load_per_split(self, pipeline, tmp_path, monkeypatch, stage):
@@ -971,6 +1061,31 @@ class TestCliErrors:
         out = tmp_path / "o"
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
         assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize("where", ["allocation", "mid-write"])
+    def test_out_of_memory_is_one_line_and_exit_1(self, tmp_path, monkeypatch, capsys, where):
+        message = "Unable to allocate 262. TiB for an array with shape (6000000, 6000000)"
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        def exhausted_mid_write(ids, labels, path):
+            def rows():
+                yield ids[0], int(labels[0])
+                exhausted()
+            write_csv(path, ["id", "cluster"], rows())
+
+        if where == "allocation":
+            monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+        else:
+            monkeypatch.setattr(cli, "write_labels_csv", exhausted_mid_write)
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"out of memory: {message}"]
+        assert [p.name for p in out.rglob("*") if p.suffix in (".lock", ".tmp")] == []
+        assert not (out / "manifest.jsonl").exists()
 
     def test_empty_methods_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.ini"

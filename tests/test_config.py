@@ -13,24 +13,24 @@ from uqshift.errors import ConfigError
 class TestLoad:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.get("run", "seed") == 0
-        assert cfg.get("split", "perplexity") == 30.0
-        assert cfg.get("train", "dropout_rate") == 0.3
-        assert cfg.get("uq", "alpha") == 0.05
+        assert cfg["run"]["seed"] == 0
+        assert cfg["split"]["perplexity"] == 30.0
+        assert cfg["train"]["dropout_rate"] == 0.3
+        assert cfg["uq"]["alpha"] == 0.05
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseed = 42\n\n[uq]\nknn_k = 9\n")
         cfg = load_config(path)
-        assert cfg.get("run", "seed") == 42
-        assert cfg.get("uq", "knn_k") == 9
-        assert cfg.get("uq", "alpha") == 0.05  # untouched default
+        assert cfg["run"]["seed"] == 42
+        assert cfg["uq"]["knn_k"] == 9
+        assert cfg["uq"]["alpha"] == 0.05  # untouched default
 
     def test_cli_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseed = 42\n")
         cfg = load_config(path, {("run", "seed"): 7})
-        assert cfg.get("run", "seed") == 7
+        assert cfg["run"]["seed"] == 7
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -60,8 +60,8 @@ class TestLoad:
         path = tmp_path / "run.ini"
         path.write_text("[train]\nwidths = 8, 16, 32\nlearning_rates = 0.1, 0.01\n")
         cfg = load_config(path)
-        assert tuple(cfg.get("train", "widths")) == (8, 16, 32)
-        assert tuple(cfg.get("train", "learning_rates")) == (0.1, 0.01)
+        assert tuple(cfg["train"]["widths"]) == (8, 16, 32)
+        assert tuple(cfg["train"]["learning_rates"]) == (0.1, 0.01)
 
     @pytest.mark.parametrize("line, kind", [
         ("widths = ,", "int_list"),
@@ -81,9 +81,9 @@ class TestLoad:
         path = tmp_path / "run.ini"
         path.write_text("[split]\ndbscan_eps = auto\n")
         cfg = load_config(path)
-        assert cfg.get("split", "dbscan_eps") is None
+        assert cfg["split"]["dbscan_eps"] is None
         path.write_text("[split]\ndbscan_eps = 1.5\n")
-        assert load_config(path).get("split", "dbscan_eps") == 1.5
+        assert load_config(path)["split"]["dbscan_eps"] == 1.5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

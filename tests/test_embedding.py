@@ -331,7 +331,7 @@ class TestConditionalProbabilities:
         P, sigmas = conditional_probabilities(sq, perplexity, max_iter=max_iter)
         assert np.array_equal(P, want_P)
         assert np.array_equal(sigmas, want_sigmas)
-        _, _, capped, worst = _bandwidth_search(sq, perplexity, 1e-5, max_iter)
+        _, _, capped, worst = _bandwidth_search(sq, perplexity, max_iter)
         assert capped == (n if case == "capped" else 0)
         # the closed-form entropy and the summed one agree to rounding
         assert worst == pytest.approx(errors.max(), rel=1e-9, abs=1e-12)

@@ -19,6 +19,7 @@ from uqshift.mlp import (
     MlpModel,
     forward,
     hyperparameter_search,
+    inference_masks,
     init_params,
     load_model,
     loss_and_gradients,
@@ -404,6 +405,12 @@ class TestReusedBuffersBitIdentity:
         assert np.array_equal(forward(weights, biases, X), _allocating_forward(weights, biases, X))
 
 
+def _dropout_pass(model, X, seed, t):
+    """Pass t of MC dropout on raw features: masks keyed (seed, t, layer)."""
+    return forward(model.weights, model.biases, model.scaler.transform(X), model.dropout_rate,
+                   inference_masks(model, seed, t))
+
+
 class TestPredictMasks:
     def _model(self):
         weights = [np.ones((1, 2)), np.ones((2, 1))]
@@ -417,14 +424,14 @@ class TestPredictMasks:
     def test_same_pass_same_mask(self):
         model = self._model()
         X = np.array([[1.0]])
-        a = predict(model, X, dropout_active=True, seed=3, pass_index=7)
-        b = predict(model, X, dropout_active=True, seed=3, pass_index=7)
+        a = _dropout_pass(model, X, 3, 7)
+        b = _dropout_pass(model, X, 3, 7)
         np.testing.assert_array_equal(a, b)
 
     def test_mask_shared_across_rows_of_a_pass(self):
         model = self._model()
         X = np.array([[1.0], [1.0], [1.0]])
-        out = predict(model, X, dropout_active=True, seed=3, pass_index=2)
+        out = _dropout_pass(model, X, 3, 2)
         assert len(set(np.round(out, 12))) == 1
 
     def test_values_come_from_mask_enumeration(self):
@@ -433,7 +440,7 @@ class TestPredictMasks:
         model = self._model()
         X = np.array([[1.0]])
         seen = {
-            float(predict(model, X, dropout_active=True, seed=11, pass_index=t)[0])
+            float(_dropout_pass(model, X, 11, t)[0])
             for t in range(200)
         }
         assert seen <= {0.0, 2.0, 4.0}

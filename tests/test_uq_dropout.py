@@ -3,7 +3,7 @@ import pytest
 
 from uqshift.dataset import ScalerParams
 from uqshift.errors import ConfigError, DataError
-from uqshift.mlp import FitConfig, MlpModel, predict
+from uqshift.mlp import FitConfig, MlpModel, forward, inference_masks
 from uqshift.rng import keyed_rng
 from uqshift.uq_dropout import McDropoutConfig, mc_dropout
 
@@ -140,7 +140,8 @@ class TestBufferedPassesBitIdentity:
         passes, seed = 25, 6
         mean, std = mc_dropout(model, X, McDropoutConfig(passes=passes, seed=seed))
         for one_pass in (
-            lambda t: predict(model, X, dropout_active=True, seed=seed, pass_index=t),
+            lambda t: forward(model.weights, model.biases, model.scaler.transform(X),
+                              model.dropout_rate, inference_masks(model, seed, t)),
             lambda t: _allocating_pass(model, X, seed, t),
         ):
             samples = np.stack([one_pass(t) for t in range(passes)])

@@ -12,11 +12,12 @@ from uqshift.uq_rio import (
     KernelConfig,
     _lml_and_grad,
     _Workspace,
-    composite_kernel,
     fit_rio,
     log_marginal_likelihood,
     rio_predict,
 )
+
+from oracles import composite_kernel
 
 
 def _problem(seed, n=25, d=3, noise=0.05):
@@ -119,11 +120,6 @@ class TestFit:
         a = fit_rio(X, yhat, y, n_starts=3, max_iter=50, seed=4)
         b = fit_rio(X, yhat, y, n_starts=3, max_iter=50, seed=4)
         assert a.kernel.to_log_vector().tolist() == b.kernel.to_log_vector().tolist()
-
-    def test_residuals_stored(self):
-        X, y, yhat = _problem(36, n=18)
-        model = fit_rio(X, yhat, y, n_starts=2, max_iter=40, seed=0)
-        np.testing.assert_allclose(model.residuals, y - yhat)
 
 
 class TestPredict:
