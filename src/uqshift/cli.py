@@ -291,14 +291,13 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
         feature_idx = np.arange(data.dim)
         if section["use_correlation_filter"]:
             ranking = rank_correlated_features(data, section["correlation_threshold"])
-            if not ranking.entries:
+            if not ranking:
                 raise DataError(
                     "correlation filter selected no features; lower the threshold"
                 )
-            name_to_idx = {name: i for i, name in enumerate(data.feature_names)}
-            feature_idx = np.array([name_to_idx[name] for name in ranking.names()])
+            feature_idx = np.array([data.feature_names.index(name) for name, _ in ranking])
             ranking_path = out / "split" / "ranking.csv"
-            write_csv(ranking_path, ["feature", "r"], list(ranking.entries))
+            write_csv(ranking_path, ["feature", "r"], ranking)
             outputs.append(ranking_path)
 
         need_embedding = not external or section["force_embedding"]
@@ -310,9 +309,8 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
             n_comp = min(section["pca_components"], standardized.shape[1], standardized.shape[0])
             if n_comp < section["pca_components"]:
                 _log(f"[split] capping pca components to {n_comp}")
-            pca_emb, _, _ = pca(standardized, n_comp)
             emb = tsne(
-                pca_emb.coordinates,
+                pca(standardized, n_comp)[0],
                 perplexity=section["perplexity"],
                 iterations=section["tsne_iterations"],
                 seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["split_embed"]),

@@ -46,9 +46,6 @@ class ClusterLabels:
     def members(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster)
 
-    def sizes(self) -> dict[int, int]:
-        return {c: int((self.labels == c).sum()) for c in range(self.k)}
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -143,7 +140,7 @@ def make_cluster_splits(
     if min_cluster_size < 1:
         raise ConfigError("min_cluster_size must be >= 1")
 
-    sizes = labels.sizes()
+    sizes = np.bincount(labels.labels[labels.labels >= 0], minlength=labels.k)
     eligible = [c for c in range(labels.k) if sizes[c] >= min_cluster_size]
     for c in eligible:
         if sizes[c] < train_n + valid_n:

@@ -75,6 +75,19 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 
+# (section, key) -> (the rule a value must meet, its test).  A value
+# outside these would stop its stage after the stages before it had run.
+_RANGES = {
+    ("split", "tsne_iterations"): (">= 1", lambda v: v >= 1),
+    ("train", "batch_size"): (">= 0", lambda v: v >= 0),
+    ("uq", "passes"): (">= 1", lambda v: v >= 1),
+    ("uq", "knn_k"): (">= 1", lambda v: v >= 1),
+    ("uq", "alpha"): ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("uq", "rio_starts"): (">= 1", lambda v: v >= 1),
+    ("eval", "step_fraction"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+}
+
+
 def default_config() -> dict:
     return {
         section: {key: default for key, (_, default) in keys.items()}
@@ -168,6 +181,11 @@ def _validate(values: dict) -> None:
         raise ConfigError("run.seed must be non-negative")
     if values["run"]["jobs"] < 1:
         raise ConfigError("run.jobs must be >= 1")
+    for (section, key), (rule, ok) in _RANGES.items():
+        value = values[section][key]
+        if not ok(value):
+            shown = _format_value(SCHEMA[section][key][0], value)
+            raise ConfigError(f"[{section}] {key} = {shown} must be {rule}")
     if values["uq"]["metric"] not in METRICS:
         raise ConfigError(f"uq.metric must be {' or '.join(METRICS)}, got {values['uq']['metric']!r}")
     split = values["split"]

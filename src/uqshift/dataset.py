@@ -94,17 +94,6 @@ class ScalerParams:
         return out
 
 
-@dataclass(frozen=True)
-class CorrelationRanking:
-    """Features whose |Pearson r| against the target clears a threshold,
-    strongest first."""
-
-    entries: tuple[tuple[str, float], ...]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-
 def fit_scaler(X: np.ndarray) -> ScalerParams:
     """Population-statistics scaler fitted on the rows of X."""
     X = np.asarray(X, dtype=float)
@@ -127,8 +116,9 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
 
 
-def rank_correlated_features(data: Dataset, threshold: float) -> CorrelationRanking:
-    """Rank features by |Pearson correlation| with the target.
+def rank_correlated_features(data: Dataset, threshold: float) -> list[tuple[str, float]]:
+    """The (feature name, Pearson r against the target) pairs, the rows
+    of ``split/ranking.csv``.
 
     Only features with |r| strictly above the threshold are kept, sorted
     by |r| descending; equal magnitudes keep column order.  Constant
@@ -150,7 +140,7 @@ def rank_correlated_features(data: Dataset, threshold: float) -> CorrelationRank
         if abs(r) > threshold:
             kept.append((name, r))
     kept.sort(key=lambda item: -abs(item[1]))  # stable: ties keep column order
-    return CorrelationRanking(entries=tuple(kept))
+    return kept
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -1,10 +1,11 @@
 """Low-dimensional embeddings: PCA and exact t-SNE.
 
-The t-SNE here is the exact O(n^2) variant: per-point Gaussian
-bandwidths found by binary search on the conditional-distribution
+``pca`` returns arrays.  ``tsne`` is exact O(n^2) t-SNE: per-point
+Gaussian bandwidths found by binary search on the conditional-distribution
 entropy, symmetrized joint probabilities, Student-t low-dimensional
-affinities, and plain momentum gradient descent with an early
-exaggeration phase.  Everything is deterministic for a given seed.
+affinities, and momentum gradient descent with an early exaggeration
+phase; its ``Embedding`` holds the coordinates, the search's stats and
+the KL trace.  Everything is deterministic for a given seed.
 
 Memory: the affinities are built in one n x n buffer.  The squared
 distances are one product, doubled in place and subtracted from
@@ -43,7 +44,7 @@ iteration allocates no n x n array, and with one block
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -63,8 +64,8 @@ _MOMENTUM = (0.5, 0.8)  # before and from momentum_switch
 @dataclass(frozen=True)
 class Embedding:
     coordinates: np.ndarray
-    params: dict = field(default_factory=dict)
-    objective_trace: np.ndarray | None = None
+    params: dict
+    objective_trace: np.ndarray
 
     def __post_init__(self):
         coords = np.asarray(self.coordinates, dtype=float)
@@ -77,13 +78,14 @@ class Embedding:
         object.__setattr__(self, "coordinates", coords)
 
 
-def pca(features: np.ndarray, n_components: int) -> tuple[Embedding, np.ndarray, np.ndarray]:
+def pca(features: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Principal component projection.
 
-    Returns the projected coordinates, the orthonormal component basis
-    (columns are components), and the per-component variances of the
-    projected data (population convention).  Component signs are fixed
-    so the largest-magnitude basis entry of each component is positive.
+    Returns three arrays: the (n, n_components) projected coordinates,
+    the orthonormal (d, n_components) component basis (columns are
+    components), and the per-component variances of the projected data
+    (population convention).  Component signs are fixed so the
+    largest-magnitude basis entry of each component is positive.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -102,7 +104,7 @@ def pca(features: np.ndarray, n_components: int) -> tuple[Embedding, np.ndarray,
             basis[:, j] = -basis[:, j]
     coords = centered @ basis
     variances = (svals[:n_components] ** 2) / n
-    return Embedding(coordinates=coords), basis, variances
+    return coords, basis, variances
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -123,44 +125,25 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
-def conditional_probabilities(
-    sq_dists: np.ndarray, perplexity: float, max_iter: int = _SEARCH_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stochastic conditional affinities with per-point bandwidths.
-
-    For each point i a precision beta_i = 1 / (2 sigma_i^2) is found by
-    binary search so that the entropy of p(.|i) equals log2(perplexity)
-    within ``_SEARCH_TOL`` bits.  A row that does not get there in
-    ``max_iter`` tries keeps its last try.  The diagonal of ``sq_dists``
-    is not read.  Returns (P_conditional, sigmas).
-    """
-    P, betas, _, _ = _bandwidth_search(sq_dists, perplexity, max_iter)
-    return P, np.sqrt(1.0 / (2.0 * betas))
-
-
 def _bandwidth_search(
-    sq_dists: np.ndarray, perplexity: float, max_iter: int, out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """The bisection behind ``conditional_probabilities``, run on blocks of
-    rows at once.
+    sq_dists: np.ndarray, perplexity: float, max_iter: int, out: np.ndarray,
+) -> tuple[np.ndarray, int, float]:
+    """Row-stochastic conditional affinities written into ``out``, with
+    per-point precisions beta_i = 1 / (2 sigma_i^2) by bisection on blocks
+    of rows; the diagonal of ``sq_dists`` is not read.
 
-    Every row takes the steps of a search of its own: double or halve
-    beta until the entropy is bracketed, then take midpoints, and stop
-    once it is within ``_SEARCH_TOL``.  Only those decisions read the
-    entropy, taken in closed form, H = log s + beta <p, d> nats for
-    p = w / s and w = exp(-beta d); each p is w / s itself.  Each block reads only its
-    own rows of ``sq_dists``, so ``out`` may be ``sq_dists`` itself: a
-    finished block's conditional rows then replace its distances.
-    Returns (P_conditional, betas, the number of rows that hit
-    ``max_iter``, the largest |entropy - log2(perplexity)| in bits over
-    the rows' kept tries).
+    Every row doubles or halves beta until the entropy of p(.|i) is
+    bracketed, then takes midpoints, and stops within ``_SEARCH_TOL`` bits
+    of log2(perplexity) or keeps its try at ``max_iter``.  The entropy is
+    H = log s + beta <p, d> nats for p = w / s and w = exp(-beta d).  Each
+    block reads only its own rows, so ``out`` may be ``sq_dists``: a
+    finished block's rows replace its distances.  Returns (betas, the rows
+    that hit ``max_iter``, the largest |entropy - log2(perplexity)| in bits).
     """
     n = sq_dists.shape[0]
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     target = math.log2(perplexity)
-    sq_dists = np.asarray(sq_dists, dtype=float)
-    P = np.empty((n, n)) if out is None else out
     columns = np.arange(n)
     betas = np.ones(n)
     capped, worst = 0, 0.0
@@ -204,25 +187,20 @@ def _bandwidth_search(
             rows, d, beta, lo, hi = rows[todo], d[todo], beta[todo], lo[todo], hi[todo]
             if not rows.size:
                 break
-        P[start:stop][off_diagonal] = kept.ravel()
-        np.fill_diagonal(P[start:stop, start:stop], 0.0)
-    return P, betas, capped, worst
+        out[start:stop][off_diagonal] = kept.ravel()
+        np.fill_diagonal(out[start:stop, start:stop], 0.0)
+    return betas, capped, worst
 
 
-def joint_probabilities(features: np.ndarray, perplexity: float, *,
-                        stats: dict | None = None) -> np.ndarray:
-    """Symmetrized joint affinity matrix P (non-negative, sums to 1).
-
-    A ``stats`` dict, when given, receives the bandwidth search's
-    ``perplexity_capped_rows`` (rows that hit the iteration cap) and
-    ``perplexity_max_error_bits`` (the largest |entropy - log2
-    perplexity| over all rows).
+def joint_probabilities(features: np.ndarray, perplexity: float) -> tuple[np.ndarray, dict]:
+    """The symmetrized joint affinity matrix P (non-negative, sums to 1)
+    and the bandwidth search's stats: ``perplexity_capped_rows`` (rows
+    that hit the iteration cap) and ``perplexity_max_error_bits`` (the
+    largest |entropy - log2 perplexity| over all rows).
     """
-    d2 = sq_distances(np.asarray(features, dtype=float))
-    P, _, capped, worst = _bandwidth_search(d2, perplexity, _SEARCH_MAX_ITER, out=d2)
-    if stats is not None:
-        stats["perplexity_capped_rows"] = capped
-        stats["perplexity_max_error_bits"] = worst
+    P = sq_distances(np.asarray(features, dtype=float))
+    _, capped, worst = _bandwidth_search(P, perplexity, _SEARCH_MAX_ITER, out=P)
+    stats = {"perplexity_capped_rows": capped, "perplexity_max_error_bits": worst}
     # (cond + cond^T) / 2n in place: addition commutes exactly, so one
     # sum serves a tile and its mirror
     for I, J, diagonal in _block_pairs(P.shape[0]):
@@ -231,7 +209,7 @@ def joint_probabilities(features: np.ndarray, perplexity: float, *,
         if not diagonal:
             P[J, I] = S.T
     P /= 2.0 * P.shape[0]
-    return P
+    return P, stats
 
 
 def _block_pairs(n: int) -> list[tuple[slice, slice, bool]]:
@@ -258,8 +236,8 @@ def tsne(
     ``momentum_switch``, 0.8 from it.  The objective trace records the
     true KL divergence (without the exaggeration factor) at every
     iteration, in log form: sum P log P + sum P log(1 + d^2) + (sum P) log
-    sum_{i != j} 1 / (1 + d^2_ij).  ``params`` holds the perplexity
-    search's stats (see ``joint_probabilities``).
+    sum_{i != j} 1 / (1 + d^2_ij).  The result's ``params`` are the
+    stats that ``joint_probabilities`` returns beside P.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -274,8 +252,7 @@ def tsne(
     if not np.all(np.isfinite(X)):
         raise DataError("tsne input contains non-finite values")
 
-    search: dict = {}
-    P = joint_probabilities(X, perplexity, stats=search)
+    P, search = joint_probabilities(X, perplexity)
     lr = n / _EXAGGERATION
 
     rng = keyed_rng(seed)

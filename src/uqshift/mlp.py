@@ -37,9 +37,10 @@ and each of its products promotes one weight matrix to a float64
 temporary.  All buffers are allocated once per fit, and a step
 allocates nothing of a layer's size.  ``forward`` given one (rows,
 width) buffer per hidden layer and an output vector writes the pass
-into them.  A grid search holds one fit at a time per worker and,
-beside its rows, only the best model so far, and a checkpoint is
-written one row of a weight matrix at a time.
+into them.  At ``jobs = 1`` a grid search holds one fit at a time and,
+beside its rows, only the best model so far; with more workers, fits
+that finished ahead of the one being consumed wait in their futures.  A
+checkpoint is written one row of a weight matrix at a time.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ class HyperparamGrid:
     grid index.
     """
 
-    layer_counts: tuple[int, ...] = (1, 2, 3)
-    widths: tuple[int, ...] = (16, 64, 256)
-    learning_rates: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    dropout_rate: float = 0.3
+    layer_counts: tuple[int, ...]
+    widths: tuple[int, ...]
+    learning_rates: tuple[float, ...]
+    dropout_rate: float
 
     def __post_init__(self):
         if not self.layer_counts or not self.widths or not self.learning_rates:

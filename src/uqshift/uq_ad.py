@@ -145,13 +145,9 @@ def fit_ad(train_features: np.ndarray, k: int, metric: str = "euclidean") -> AdM
 
 def _query_matrix(model: AdModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != model.train_features.shape[1]:
-        raise DataError(
-            f"query has {X.shape[1]} features, training data has "
-            f"{model.train_features.shape[1]}"
-        )
+    d = model.train_features.shape[1]
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DataError(f"query features must be 2-D with {d} columns, got {X.shape}")
     if model.metric == "jaccard":
         _check_binary(X, "query features")
     return X

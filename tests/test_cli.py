@@ -598,9 +598,9 @@ class TestCorrelationFilter:
         assert "report: all evaluation artifacts verified" in capsys.readouterr().out
 
         want = rank_correlated_features(load_dataset(out / "data" / "dataset.csv"), 0.5)
-        assert 0 < len(want.entries) < 5  # some features kept, some dropped
+        assert 0 < len(want) < 5  # some features kept, some dropped
         assert read_csv(out / "split" / "ranking.csv") == (
-            ["feature", "r"], [[name, repr(r)] for name, r in want.entries])
+            ["feature", "r"], [[name, repr(r)] for name, r in want])
         # the embedding saw only the kept features
         assert (out / "split" / "embedding.csv").read_bytes() != (
             finished / "split" / "embedding.csv").read_bytes()
@@ -922,6 +922,27 @@ class TestEachModelLoadedOnce:
         for path in sorted((finished / stage).rglob("*")):
             if path.is_file():
                 assert (out / path.relative_to(finished)).read_bytes() == path.read_bytes()
+
+
+class TestJobs:
+    def test_train_at_two_jobs_writes_the_bytes_of_one(self, pipeline, tmp_path):
+        config, finished = pipeline
+        out = tmp_path / "o"
+        for part in ("data", "split"):
+            shutil.copytree(finished / part, out / part)
+
+        def lines(root, stages):
+            return [line for line in (root / "manifest.jsonl").read_text().splitlines()
+                    if json.loads(line)["stage"].partition(":")[0] in stages]
+
+        (out / "manifest.jsonl").write_text(
+            "".join(line + "\n" for line in lines(finished, ("synth", "split"))))
+        assert main(["train", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 0
+        want = sorted(p.name for p in (finished / "train").iterdir())
+        assert sorted(p.name for p in (out / "train").iterdir()) == want
+        for name in want:
+            assert (out / "train" / name).read_bytes() == (finished / "train" / name).read_bytes()
+        assert lines(out, ("train",)) == lines(finished, ("train",))
 
 
 class TestTrainBatchSize:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from uqshift.config import (
@@ -76,6 +78,30 @@ class TestLoad:
         path.write_text(f"[train]\n{line}\n")
         with pytest.raises(ConfigError, match=f"cannot parse .* as {kind}"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, line, shown", [
+        ("uq", "alpha = 0", "0.0"),
+        ("uq", "alpha = 1", "1.0"),
+        ("uq", "rio_starts = 0", "0"),
+        ("split", "tsne_iterations = 0", "0"),
+        ("uq", "passes = 0", "0"),
+        ("eval", "step_fraction = 0", "0.0"),
+        ("eval", "step_fraction = 1.5", "1.5"),
+        ("train", "batch_size = -1", "-1"),
+        ("uq", "knn_k = 0", "0"),
+    ])
+    def test_value_no_stage_can_use_rejected_naming_it(self, tmp_path, section, line, shown):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} = {shown} must be")):
+            load_config(path)
+
+    def test_range_edges_accepted(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[train]\nbatch_size = 0\n\n[uq]\nknn_k = 1\n\n[eval]\n"
+                        "step_fraction = 1\n")
+        assert load_config(path)["eval"]["step_fraction"] == 1.0
 
     def test_eps_auto_is_none(self, tmp_path):
         path = tmp_path / "run.ini"

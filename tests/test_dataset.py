@@ -151,9 +151,8 @@ class TestCorrelationFilter:
             feature_names=("f01", "f02"),
             target=target,
         )
-        ranking = rank_correlated_features(data, threshold=0.5)
-        assert ranking.names() == ("f01",)
-        name, r = ranking.entries[0]
+        [(name, r)] = rank_correlated_features(data, threshold=0.5)
+        assert name == "f01"
         expected = np.corrcoef(f1, target)[0, 1]
         assert r == pytest.approx(expected, abs=1e-12)
 
@@ -170,7 +169,7 @@ class TestCorrelationFilter:
             target=target,
         )
         ranking = rank_correlated_features(data, threshold=0.1)
-        rs = [abs(r) for _, r in ranking.entries]
+        rs = [abs(r) for _, r in ranking]
         assert rs == sorted(rs, reverse=True)
 
     def test_constant_feature_warns_and_skips(self):
@@ -184,7 +183,7 @@ class TestCorrelationFilter:
             warnings.simplefilter("always")
             ranking = rank_correlated_features(data, threshold=0.5)
         assert any("f01" in str(w.message) for w in caught)
-        assert ranking.names() == ("f02",)
+        assert [name for name, _ in ranking] == ["f02"]
 
     def test_constant_target_rejected(self):
         data = Dataset(

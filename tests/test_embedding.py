@@ -7,7 +7,6 @@ from scipy.special import xlogy
 from uqshift.embedding import (
     _DESCENT_ROWS,
     _bandwidth_search,
-    conditional_probabilities,
     joint_probabilities,
     pca,
     sq_distances,
@@ -22,6 +21,13 @@ def _sq_dists(X):
     return np.sum(diff * diff, axis=-1)
 
 
+def _conditional(sq, perplexity, max_iter=200):
+    """The bandwidth search's conditional affinities, in a new buffer, and sigmas."""
+    P = np.empty_like(sq)
+    betas, _, _ = _bandwidth_search(sq, perplexity, max_iter, P)
+    return P, np.sqrt(1.0 / (2.0 * betas))
+
+
 def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
                     momentum_switch, early_exaggeration=12.0,
                     initial_momentum=0.5, final_momentum=0.8):
@@ -32,7 +38,7 @@ def _reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
     Returns the final Y, the log-form KL trace, the KL of every iteration
     gathered over P > 0 as sum P log(P / max(Q, 1e-300)), and P.
     """
-    P = joint_probabilities(X, perplexity)
+    P, _ = joint_probabilities(X, perplexity)
     p_log_p = float(xlogy(P, P).sum())
     n = X.shape[0]
     ones = np.ones(n)
@@ -76,7 +82,7 @@ def _blocked_reference_tsne(X, perplexity, iterations, seed, exaggeration_iters,
     Returns the final Y, the log-form KL trace, the KL of every iteration
     gathered over P > 0 from the full Q at the same Y, and P.
     """
-    P = joint_probabilities(X, perplexity)
+    P, _ = joint_probabilities(X, perplexity)
     p_log_p = float(xlogy(P, P).sum())
     n = X.shape[0]
     k = -(-n // _DESCENT_ROWS)
@@ -155,7 +161,7 @@ def _allocating_tsne(X, perplexity, iterations, seed, exaggeration_iters,
                      initial_momentum=0.5, final_momentum=0.8):
     """The difference-form descent: five n x n passes for 1 + d^2, and M Y
     and M's row sums taken separately.  Returns the final Y and the trace."""
-    P = joint_probabilities(X, perplexity)
+    P, _ = joint_probabilities(X, perplexity)
     p_log_p = float(xlogy(P, P).sum())
     lr = X.shape[0] / early_exaggeration
     Y = 1e-4 * keyed_rng(seed).standard_normal((X.shape[0], 2))
@@ -240,7 +246,7 @@ class TestPca:
     def test_matches_eigh_oracle(self):
         rng = keyed_rng(12)
         X = rng.normal(size=(40, 6)) @ rng.normal(size=(6, 6))
-        emb, basis, variances = pca(X, 3)
+        _, basis, variances = pca(X, 3)
         centered = X - X.mean(axis=0)
         cov = centered.T @ centered / X.shape[0]
         eigvals = np.linalg.eigvalsh(cov)[::-1]
@@ -263,16 +269,16 @@ class TestPca:
     def test_full_rank_reconstruction(self):
         rng = keyed_rng(15)
         X = rng.normal(size=(12, 3))
-        emb, basis, _ = pca(X, 3)
+        coords, basis, _ = pca(X, 3)
         centered = X - X.mean(axis=0)
-        np.testing.assert_allclose(emb.coordinates @ basis.T, centered, atol=1e-10)
+        np.testing.assert_allclose(coords @ basis.T, centered, atol=1e-10)
 
     def test_projection_consistency(self):
         rng = keyed_rng(16)
         X = rng.normal(size=(15, 4))
-        emb, basis, _ = pca(X, 2)
+        coords, basis, _ = pca(X, 2)
         centered = X - X.mean(axis=0)
-        np.testing.assert_allclose(emb.coordinates, centered @ basis, atol=1e-12)
+        np.testing.assert_allclose(coords, centered @ basis, atol=1e-12)
 
 
 class TestConditionalProbabilities:
@@ -280,7 +286,7 @@ class TestConditionalProbabilities:
         rng = keyed_rng(20)
         X = rng.normal(size=(30, 4))
         perplexity = 8.0
-        P, sigmas = conditional_probabilities(_sq_dists(X), perplexity)
+        P, sigmas = _conditional(_sq_dists(X), perplexity)
         target = np.log2(perplexity)
         for i in range(30):
             row = P[i].copy()
@@ -292,21 +298,21 @@ class TestConditionalProbabilities:
     def test_rows_normalized_and_diag_zero(self):
         rng = keyed_rng(21)
         X = rng.normal(size=(20, 3))
-        P, _ = conditional_probabilities(_sq_dists(X), 5.0)
+        P, _ = _conditional(_sq_dists(X), 5.0)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(np.diag(P), np.zeros(20))
 
     def test_sigmas_positive(self):
         rng = keyed_rng(22)
         X = rng.normal(size=(20, 3))
-        _, sigmas = conditional_probabilities(_sq_dists(X), 5.0)
+        _, sigmas = _conditional(_sq_dists(X), 5.0)
         assert np.all(sigmas > 0)
 
     def test_wider_sigma_for_sparse_point(self):
         # a point far from everything needs a wider bandwidth to reach
         # the same entropy
         X = np.vstack([keyed_rng(23).normal(size=(15, 2)), [[40.0, 40.0]]])
-        _, sigmas = conditional_probabilities(_sq_dists(X), 5.0)
+        _, sigmas = _conditional(_sq_dists(X), 5.0)
         assert sigmas[-1] > sigmas[:-1].max()
 
     @pytest.mark.parametrize(
@@ -328,30 +334,29 @@ class TestConditionalProbabilities:
         want_P, want_sigmas, errors = _per_row_conditional(sq, perplexity, max_iter=max_iter)
         if case == "far_blobs":
             assert np.count_nonzero(want_P == 0.0) > n  # more zeros than the diagonal
-        P, sigmas = conditional_probabilities(sq, perplexity, max_iter=max_iter)
+        P, sigmas = _conditional(sq, perplexity, max_iter=max_iter)
         assert np.array_equal(P, want_P)
         assert np.array_equal(sigmas, want_sigmas)
-        _, _, capped, worst = _bandwidth_search(sq, perplexity, max_iter)
+        _, capped, worst = _bandwidth_search(sq, perplexity, max_iter, np.empty_like(sq))
         assert capped == (n if case == "capped" else 0)
         # the closed-form entropy and the summed one agree to rounding
         assert worst == pytest.approx(errors.max(), rel=1e-9, abs=1e-12)
 
     def test_max_iter_floor(self):
         with pytest.raises(ConfigError):
-            conditional_probabilities(_sq_dists(keyed_rng(34).normal(size=(10, 2))), 3.0,
-                                      max_iter=0)
+            _conditional(_sq_dists(keyed_rng(34).normal(size=(10, 2))), 3.0, max_iter=0)
 
     def test_distances_left_untouched(self):
         sq = _sq_dists(keyed_rng(40).normal(size=(150, 4)))
         before = sq.tobytes()
-        conditional_probabilities(sq, 12.0)
+        _conditional(sq, 12.0)
         assert sq.tobytes() == before
 
     def test_diagonal_not_read(self):
         sq = _sq_dists(keyed_rng(34).normal(size=(20, 3)))
-        P, sigmas = conditional_probabilities(sq, 5.0)
+        P, sigmas = _conditional(sq, 5.0)
         np.fill_diagonal(sq, 7.0)
-        P2, sigmas2 = conditional_probabilities(sq, 5.0)
+        P2, sigmas2 = _conditional(sq, 5.0)
         assert np.array_equal(P, P2) and np.array_equal(sigmas, sigmas2)
 
 
@@ -373,7 +378,7 @@ class TestJointProbabilities:
     def test_symmetric_and_normalized(self):
         rng = keyed_rng(24)
         X = rng.normal(size=(18, 3))
-        P = joint_probabilities(X, 5.0)
+        P, _ = joint_probabilities(X, 5.0)
         np.testing.assert_allclose(P, P.T, atol=1e-15)
         assert P.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(P >= 0)
@@ -383,8 +388,8 @@ class TestJointProbabilities:
         X = _three_block_blobs(shift)
         n = X.shape[0]
         assert n % _DESCENT_ROWS
-        cond, _ = conditional_probabilities(sq_distances(X), 10.0)
-        assert np.array_equal(joint_probabilities(X, 10.0), (cond + cond.T) / (2.0 * n))
+        cond, _ = _conditional(sq_distances(X), 10.0)
+        assert np.array_equal(joint_probabilities(X, 10.0)[0], (cond + cond.T) / (2.0 * n))
 
     @pytest.mark.parametrize("n", [300, 540, 700, 1200])
     def test_peak_memory_below_two_n_by_n_arrays(self, n):

@@ -69,6 +69,15 @@ class TestFit:
             fit_ad(X, k=1)
 
 
+class TestQueryShape:
+    @pytest.mark.parametrize("score", [ad_dd_scores, ad_ld_scores])
+    @pytest.mark.parametrize("query", [np.array(2.0), np.array([2.0]), np.ones((3, 2)),
+                                       np.ones((1, 1, 1))])
+    def test_anything_but_a_matrix_of_the_training_width_is_refused(self, score, query):
+        with pytest.raises(DataError, match=r"must be 2-D with 1 columns, got \("):
+            score(fit_ad(LINE, k=2), query)
+
+
 class TestDistanceDistribution:
     def test_far_query_z_score(self):
         model = fit_ad(LINE, k=2)
