@@ -39,6 +39,7 @@ import os
 import re
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from pathlib import Path, PurePosixPath
 
@@ -376,17 +377,21 @@ def cmd_train(cfg: dict, out: Path, args) -> None:
             batch = section["batch_size"] or None
             if batch is not None:
                 _log(f"[train:{k}] mini-batches of {batch}")
-            model, rows = hyperparameter_search(
-                data.features[split.train_idx],
-                data.target[split.train_idx],
-                data.features[split.valid_idx],
-                data.target[split.valid_idx],
-                grid,
-                epochs=section["epochs"],
-                seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["train"], k),
-                jobs=cfg["run"]["jobs"],
-                batch_size=batch,
-            )
+            try:
+                model, rows = hyperparameter_search(
+                    data.features[split.train_idx],
+                    data.target[split.train_idx],
+                    data.features[split.valid_idx],
+                    data.target[split.valid_idx],
+                    grid,
+                    epochs=section["epochs"],
+                    seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["train"], k),
+                    jobs=cfg["run"]["jobs"],
+                    batch_size=batch,
+                )
+            except BrokenExecutor:
+                raise UqshiftError(f"train:{k}: a worker process of the grid search died; "
+                                   f"rerun train") from None
             model_path = out / "train" / f"model_{k}.json"
             save_model(model, model_path)
             report_path = out / "train" / f"search_report_{k}.csv"

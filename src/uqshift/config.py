@@ -7,6 +7,11 @@ always emits sections and keys in schema order with round-trippable
 values, so hashing that text identifies a configuration.  The semantic
 hash excludes ``run.out`` and ``run.jobs``: where results are written
 and how many workers compute them does not change what is computed.
+``run.jobs`` defaults to the number of CPUs this process may use.
+
+``load_config`` refuses, with exit 2 and a message naming
+``[section] key = value``, every value in ``_RANGES`` that a stage
+could not run on, before any stage starts.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
+from .mlp import usable_cpus
 from .uq_ad import METRICS
 
 _AUTO = "auto"
@@ -26,7 +32,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
         "seed": ("int", 0),
         "out": ("str", "runs/out"),
-        "jobs": ("int", 1),
+        "jobs": ("int", usable_cpus()),
     },
     "synth": {
         "clusters": ("int", 4),
@@ -78,11 +84,18 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 # (section, key) -> (the rule a value must meet, its test).  A value
 # outside these would stop its stage after the stages before it had run.
 _RANGES = {
+    ("run", "seed"): (">= 0", lambda v: v >= 0),
+    ("run", "jobs"): (">= 1", lambda v: v >= 1),
     ("split", "tsne_iterations"): (">= 1", lambda v: v >= 1),
+    # a model needs two training rows, and validation R^2 two rows
+    ("split", "train_n"): (">= 2", lambda v: v >= 2),
+    ("split", "valid_n"): (">= 2", lambda v: v >= 2),
     ("train", "batch_size"): (">= 0", lambda v: v >= 0),
     ("uq", "passes"): (">= 1", lambda v: v >= 1),
     ("uq", "knn_k"): (">= 1", lambda v: v >= 1),
-    ("uq", "alpha"): ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    # the novelty threshold is the normal quantile at 1 - alpha, which
+    # must not round to 1
+    ("uq", "alpha"): ("in (0, 1), with 1 - alpha < 1", lambda v: 0.0 < 1.0 - v < 1.0),
     ("uq", "rio_starts"): (">= 1", lambda v: v >= 1),
     ("eval", "step_fraction"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
 }
@@ -177,10 +190,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 
 
 def _validate(values: dict) -> None:
-    if values["run"]["seed"] < 0:
-        raise ConfigError("run.seed must be non-negative")
-    if values["run"]["jobs"] < 1:
-        raise ConfigError("run.jobs must be >= 1")
     for (section, key), (rule, ok) in _RANGES.items():
         value = values[section][key]
         if not ok(value):

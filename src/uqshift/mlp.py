@@ -37,19 +37,35 @@ and each of its products promotes one weight matrix to a float64
 temporary.  All buffers are allocated once per fit, and a step
 allocates nothing of a layer's size.  ``forward`` given one (rows,
 width) buffer per hidden layer and an output vector writes the pass
-into them.  At ``jobs = 1`` a grid search holds one fit at a time and,
-beside its rows, only the best model so far; with more workers, fits
-that finished ahead of the one being consumed wait in their futures.  A
-checkpoint is written one row of a weight matrix at a time.
+into them.  A grid search holds, beside its rows, only the best model so
+far: at ``jobs = 1`` it trains one fit at a time in the calling process,
+and with more workers each worker trains one fit at a time while the
+parent keeps the winner.  A checkpoint is written one row of a weight
+matrix at a time.
+
+Workers: with ``jobs > 1`` and more than one grid point, a search runs
+on a pool of forked worker processes, at most one per usable CPU and
+per candidate.  They inherit the split's arrays through the fork, take
+the largest networks first, and send back each model's float32 values,
+which the float64 arrays it holds were made from, so the arrays come
+back exactly.  Each candidate trains from its own stream keyed by
+(seed, grid index), so no byte of a result depends on the worker that
+ran it, and the winner is the highest validation R^2, the lowest grid
+index on a tie, in any order of arrival.  A worker exits as soon as its
+parent is gone, so a killed run leaves no process holding its files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass
+import os
+import signal
+import threading
+from concurrent.futures import as_completed
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +497,81 @@ def train_mlp(
     return TrainResult(model=model, valid_r2=np.array(valid_r2), best_epoch=best_epoch)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_candidate(search, point) -> tuple[MlpModel | None, SearchRow]:
+    """Train one grid point of a search; its model (None if it diverged)
+    and its report row."""
+    X, y, Xv, yv, dropout_rate, epochs, seed, batch_size = search
+    index, hidden, lr = point
+    try:
+        result = train_mlp(X, y, Xv, yv, hidden, dropout_rate, lr, epochs,
+                           derive_seed(seed, index), batch_size)
+    except TrainingDivergedError:
+        return None, SearchRow(index, hidden, lr, None, None, True)
+    train_r2 = r_squared(y, predict(result.model, X))
+    row = SearchRow(index, hidden, lr, train_r2,
+                    float(result.valid_r2[result.best_epoch]), False)
+    return result.model, row
+
+
+def _with_dtype(model: MlpModel, dtype) -> MlpModel:
+    """The model with its arrays in ``dtype``, copied only if they are not."""
+    return replace(model, weights=[w.astype(dtype, copy=False) for w in model.weights],
+                   biases=[b.astype(dtype, copy=False) for b in model.biases])
+
+
+# The search a worker process runs, set by _init_worker in the worker.
+_WORKER_SEARCH = None
+
+
+def _fit_in_worker(point) -> tuple[MlpModel | None, SearchRow]:
+    """``_fit_candidate`` on the worker's search; the model travels as
+    float32, which its float64 arrays hold exactly, in half the bytes."""
+    model, row = _fit_candidate(_WORKER_SEARCH, point)
+    return (None if model is None else _with_dtype(model, np.float32)), row
+
+
+def _init_worker(search) -> None:
+    """Keep the search the worker inherited through the fork, leave Ctrl-C
+    to the parent, and exit once the parent is gone: a worker waiting for
+    its next task would otherwise live on, holding the files it
+    inherited, the run's lock among them."""
+    global _WORKER_SEARCH
+    import multiprocessing
+
+    _WORKER_SEARCH = search
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def exit_with_parent():
+        os.read(sentinel, 1)  # returns at end of file: the parent has exited
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+@contextmanager
+def _forked_pool(search, workers: int):
+    """A pool of ``workers`` forked processes running ``search``, which
+    they inherit rather than unpickle with every task.  On the way out,
+    tasks not yet started are cancelled and every worker is joined."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(search,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def hyperparameter_search(
     train_features: np.ndarray,
     train_target: np.ndarray,
@@ -496,40 +587,43 @@ def hyperparameter_search(
 
     Each candidate trains from an independent stream derived from
     (seed, grid_index), so results do not depend on evaluation order or
-    on how many workers run.  Diverged candidates are recorded and
-    excluded; if every candidate diverges, that is an error.
+    on how many workers run.  With ``jobs > 1`` the candidates train in
+    min(jobs, grid points, usable CPUs) forked worker processes, largest
+    network first (see the module docstring); call it so only from a
+    process with one thread, as forking a threaded process can deadlock.
+    A worker that dies raises ``concurrent.futures.process.BrokenProcessPool``.  The best model has
+    the highest validation R^2, the lowest grid index on a tie, and the
+    report lists the rows in grid order.  Diverged candidates are
+    recorded and excluded; if every candidate diverges, that is an error.
     """
     points = grid.points()
-
-    def run(point):
-        index, hidden, lr = point
-        cand_seed = derive_seed(seed, index)
-        try:
-            result = train_mlp(
-                train_features, train_target, valid_features, valid_target,
-                hidden, grid.dropout_rate, lr, epochs, cand_seed, batch_size,
-            )
-        except TrainingDivergedError:
-            return None, SearchRow(index, hidden, lr, None, None, True)
-        train_pred = predict(result.model, np.asarray(train_features, dtype=float))
-        train_r2 = r_squared(np.asarray(train_target, dtype=float), train_pred)
-        row = SearchRow(index, hidden, lr, train_r2,
-                        float(result.valid_r2[result.best_epoch]), False)
-        return result.model, row
-
-    # Both maps yield in grid order, so a tie goes to the lowest grid
-    # index, and only the best model so far is held: a loser is dropped
-    # before the next candidate trains.
-    rows, best, best_r2 = [], None, -math.inf
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for model, row in map(run, points) if pool is None else pool.map(run, points):
+    X = np.asarray(train_features, dtype=float)
+    search = (X, np.asarray(train_target, dtype=float), valid_features, valid_target,
+              grid.dropout_rate, epochs, seed, batch_size)
+    workers = min(jobs, len(points), usable_cpus())
+    rows, best, best_key = [], None, None
+    with _forked_pool(search, workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            results = map(partial(_fit_candidate, search), points)
+        else:
+            # most parameters first, so the last fits to start are short and the
+            # workers finish together; ties in grid order
+            points.sort(key=lambda p: (-sum(map(math.prod, _param_shapes(X.shape[-1], p[1]))),
+                                       p[0]))
+            results = (done.result() for done in
+                       as_completed([pool.submit(_fit_in_worker, p) for p in points]))
+        for model, row in results:
             rows.append(row)
-            if not row.diverged and row.valid_r2 > best_r2:
-                best, best_r2 = model, row.valid_r2
+            # "highest R^2, lowest grid index on a tie" in any arrival order;
+            # a loser is dropped as soon as it arrives
+            key = None if row.diverged else (-row.valid_r2, row.grid_index)
+            if key is not None and (best is None or key < best_key):
+                best, best_key = model, key
             del model
     if best is None:
         raise NumericalError("every hyperparameter candidate diverged")
-    return best, rows
+    rows.sort(key=lambda row: row.grid_index)
+    return _with_dtype(best, np.float64), rows
 
 
 def _json_array(arrays):

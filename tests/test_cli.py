@@ -4,11 +4,14 @@ import fcntl
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqshift import cli
+from uqshift import cli, mlp
 from uqshift.cli import _STAGE_SEEDS, main
 from uqshift.clustering import read_split_csv
 from uqshift.csvio import read_csv, write_csv
 from uqshift.dataset import load_dataset, rank_correlated_features
 from uqshift.errors import DataError
-from uqshift.mlp import load_model, train_mlp
+from uqshift.mlp import load_model, train_mlp, usable_cpus
 from uqshift.rng import derive_seed
 
 SMALL_CONFIG = """\
@@ -924,25 +927,176 @@ class TestEachModelLoadedOnce:
                 assert (out / path.relative_to(finished)).read_bytes() == path.read_bytes()
 
 
+def _manifest_lines(root, stages):
+    return [line for line in (root / "manifest.jsonl").read_text().splitlines()
+            if json.loads(line)["stage"].partition(":")[0] in stages]
+
+
+def _split_prefix(finished, out):
+    """out as the six stages left it after split: finished's data and
+    split files and their manifest lines."""
+    for part in ("data", "split"):
+        shutil.copytree(finished / part, out / part)
+    (out / "manifest.jsonl").write_text(
+        "".join(line + "\n" for line in _manifest_lines(finished, ("synth", "split"))))
+    return out
+
+
+def _assert_same_train(out, want):
+    """train/ and the train manifest lines of out are those of want, byte for byte."""
+    names = sorted(p.name for p in (want / "train").iterdir())
+    assert sorted(p.name for p in (out / "train").iterdir()) == names
+    for name in names:
+        assert (out / "train" / name).read_bytes() == (want / "train" / name).read_bytes()
+    assert _manifest_lines(out, ("train",)) == _manifest_lines(want, ("train",))
+
+
+# SMALL_CONFIG on a 2 x 2 grid, whose four candidates (grid indices 0-3 are
+# widths 8 and 16 at depth 1, then at depth 2) go to the worker pool
+GRID_CONFIG = SMALL_CONFIG.replace("layer_counts = 1\nwidths = 16\n",
+                                   "layer_counts = 1,2\nwidths = 8,16\n")
+
+
+@pytest.fixture(scope="module")
+def grid_trained(pipeline, tmp_path_factory):
+    """The 2 x 2 grid config, the pipeline's finished tree, and a tree of
+    its synth and split on which train ran at --jobs 1."""
+    _, finished = pipeline
+    root = tmp_path_factory.mktemp("grid")
+    config = root / "grid.ini"
+    config.write_text(GRID_CONFIG)
+    out = _split_prefix(finished, root / "jobs1")
+    assert main(["train", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    return config, finished, out
+
+
+def _children(pid):
+    """The pids of the live processes whose parent is pid."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # gone while we looked
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+def _lock_is_free(out):
+    try:
+        fd = os.open(out / ".lock", os.O_RDWR)
+    except FileNotFoundError:
+        return True
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return True
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+
+
+# train at --jobs 2 whose candidate 0, (8,), sleeps first: its worker is
+# busy while the other one waits for work that never comes
+STALLED_TRAIN = """\
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from uqshift import cli, mlp
+real_train = mlp.train_mlp
+
+def stalled(*args):
+    if tuple(args[4]) == (8,):
+        time.sleep(120)
+    return real_train(*args)
+
+mlp.train_mlp = stalled
+sys.exit(cli.main(["train", "--config", sys.argv[2], "--out", sys.argv[3], "--jobs", "2"]))
+"""
+
+
 class TestJobs:
     def test_train_at_two_jobs_writes_the_bytes_of_one(self, pipeline, tmp_path):
         config, finished = pipeline
-        out = tmp_path / "o"
-        for part in ("data", "split"):
-            shutil.copytree(finished / part, out / part)
-
-        def lines(root, stages):
-            return [line for line in (root / "manifest.jsonl").read_text().splitlines()
-                    if json.loads(line)["stage"].partition(":")[0] in stages]
-
-        (out / "manifest.jsonl").write_text(
-            "".join(line + "\n" for line in lines(finished, ("synth", "split"))))
+        out = _split_prefix(finished, tmp_path / "o")
         assert main(["train", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 0
-        want = sorted(p.name for p in (finished / "train").iterdir())
-        assert sorted(p.name for p in (out / "train").iterdir()) == want
-        for name in want:
-            assert (out / "train" / name).read_bytes() == (finished / "train" / name).read_bytes()
-        assert lines(out, ("train",)) == lines(finished, ("train",))
+        _assert_same_train(out, finished)
+
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_grid_at_any_jobs_writes_the_bytes_of_one(self, grid_trained, tmp_path, jobs):
+        config, finished, want = grid_trained
+        out = _split_prefix(finished, tmp_path / "o")
+        assert main(["train", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 0
+        _assert_same_train(out, want)
+
+    def test_a_dead_worker_ends_train_in_one_line(self, grid_trained, tmp_path, monkeypatch,
+                                                  capsys):
+        config, finished, _ = grid_trained
+        out = _split_prefix(finished, tmp_path / "o")
+        parent, real_train = os.getpid(), mlp.train_mlp
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_train(*args)
+
+        monkeypatch.setattr(mlp, "train_mlp", dies_in_a_worker)
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)  # the pool on any machine
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("[")]
+        assert errors == ["error: train:0: a worker process of the grid search died; "
+                          "rerun train"]
+        assert multiprocessing.active_children() == []
+        assert not (out / "train" / "model_0.json").exists()
+
+    @pytest.mark.skipif(usable_cpus() < 2 or not Path("/proc/self/stat").exists(),
+                        reason="needs two CPUs and /proc")
+    def test_workers_of_a_killed_run_exit_and_free_the_lock(self, grid_trained, tmp_path):
+        config, finished, want = grid_trained
+        out = _split_prefix(finished, tmp_path / "o")
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.Popen([sys.executable, "-c", STALLED_TRAIN, str(src), str(config),
+                                str(out)], stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers := _children(run.pid)) < 2:
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            time.sleep(0.5)  # the worker not stalled takes the other tasks, then waits
+            assert not _lock_is_free(out)
+        finally:
+            run.kill()
+            run.wait()
+        deadline = time.monotonic() + 2
+        try:
+            while any(map(_alive, workers)) or not _lock_is_free(out):
+                assert time.monotonic() < deadline, "a worker outlived its killed run"
+                time.sleep(0.02)
+        finally:
+            for pid in filter(_alive, workers):  # a failed check leaves no process
+                os.kill(pid, signal.SIGKILL)
+        assert main(["train", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 0
+        _assert_same_train(out, want)
+
+
+class TestImports:
+    def test_the_cli_loads_no_multiprocessing(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import uqshift.cli; print(' '.join(sorted(sys.modules)))", str(src)],
+            capture_output=True, text=True, check=True, timeout=120).stdout.split()
+        assert [m for m in loaded if m.partition(".")[0] == "multiprocessing"
+                or m == "concurrent.futures.process"] == []
 
 
 class TestTrainBatchSize:

@@ -10,6 +10,7 @@ from uqshift.config import (
     stage_config_text,
 )
 from uqshift.errors import ConfigError
+from uqshift.mlp import usable_cpus
 
 
 class TestLoad:
@@ -97,11 +98,37 @@ class TestLoad:
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} = {shown} must be")):
             load_config(path)
 
+    @pytest.mark.parametrize("section, line, shown, rule", [
+        ("run", "seed = -3", "-3", ">= 0"),
+        ("run", "jobs = 0", "0", ">= 1"),
+        ("run", "jobs = -2", "-2", ">= 1"),
+        ("split", "train_n = 1", "1", ">= 2"),
+        ("split", "train_n = 0", "0", ">= 2"),
+        ("split", "valid_n = 1", "1", ">= 2"),
+        ("split", "valid_n = 0", "0", ">= 2"),
+        ("split", "valid_n = -1", "-1", ">= 2"),
+        # in (0, 1), but 1 - alpha rounds to 1, the quantile's open end
+        ("uq", "alpha = 1e-300", "1e-300", "in (0, 1), with 1 - alpha < 1"),
+        ("uq", "alpha = 1e-17", "1e-17", "in (0, 1), with 1 - alpha < 1"),
+    ])
+    def test_value_a_later_stage_would_refuse_rejected_at_load(self, tmp_path, section,
+                                                                line, shown, rule):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"[{section}] {key} = {shown} must be {rule}")):
+            load_config(path)
+
     def test_range_edges_accepted(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text("[train]\nbatch_size = 0\n\n[uq]\nknn_k = 1\n\n[eval]\n"
-                        "step_fraction = 1\n")
+        path.write_text("[run]\nseed = 0\njobs = 1\n\n[split]\ntrain_n = 2\nvalid_n = 2\n\n"
+                        "[train]\nbatch_size = 0\n\n[uq]\nknn_k = 1\nalpha = 1e-15\n\n"
+                        "[eval]\nstep_fraction = 1\n")
         assert load_config(path)["eval"]["step_fraction"] == 1.0
+
+    def test_jobs_defaults_to_the_usable_cpus(self):
+        assert load_config(None)["run"]["jobs"] == usable_cpus() >= 1
 
     def test_eps_auto_is_none(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -2,11 +2,17 @@ import functools
 import io
 import json
 import math
+import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from uqshift import mlp
 from uqshift.dataset import ScalerParams, fit_scaler
 from uqshift.errors import DataError, NumericalError, TrainingDivergedError
 from uqshift.evaluation import r_squared
@@ -25,9 +31,10 @@ from uqshift.mlp import (
     loss_and_gradients,
     predict,
     save_model,
+    TrainResult,
     train_mlp,
 )
-from uqshift.rng import keyed_rng
+from uqshift.rng import derive_seed, keyed_rng
 
 
 def _identity_scaler(d):
@@ -511,6 +518,72 @@ class TestHyperparamGrid:
         for wa, wb in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(wa, wb)
 
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tie_goes_to_the_lower_index_in_any_arrival_order(self, monkeypatch, jobs):
+        # Both candidates score the same R^2.  The pool takes the larger
+        # net, index 1, first, and index 0 finishes last.
+        X, y = _linear_problem(22, n=60)
+        grid = HyperparamGrid(layer_counts=(1,), widths=(4, 8),
+                              learning_rates=(0.01,), dropout_rate=0.0)
+        real_train, parent = mlp.train_mlp, os.getpid()
+
+        def tied(*args):
+            result = real_train(*args[:7], 0, *args[8:])
+            if os.getpid() != parent and args[8] == derive_seed(3, 0):
+                time.sleep(0.5)
+            return TrainResult(result.model, np.array([0.5]), 0)
+
+        monkeypatch.setattr(mlp, "train_mlp", tied)
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)  # the pool on any machine
+        model, rows = hyperparameter_search(X[:40], y[:40], X[40:], y[40:], grid,
+                                            epochs=5, seed=3, jobs=jobs)
+        assert model.hidden_sizes == (4,)
+        assert [row.grid_index for row in rows] == [0, 1]
+        assert [row.valid_r2 for row in rows] == [0.5, 0.5]
+
+    def test_a_killed_worker_breaks_the_search_and_leaves_no_process(self, monkeypatch):
+        X, y = _linear_problem(23, n=60)
+        grid = HyperparamGrid(layer_counts=(1,), widths=(4, 8),
+                              learning_rates=(0.01, 0.001), dropout_rate=0.0)
+        real_train = mlp.train_mlp
+        parent = os.getpid()
+
+        def dies_at_index_2(*args):
+            if os.getpid() != parent and args[8] == derive_seed(4, 2):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_train(*args)
+
+        monkeypatch.setattr(mlp, "train_mlp", dies_at_index_2)
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
+        with pytest.raises(BrokenProcessPool):
+            hyperparameter_search(X[:40], y[:40], X[40:], y[40:], grid,
+                                  epochs=20, seed=4, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_size_is_bounded_by_candidates_and_cpus(self, monkeypatch):
+        sizes = []
+
+        def forked_pool(search, workers):  # records the size and forks nothing
+            sizes.append(workers)
+            raise RuntimeError("stop before forking")
+
+        monkeypatch.setattr(mlp, "_forked_pool", forked_pool)
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 3)
+        X, y = _linear_problem(24, n=30)
+        for widths, jobs in (((4, 8, 16, 32), 10 ** 5), ((4, 8), 10 ** 5), ((4, 8, 16, 32), 2)):
+            grid = HyperparamGrid(layer_counts=(1,), widths=widths,
+                                  learning_rates=(0.01,), dropout_rate=0.0)
+            with pytest.raises(RuntimeError, match="stop before forking"):
+                hyperparameter_search(X[:20], y[:20], X[20:], y[20:], grid,
+                                      epochs=1, seed=0, jobs=jobs)
+        assert sizes == [3, 2, 2]
+        # one candidate never forks
+        grid = HyperparamGrid(layer_counts=(1,), widths=(4,), learning_rates=(0.01,),
+                              dropout_rate=0.0)
+        hyperparameter_search(X[:20], y[:20], X[20:], y[20:], grid, epochs=1, seed=0,
+                              jobs=10 ** 5)
+        assert sizes == [3, 2, 2]
 
     def test_search_holds_one_model_beside_the_fit(self):
         # A search keeps its rows and the best model so far, so two more
