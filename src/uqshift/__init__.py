@@ -20,52 +20,20 @@ if "numpy" not in sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-from .clustering import ClusterLabels, SplitSpec, dbscan, make_cluster_splits
-from .dataset import Dataset, ScalerParams, fit_scaler, generate_synthetic, load_dataset
-from .embedding import Embedding, pca, tsne
-from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError, UqshiftError
-from .evaluation import boxplot_stats, cross_cluster_table, r_squared, removal_curve
-from .mlp import HyperparamGrid, MlpModel, hyperparameter_search, predict, train_mlp
-from .uq_ad import AdModel, ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
+# The names of the README's library example; everything else is imported
+# from its module.
+from .mlp import predict, train_mlp
+from .uq_ad import ad_dd_scores, fit_ad
 from .uq_dropout import McDropoutConfig, mc_dropout
-from .uq_rio import KernelConfig, RioModel, fit_rio, rio_predict
+from .uq_rio import fit_rio, rio_predict
 
 __all__ = [
-    "AdModel",
-    "ClusterLabels",
-    "ConfigError",
-    "DataError",
-    "Dataset",
-    "Embedding",
-    "HyperparamGrid",
-    "KernelConfig",
     "McDropoutConfig",
-    "MlpModel",
-    "NumericalError",
-    "RioModel",
-    "ScalerParams",
-    "SplitSpec",
-    "TrainingDivergedError",
-    "UqshiftError",
     "ad_dd_scores",
-    "ad_ld_scores",
-    "boxplot_stats",
-    "cross_cluster_table",
-    "dbscan",
     "fit_ad",
     "fit_rio",
-    "fit_scaler",
-    "generate_synthetic",
-    "hyperparameter_search",
-    "load_dataset",
-    "make_cluster_splits",
     "mc_dropout",
-    "pca",
     "predict",
-    "r_squared",
-    "removal_curve",
     "rio_predict",
-    "standard_normal_quantile",
     "train_mlp",
-    "tsne",
 ]

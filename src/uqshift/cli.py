@@ -66,7 +66,6 @@ from .csvio import (
 )
 from .dataset import (
     Dataset,
-    SyntheticConfig,
     fit_scaler,
     generate_synthetic,
     load_dataset,
@@ -255,7 +254,7 @@ def _split_ids(out: Path, requested: int | None = None) -> list[int]:
 def cmd_synth(cfg: dict, out: Path, args) -> None:
     def fn():
         seed = derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["synth"])
-        data, labels = generate_synthetic(SyntheticConfig(**cfg["synth"], seed=seed))
+        data, labels = generate_synthetic(**cfg["synth"], seed=seed)
         dataset_path = out / "data" / "dataset.csv"
         labels_path = out / "data" / "labels.csv"
         save_dataset(data, dataset_path)
@@ -519,6 +518,13 @@ def cmd_uq(cfg: dict, out: Path, args) -> None:
         _run_stage(cfg, out, f"uq:{k}", inputs, fn, [_UQ_METHODS[m][0] for m in methods])
 
 
+def _uq_files(out: Path, k: int, rels) -> dict[str, Path]:
+    """{method: path} of split k's uq CSVs among rels (paths relative to
+    out), in _UQ_METHODS order."""
+    return {m: out / rel for m, (name, _) in _UQ_METHODS.items()
+            if (rel := f"uq/split_{k}/{name}") in rels}
+
+
 def _read_columns(path: Path, ids, columns: list[str]) -> list[np.ndarray]:
     """The named number columns of an id-keyed CSV, each a vector over
     the dataset rows ids, NaN where the file has no row."""
@@ -648,14 +654,18 @@ def cmd_eval(cfg: dict, out: Path, args) -> None:
         }
         return data, labels, splits, predictions
 
+    entries = _manifest_entries(out)
     for k in _split_ids(out, args.split_id):
-        uq = {m: rel for m, (name, _) in _UQ_METHODS.items()
-              if (out / (rel := f"uq/split_{k}/{name}")).exists()}
-        if not uq:
+        # what the newest uq:k line wrote, so a deleted one is named, and
+        # what an older line left on disk
+        recorded = next((e["outputs"] for e in reversed(entries) if e["stage"] == f"uq:{k}"), [])
+        on_disk = [p.relative_to(out).as_posix() for p in (out / "uq" / f"split_{k}").glob("*")]
+        uq_files = _uq_files(out, k, {*recorded, *on_disk})
+        if not uq_files:
             raise DataError(f"no uq outputs for split {k}; run the uq stage")
         inputs = ["data/dataset.csv", "split/labels.csv", *(f"split/split_{j}.csv" for j in ids),
-                  *(f"train/model_{j}.json" for j in ids), *uq.values()]
-        uq_files = {m: out / rel for m, rel in uq.items()}
+                  *(f"train/model_{j}.json" for j in ids),
+                  *(path.relative_to(out).as_posix() for path in uq_files.values())]
 
         def fn(k=k, uq_files=uq_files):
             tables, summary = _eval_artifacts(cfg, *sources(), k, uq_files)
@@ -715,8 +725,7 @@ def cmd_report(cfg: dict, out: Path, args) -> None:
         if writer is None:
             raise DataError(f"no eval outputs for split {k}; run the eval stage")
         # the uq CSVs that eval read, not the ones on disk now
-        uq_files[k] = {m: out / rel for m, (name, _) in _UQ_METHODS.items()
-                       if (rel := f"uq/split_{k}/{name}") in writer["inputs"]}
+        uq_files[k] = _uq_files(out, k, writer["inputs"])
         _vouch(cfg, out, [*writer["inputs"], *writer["outputs"]])
     data, labels, splits = _load(out, ids)
     failures: list[str] = []

@@ -16,7 +16,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .csvio import keyed_cells, read_csv, write_csv
-from .dataset import Dataset
+from .dataset import Dataset, freeze
 from .embedding import sq_distances
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
@@ -28,7 +28,7 @@ class ClusterLabels:
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = freeze(self, "labels", int)
         if labels.ndim != 1:
             raise DataError("cluster labels must be a 1-D array")
         if self.k < 0:
@@ -39,9 +39,6 @@ class ClusterLabels:
         present = set(non_noise.tolist())
         if present != set(range(self.k)):
             raise DataError("every cluster id in [0, k) must be non-empty")
-        labels = labels.copy()
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
 
     def members(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster)
@@ -61,17 +58,10 @@ class SplitSpec:
     train_cluster: int
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("train_idx", "valid_idx", "test_idx"):
-            arr = np.asarray(getattr(self, name), dtype=int)
-            arrays[name] = arr
-        sets = [set(a.tolist()) for a in arrays.values()]
+        sets = [set(freeze(self, name, int).tolist())
+                for name in ("train_idx", "valid_idx", "test_idx")]
         if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
             raise DataError("split index sets must be pairwise disjoint")
-        for name, arr in arrays.items():
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def scored_rows(self, labels: ClusterLabels) -> tuple[np.ndarray, np.ndarray]:
         """(heldout, scored), both ascending: heldout is the training

@@ -98,6 +98,7 @@ _RANGES = {
     ("uq", "alpha"): ("in (0, 1), with 1 - alpha < 1", lambda v: 0.0 < 1.0 - v < 1.0),
     ("uq", "rio_starts"): (">= 1", lambda v: v >= 1),
     ("eval", "step_fraction"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    ("uq", "metric"): (" or ".join(METRICS), lambda v: v in METRICS),
 }
 
 
@@ -195,8 +196,6 @@ def _validate(values: dict) -> None:
         if not ok(value):
             shown = _format_value(SCHEMA[section][key][0], value)
             raise ConfigError(f"[{section}] {key} = {shown} must be {rule}")
-    if values["uq"]["metric"] not in METRICS:
-        raise ConfigError(f"uq.metric must be {' or '.join(METRICS)}, got {values['uq']['metric']!r}")
     split = values["split"]
     if split["dbscan_eps"] is None and split["min_pts"] < 2 and not split["external_labels"]:
         # auto eps is the median distance to the (min_pts - 1)-th neighbour,

@@ -19,6 +19,15 @@ from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
 
+def freeze(obj, name: str, dtype) -> np.ndarray:
+    """Replace the field name of the frozen dataclass obj with a read-only
+    C-ordered copy of its value as a dtype array, and return that copy."""
+    arr = np.array(getattr(obj, name), dtype=dtype, order="C")
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     ids: tuple[str, ...]
@@ -27,8 +36,8 @@ class Dataset:
     target: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        tgt = np.asarray(self.target, dtype=float)
+        feats = freeze(self, "features", float)
+        tgt = freeze(self, "target", float)
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {feats.shape}")
         n, d = feats.shape
@@ -46,12 +55,6 @@ class Dataset:
             raise DataError("target contains non-finite values")
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
         object.__setattr__(self, "feature_names", tuple(str(f) for f in self.feature_names))
-        feats = feats.copy()
-        tgt = tgt.copy()
-        feats.flags.writeable = False
-        tgt.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "target", tgt)
 
     @property
     def n(self) -> int:
@@ -74,17 +77,13 @@ class ScalerParams:
     constant_mask: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        stds = np.asarray(self.stddevs, dtype=float)
-        mask = np.asarray(self.constant_mask, dtype=bool)
+        means = freeze(self, "means", float)
+        stds = freeze(self, "stddevs", float)
+        mask = freeze(self, "constant_mask", bool)
         if not (means.shape == stds.shape == mask.shape) or means.ndim != 1:
             raise DataError("scaler parameter arrays must be 1-D and aligned")
         if np.any(stds <= 0):
             raise DataError("scaler stddevs must be strictly positive")
-        for name, arr in (("means", means), ("stddevs", stds), ("constant_mask", mask)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -199,56 +198,45 @@ def write_labels_csv(ids, labels, path: str | Path) -> None:
     write_csv(path, ["id", "cluster"], zip(ids, np.asarray(labels).tolist()))
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
-    """Isotropic Gaussian clusters with per-cluster affine targets.
+def generate_synthetic(*, clusters: int, points_per_cluster: int, dim: int,
+                       separation: float, coef_scale: float, noise: float,
+                       seed: int) -> tuple[Dataset, np.ndarray]:
+    """Deterministic synthetic regression data with known cluster labels:
+    the keys of the ``[synth]`` section, and a seed.
 
-    Cluster centers are placed so every pairwise center distance is at
-    least ``separation`` times the within-cluster standard deviation
-    (which is fixed at 1).  Each cluster gets its own affine target map
-    plus Gaussian observation noise.
+    Isotropic Gaussian clusters with per-cluster affine targets.  Cluster
+    centers are placed so every pairwise center distance is at least
+    ``separation`` times the within-cluster standard deviation (which is
+    fixed at 1).  Each cluster gets its own affine target map plus
+    Gaussian observation noise.
     """
-
-    clusters: int = 4
-    points_per_cluster: int = 300
-    dim: int = 10
-    separation: float = 8.0
-    coef_scale: float = 1.0
-    noise: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ConfigError(f"synthetic dimension must be >= 2, got {self.dim}")
-        if self.clusters < 1 or self.points_per_cluster < 1:
-            raise ConfigError("cluster count and points per cluster must be positive")
-        if self.separation <= 0 or self.coef_scale <= 0:
-            raise ConfigError("separation and coef_scale must be positive")
-        if self.noise < 0:
-            raise ConfigError("noise level must be non-negative")
-
-
-def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
-    """Deterministic synthetic regression data with known cluster labels."""
-    rng = keyed_rng(config.seed)
-    k, m, d = config.clusters, config.points_per_cluster, config.dim
+    if dim < 2:
+        raise ConfigError(f"synthetic dimension must be >= 2, got {dim}")
+    if clusters < 1 or points_per_cluster < 1:
+        raise ConfigError("cluster count and points per cluster must be positive")
+    if separation <= 0 or coef_scale <= 0:
+        raise ConfigError("separation and coef_scale must be positive")
+    if noise < 0:
+        raise ConfigError("noise level must be non-negative")
+    rng = keyed_rng(seed)
+    k, m, d = clusters, points_per_cluster, dim
     centers = np.zeros((k, d))
     for c in range(k):
         axis = c % d
         ring = c // d + 1
-        centers[c, axis] = config.separation * ring
+        centers[c, axis] = separation * ring
 
     n = k * m
     features = np.empty((n, d))
     target = np.empty(n)
     labels = np.empty(n, dtype=int)
     for c in range(k):
-        coefs = config.coef_scale * rng.standard_normal(d)
-        intercept = config.coef_scale * rng.standard_normal()
+        coefs = coef_scale * rng.standard_normal(d)
+        intercept = coef_scale * rng.standard_normal()
         pts = centers[c] + rng.standard_normal((m, d))
         y = pts @ coefs + intercept
-        if config.noise > 0:
-            y = y + config.noise * rng.standard_normal(m)
+        if noise > 0:
+            y = y + noise * rng.standard_normal(m)
         sl = slice(c * m, (c + 1) * m)
         features[sl] = pts
         target[sl] = y

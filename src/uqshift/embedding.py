@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from .dataset import freeze
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
@@ -68,14 +69,11 @@ class Embedding:
     objective_trace: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coordinates, dtype=float)
+        coords = freeze(self, "coordinates", float)
         if coords.ndim != 2:
             raise DataError(f"embedding coordinates must be 2-D, got shape {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise DataError("embedding coordinates contain non-finite values")
-        coords = coords.copy()
-        coords.flags.writeable = False
-        object.__setattr__(self, "coordinates", coords)
 
 
 def pca(features: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

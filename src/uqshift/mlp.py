@@ -412,7 +412,6 @@ def train_mlp(
     b1, b2 = np.float32(beta1), np.float32(beta2)
     one_minus_b1, one_minus_b2 = np.float32(1 - beta1), np.float32(1 - beta2)
     lr, eps_adam = np.float32(learning_rate), np.float32(1e-8)
-    adam_t = 0
 
     n = X.shape[0]
     batch = n if not batch_size else min(batch_size, n)
@@ -458,9 +457,8 @@ def train_mlp(
                                             work, grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            adam_t += 1
-            c1 = np.float32(1 - beta1 ** adam_t)
-            c2 = np.float32(1 - beta2 ** adam_t)
+            c1 = np.float32(1 - beta1 ** (step + 1))
+            c2 = np.float32(1 - beta2 ** (step + 1))
             adam_m *= b1
             np.multiply(grad, one_minus_b1, out=adam_a)
             adam_m += adam_a

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .dataset import freeze
 from .errors import ConfigError, DataError, NumericalError
 
 METRICS = ("euclidean", "jaccard")
@@ -44,9 +45,7 @@ class AdModel:
 
     def __post_init__(self):
         for name in ("train_features", "train_mean_knn_dists"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            freeze(self, name, float)
 
 
 def _check_binary(X: np.ndarray, what: str) -> None:

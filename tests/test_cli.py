@@ -626,10 +626,43 @@ class TestStageOrder:
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)
         shutil.rmtree(out / "uq")
+        manifest = out / "manifest.jsonl"
+        manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
+                                    if not json.loads(line)["stage"].startswith("uq:")))
         capsys.readouterr()
         assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "data error: no uq outputs for split 0; run the uq stage"]
+
+    def test_eval_after_uq_outputs_deleted_names_the_first(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        shutil.rmtree(out / "uq")  # the uq manifest lines stay
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: cannot read {out / 'uq' / 'split_0' / 'uq_dropout.csv'} "
+            f"(FileNotFoundError)"]
+
+    def test_deleted_uq_csv_is_named_and_restored_by_uq(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        path = out / "uq" / "split_0" / "uq_ad.csv"
+        path.unlink()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: cannot read {path} (FileNotFoundError)"]
+        run = _stage_runner(out, capsys)
+        assert run("uq", config)[0] == 0
+        for name in ("uq_dropout.csv", "uq_ad.csv", "uq_rio.csv"):
+            rel = Path("uq", "split_0", name)
+            assert (out / rel).read_bytes() == (finished / rel).read_bytes(), name
+        assert run("eval", config)[0] == 0
+        eval_files = sorted(p.relative_to(finished) for p in (finished / "eval").rglob("*")
+                            if p.is_file())
+        assert [(out / rel).read_bytes() for rel in eval_files] == [
+            (finished / rel).read_bytes() for rel in eval_files]
 
     def test_uq_table_missing_a_scored_row_names_the_file(self, pipeline, tmp_path, capsys):
         config, finished = pipeline
@@ -1241,7 +1274,7 @@ class TestCliErrors:
     def test_out_of_memory_is_one_line_and_exit_1(self, tmp_path, monkeypatch, capsys, where):
         message = "Unable to allocate 262. TiB for an array with shape (6000000, 6000000)"
 
-        def exhausted(*args):
+        def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
         def exhausted_mid_write(ids, labels, path):

@@ -110,6 +110,7 @@ class TestLoad:
         # in (0, 1), but 1 - alpha rounds to 1, the quantile's open end
         ("uq", "alpha = 1e-300", "1e-300", "in (0, 1), with 1 - alpha < 1"),
         ("uq", "alpha = 1e-17", "1e-17", "in (0, 1), with 1 - alpha < 1"),
+        ("uq", "metric = manhattan", "manhattan", "euclidean or jaccard"),
     ])
     def test_value_a_later_stage_would_refuse_rejected_at_load(self, tmp_path, section,
                                                                 line, shown, rule):

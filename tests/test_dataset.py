@@ -3,16 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
+from uqshift.config import default_config
 from uqshift.dataset import (
     Dataset,
-    SyntheticConfig,
     fit_scaler,
     generate_synthetic,
     load_dataset,
     rank_correlated_features,
     save_dataset,
 )
-from uqshift.errors import DataError
+from uqshift.errors import ConfigError, DataError
 
 
 def _tiny(n=4, d=2):
@@ -201,10 +201,14 @@ class TestCorrelationFilter:
             rank_correlated_features(data, threshold=1.0)
 
 
+def _synthetic(**keys):
+    """generate_synthetic on the [synth] defaults, overridden by keys."""
+    return generate_synthetic(**{**default_config()["synth"], **keys})
+
+
 class TestSynthetic:
     def test_shapes_and_ids(self):
-        cfg = SyntheticConfig(clusters=3, points_per_cluster=10, dim=4, seed=0)
-        data, labels = generate_synthetic(cfg)
+        data, labels = _synthetic(clusters=3, points_per_cluster=10, dim=4, seed=0)
         assert data.n == 30 and data.dim == 4
         assert data.ids[0] == "p0000" and data.ids[-1] == "p0029"
         assert data.feature_names == ("f01", "f02", "f03", "f04")
@@ -213,9 +217,8 @@ class TestSynthetic:
     def test_center_separation(self):
         # closest pair of cluster centers sits `separation` apart in
         # units of the within-cluster spread (1.0)
-        cfg = SyntheticConfig(clusters=5, points_per_cluster=200, dim=3,
-                              separation=6.0, noise=0.0, seed=1)
-        data, labels = generate_synthetic(cfg)
+        data, labels = _synthetic(clusters=5, points_per_cluster=200, dim=3,
+                                  separation=6.0, noise=0.0, seed=1)
         centers = np.array([
             data.features[labels == c].mean(axis=0) for c in range(5)
         ])
@@ -226,9 +229,7 @@ class TestSynthetic:
         assert min(dists) == pytest.approx(6.0, rel=0.15)
 
     def test_noise_free_targets_are_affine(self):
-        cfg = SyntheticConfig(clusters=2, points_per_cluster=50, dim=3,
-                              noise=0.0, seed=2)
-        data, labels = generate_synthetic(cfg)
+        data, labels = _synthetic(clusters=2, points_per_cluster=50, dim=3, noise=0.0, seed=2)
         for c in range(2):
             rows = labels == c
             X = np.column_stack([data.features[rows], np.ones(rows.sum())])
@@ -237,24 +238,21 @@ class TestSynthetic:
             np.testing.assert_allclose(fitted, data.target[rows], atol=1e-8)
 
     def test_deterministic(self):
-        cfg = SyntheticConfig(clusters=2, points_per_cluster=5, dim=2, seed=9)
-        a, la = generate_synthetic(cfg)
-        b, lb = generate_synthetic(cfg)
+        a, la = _synthetic(clusters=2, points_per_cluster=5, dim=2, seed=9)
+        b, lb = _synthetic(clusters=2, points_per_cluster=5, dim=2, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.target, b.target)
         np.testing.assert_array_equal(la, lb)
 
     def test_seed_changes_data(self):
-        cfg1 = SyntheticConfig(clusters=2, points_per_cluster=5, dim=2, seed=1)
-        cfg2 = SyntheticConfig(clusters=2, points_per_cluster=5, dim=2, seed=2)
-        a, _ = generate_synthetic(cfg1)
-        b, _ = generate_synthetic(cfg2)
+        a, _ = _synthetic(clusters=2, points_per_cluster=5, dim=2, seed=1)
+        b, _ = _synthetic(clusters=2, points_per_cluster=5, dim=2, seed=2)
         assert not np.array_equal(a.features, b.features)
 
     def test_config_validation(self):
-        with pytest.raises(Exception):
-            SyntheticConfig(clusters=0, points_per_cluster=5, dim=2, seed=0)
-        with pytest.raises(Exception):
-            SyntheticConfig(clusters=2, points_per_cluster=5, dim=1, seed=0)
-        with pytest.raises(Exception):
-            SyntheticConfig(clusters=2, points_per_cluster=5, dim=2, noise=-0.1, seed=0)
+        with pytest.raises(ConfigError):
+            _synthetic(clusters=0, points_per_cluster=5, dim=2, seed=0)
+        with pytest.raises(ConfigError):
+            _synthetic(clusters=2, points_per_cluster=5, dim=1, seed=0)
+        with pytest.raises(ConfigError):
+            _synthetic(clusters=2, points_per_cluster=5, dim=2, noise=-0.1, seed=0)
