@@ -14,9 +14,10 @@ stderr, never into the tree.
 
 Every file of eval/split_<k> has one derivation, ``_eval_artifacts``:
 the per-point tables cross_predictions.csv and uq_scores.csv come from
-the dataset, the models' predictions and the split's uq CSVs, and the
-R^2 matrix, the removal curves, the box-plot statistics and
-summary.json come from those tables.  ``eval`` writes what it returns.
+the dataset, the models' predictions and the split's uq CSVs (each that
+a uq:k manifest line lists as an output), and the R^2 matrix, the
+removal curves, the box-plot statistics and summary.json come from
+those tables.  ``eval`` writes what it returns.
 ``report`` calls it on the persisted sources (the dataset, the split
 files, the ``pred_<j>`` column of cross_predictions.csv for each current
 split j, and the uq CSVs that the newest eval:k manifest line records as
@@ -656,11 +657,9 @@ def cmd_eval(cfg: dict, out: Path, args) -> None:
 
     entries = _manifest_entries(out)
     for k in _split_ids(out, args.split_id):
-        # what the newest uq:k line wrote, so a deleted one is named, and
-        # what an older line left on disk
-        recorded = next((e["outputs"] for e in reversed(entries) if e["stage"] == f"uq:{k}"), [])
-        on_disk = [p.relative_to(out).as_posix() for p in (out / "uq" / f"split_{k}").glob("*")]
-        uq_files = _uq_files(out, k, {*recorded, *on_disk})
+        # what every uq:k line wrote, so a deleted one is named
+        uq_files = _uq_files(out, k, {rel for e in entries if e["stage"] == f"uq:{k}"
+                                      for rel in e["outputs"]})
         if not uq_files:
             raise DataError(f"no uq outputs for split {k}; run the uq stage")
         inputs = ["data/dataset.csv", "split/labels.csv", *(f"split/split_{j}.csv" for j in ids),

@@ -16,7 +16,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .csvio import keyed_cells, read_csv, write_csv
-from .dataset import Dataset, freeze
+from .dataset import Dataset, as_matrix, freeze
 from .embedding import sq_distances
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
@@ -28,9 +28,7 @@ class ClusterLabels:
     k: int
 
     def __post_init__(self):
-        labels = freeze(self, "labels", int)
-        if labels.ndim != 1:
-            raise DataError("cluster labels must be a 1-D array")
+        labels = freeze(self, "labels", int, ndim=1)
         if self.k < 0:
             raise DataError("cluster count cannot be negative")
         non_noise = labels[labels != -1]
@@ -58,7 +56,7 @@ class SplitSpec:
     train_cluster: int
 
     def __post_init__(self):
-        sets = [set(freeze(self, name, int).tolist())
+        sets = [set(freeze(self, name, int, ndim=1).tolist())
                 for name in ("train_idx", "valid_idx", "test_idx")]
         if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
             raise DataError("split index sets must be pairwise disjoint")
@@ -80,9 +78,7 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
     points; border points attach to the lowest-numbered claiming
     cluster; everything else is noise (-1).
     """
-    X = np.asarray(coordinates, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("dbscan expects a non-empty 2-D coordinate matrix")
+    X = as_matrix(coordinates, "coordinates", min_rows=1)
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
     if min_pts < 1:

@@ -8,7 +8,8 @@ and lets the report verifier recompute metrics to machine precision.
 A write lands atomically: the text goes to a sibling ``<name>.tmp``,
 which is then renamed over the target, so a run killed part-way leaves
 either the old file or the new one, never a truncated one.  A read that
-finds a missing, unreadable or malformed file raises ``DataError`` naming it.
+finds a missing, unreadable or malformed file, and a write that fails,
+raise ``DataError`` naming the file.
 A per-row table is keyed by its ``id`` column, each id once; ``keyed_cells``
 is the one place that aligns such a table to the dataset rows.
 """
@@ -44,17 +45,22 @@ def _replace(path: str | Path, write) -> None:
     """write(fh) into a sibling <name>.tmp, then rename it over path.
 
     If write raises, path keeps its old bytes and the temp file is removed.
+    An OSError (a parent that is a file, a full disk) becomes a DataError
+    naming path.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w", newline="") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path} ({type(exc).__name__}: {exc.strerror})") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

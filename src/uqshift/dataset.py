@@ -19,13 +19,40 @@ from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
 
-def freeze(obj, name: str, dtype) -> np.ndarray:
+def _refuse(what: str, need: str, arr: np.ndarray) -> DataError:
+    return DataError(f"{what} must be {need}, got shape {arr.shape}")
+
+
+def freeze(obj, name: str, dtype, ndim: int | None = None) -> np.ndarray:
     """Replace the field name of the frozen dataclass obj with a read-only
-    C-ordered copy of its value as a dtype array, and return that copy."""
+    C-ordered copy of its value as a dtype array, and return that copy;
+    a DataError naming the field unless the copy has ndim dimensions."""
     arr = np.array(getattr(obj, name), dtype=dtype, order="C")
+    if ndim is not None and arr.ndim != ndim:
+        raise _refuse(name, f"{ndim}-D", arr)
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def as_matrix(values, what: str, *, min_rows: int = 0, cols: int | None = None) -> np.ndarray:
+    """values as a float matrix; a DataError naming what unless it is 2-D
+    with at least min_rows rows and, when cols is given, cols columns."""
+    X = np.asarray(values, dtype=float)
+    if X.ndim != 2 or X.shape[0] < min_rows or cols not in (None, X.shape[1]):
+        terms = [f"at least {min_rows} row" + "s" * (min_rows != 1)] if min_rows else []
+        terms += [] if cols is None else [f"{cols} column" + "s" * (cols != 1)]
+        raise _refuse(what, "2-D with " + " and ".join(terms) if terms else "2-D", X)
+    return X
+
+
+def as_vector(values, what: str, n: int | None = None) -> np.ndarray:
+    """values as a float vector; a DataError naming what unless it is 1-D
+    and, when n is given, of length n."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or n not in (None, v.shape[0]):
+        raise _refuse(what, "1-D" if n is None else f"1-D of length {n}", v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -36,10 +63,8 @@ class Dataset:
     target: np.ndarray
 
     def __post_init__(self):
-        feats = freeze(self, "features", float)
-        tgt = freeze(self, "target", float)
-        if feats.ndim != 2:
-            raise DataError(f"features must be 2-D, got shape {feats.shape}")
+        feats = freeze(self, "features", float, ndim=2)
+        tgt = freeze(self, "target", float, ndim=1)
         n, d = feats.shape
         if n < 1 or d < 1:
             raise DataError(f"dataset needs at least one row and one feature, got {n}x{d}")
@@ -77,16 +102,17 @@ class ScalerParams:
     constant_mask: np.ndarray
 
     def __post_init__(self):
-        means = freeze(self, "means", float)
-        stds = freeze(self, "stddevs", float)
-        mask = freeze(self, "constant_mask", bool)
-        if not (means.shape == stds.shape == mask.shape) or means.ndim != 1:
-            raise DataError("scaler parameter arrays must be 1-D and aligned")
+        means = freeze(self, "means", float, ndim=1)
+        stds = freeze(self, "stddevs", float, ndim=1)
+        mask = freeze(self, "constant_mask", bool, ndim=1)
+        if not means.size == stds.size == mask.size:
+            raise DataError("scaler parameter arrays must be aligned")
         if np.any(stds <= 0):
             raise DataError("scaler stddevs must be strictly positive")
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        """The standardized rows of a matrix with one column per scaler column."""
+        X = as_matrix(features, "features", cols=self.means.size)
         out = (X - self.means) / self.stddevs
         if self.constant_mask.any():
             out[:, self.constant_mask] = 0.0
@@ -95,16 +121,11 @@ class ScalerParams:
 
 def fit_scaler(X: np.ndarray) -> ScalerParams:
     """Population-statistics scaler fitted on the rows of X."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise DataError("scaler requires a 2-D matrix with at least two rows")
+    X = as_matrix(X, "X", min_rows=2)
     constant = np.all(X == X[0, :], axis=0)
     means = X.mean(axis=0)
     stds = X.std(axis=0)  # population std, ddof=0
     stds = np.where(constant, 1.0, stds)
-    if np.any(stds <= 0):
-        # non-constant column with zero std cannot occur; guard anyway
-        raise DataError("zero standard deviation on a non-constant column")
     return ScalerParams(means=means, stddevs=stds, constant_mask=constant)
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .dataset import freeze
+from .dataset import as_matrix, freeze
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
 
@@ -69,9 +69,8 @@ class Embedding:
     objective_trace: np.ndarray
 
     def __post_init__(self):
-        coords = freeze(self, "coordinates", float)
-        if coords.ndim != 2:
-            raise DataError(f"embedding coordinates must be 2-D, got shape {coords.shape}")
+        coords = freeze(self, "coordinates", float, ndim=2)
+        freeze(self, "objective_trace", float, ndim=1)
         if not np.all(np.isfinite(coords)):
             raise DataError("embedding coordinates contain non-finite values")
 
@@ -85,9 +84,7 @@ def pca(features: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray
     (population convention).  Component signs are fixed so the
     largest-magnitude basis entry of each component is positive.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise DataError("pca expects a 2-D feature matrix")
+    X = as_matrix(features, "features")
     n, d = X.shape
     if not 1 <= n_components <= min(n, d):
         raise ConfigError(
@@ -196,7 +193,7 @@ def joint_probabilities(features: np.ndarray, perplexity: float) -> tuple[np.nda
     that hit the iteration cap) and ``perplexity_max_error_bits`` (the
     largest |entropy - log2 perplexity| over all rows).
     """
-    P = sq_distances(np.asarray(features, dtype=float))
+    P = sq_distances(as_matrix(features, "features"))
     _, capped, worst = _bandwidth_search(P, perplexity, _SEARCH_MAX_ITER, out=P)
     stats = {"perplexity_capped_rows": capped, "perplexity_max_error_bits": worst}
     # (cond + cond^T) / 2n in place: addition commutes exactly, so one
@@ -237,9 +234,7 @@ def tsne(
     sum_{i != j} 1 / (1 + d^2_ij).  The result's ``params`` are the
     stats that ``joint_probabilities`` returns beside P.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise DataError("tsne expects a 2-D feature matrix")
+    X = as_matrix(features, "features")
     n = X.shape[0]
     if perplexity <= 1.0:
         raise ConfigError(f"perplexity must be > 1, got {perplexity}")

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterLabels, SplitSpec
+from .dataset import as_vector
 from .errors import ConfigError, DataError
 from .uq_ad import standard_normal_quantile
 
@@ -26,10 +27,8 @@ def r_squared(actual: np.ndarray, predicted: np.ndarray) -> float:
     (otherwise the total sum of squares is zero and the score is
     undefined).
     """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape or a.ndim != 1:
-        raise DataError(f"actual and predicted must be aligned 1-D arrays, got {a.shape} and {p.shape}")
+    a = as_vector(actual, "actual")
+    p = as_vector(predicted, "predicted", a.size)
     if a.size < 2:
         raise DataError("R^2 requires at least two points")
     mean = a.mean()
@@ -59,10 +58,11 @@ def cross_cluster_table(
     by_cluster = {s.train_cluster: s for s in splits}
     if sorted(predictions.keys()) != clusters:
         raise DataError("predictions and splits must cover the same training clusters")
+    target = as_vector(target, "target", labels.labels.size)
     k = len(clusters)
     table = np.full((k, k), np.nan)
     for i, ci in enumerate(clusters):
-        preds = np.asarray(predictions[ci], dtype=float)
+        preds = as_vector(predictions[ci], f"predictions[{ci}]", target.size)
         for j, cj in enumerate(clusters):
             rows = by_cluster[ci].scored_rows(labels)[0] if ci == cj else labels.members(cj)
             if rows.size >= 2:
@@ -98,11 +98,9 @@ def removal_curve(
     fraction 0 and stops before the remainder would fall below
     min_remaining (never below two points).
     """
-    u = np.asarray(uncertainty, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if not (u.shape == a.shape == p.shape) or u.ndim != 1:
-        raise DataError("uncertainty, actual, and predicted must be aligned 1-D arrays")
+    u = as_vector(uncertainty, "uncertainty")
+    a = as_vector(actual, "actual", u.size)
+    p = as_vector(predicted, "predicted", u.size)
     if not 0.0 < step_fraction <= 1.0:
         raise ConfigError(f"step_fraction must lie in (0, 1], got {step_fraction}")
     n0 = u.size
@@ -140,7 +138,7 @@ def boxplot_stats(values: np.ndarray) -> BoxplotStats:
     data points still inside the 1.5 IQR fences; everything outside
     counts as an outlier.
     """
-    v = np.asarray(values, dtype=float)
+    v = as_vector(values, "values")
     finite = v[np.isfinite(v)]
     if finite.size < 1:
         raise DataError("boxplot statistics require at least one finite value")
@@ -167,16 +165,11 @@ def uq_summary_stats(
 ) -> dict[str, BoxplotStats]:
     """Boxplot summaries per method, and one extra ``actual_error``
     entry summarizing the signed errors y - yhat."""
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape or a.ndim != 1:
-        raise DataError("actual and predicted must be aligned 1-D arrays")
+    a = as_vector(actual, "actual")
+    p = as_vector(predicted, "predicted", a.size)
     out: dict[str, BoxplotStats] = {}
     for name, values in estimates.items():
-        values = np.asarray(values, dtype=float)
-        if values.shape != a.shape:
-            raise DataError(f"estimates for {name!r} are not aligned with the points")
-        out[name] = boxplot_stats(values)
+        out[name] = boxplot_stats(as_vector(values, f"estimates[{name!r}]", a.size))
     out["actual_error"] = boxplot_stats(a - p)
     return out
 
@@ -191,10 +184,8 @@ def novelty_separation(
     Returns (in_cluster_rate, out_of_cluster_rate); an empty group has
     no rate and reports None.
     """
-    scores = np.asarray(ad_scores, dtype=float)
-    mask = np.asarray(in_cluster, dtype=bool)
-    if scores.shape != mask.shape or scores.ndim != 1:
-        raise DataError("scores and group mask must be aligned 1-D arrays")
+    scores = as_vector(ad_scores, "ad_scores")
+    mask = as_vector(in_cluster, "in_cluster", scores.size).astype(bool)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     threshold = standard_normal_quantile(1.0 - alpha)

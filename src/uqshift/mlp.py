@@ -71,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_json, write_chunks
-from .dataset import ScalerParams, fit_scaler
+from .dataset import ScalerParams, as_matrix, as_vector, fit_scaler
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError
 from .evaluation import r_squared
 from .rng import derive_seed, keyed_rng
@@ -313,18 +313,10 @@ def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
     return loss, g_w, g_b
 
 
-def standardized(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Raw features through the model's stored scaler, after a column check."""
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.dim_in:
-        raise DataError(f"expected features with {model.dim_in} columns, got shape {X.shape}")
-    return model.scaler.transform(X)
-
-
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Predictions on raw features through the stored scaler, dropout off;
     ``uq_dropout.mc_dropout`` runs the stochastic passes."""
-    return forward(model.weights, model.biases, standardized(model, features))
+    return forward(model.weights, model.biases, model.scaler.transform(features))
 
 
 def _param_shapes(dim_in: int, hidden) -> list[tuple[int, ...]]:
@@ -371,14 +363,10 @@ def train_mlp(
     state and concurrent calls share nothing.  The returned model holds
     float64 copies of the best epoch's arrays.
     """
-    X = np.asarray(train_features, dtype=float)
-    y = np.asarray(train_target, dtype=float)
-    Xv = np.asarray(valid_features, dtype=float)
-    yv = np.asarray(valid_target, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise DataError("training set must be 2-D with at least two rows")
-    if Xv.ndim != 2 or Xv.shape[0] < 2:
-        raise DataError("validation set must be 2-D with at least two rows")
+    X = as_matrix(train_features, "train_features", min_rows=2)
+    y = as_vector(train_target, "train_target", X.shape[0])
+    Xv = as_matrix(valid_features, "valid_features", min_rows=2, cols=X.shape[1])
+    yv = as_vector(valid_target, "valid_target", Xv.shape[0])
     if np.all(yv == yv[0]):
         raise DataError("validation target is constant; validation R^2 is undefined")
     hidden = _validate_arch(X.shape[1], hidden_sizes, dropout_rate)

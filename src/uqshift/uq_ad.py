@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .dataset import freeze
+from .dataset import as_matrix, freeze
 from .errors import ConfigError, DataError, NumericalError
 
 METRICS = ("euclidean", "jaccard")
@@ -44,8 +44,8 @@ class AdModel:
     train_mean_knn_dists: np.ndarray
 
     def __post_init__(self):
-        for name in ("train_features", "train_mean_knn_dists"):
-            freeze(self, name, float)
+        freeze(self, "train_features", float, ndim=2)
+        freeze(self, "train_mean_knn_dists", float, ndim=1)
 
 
 def _check_binary(X: np.ndarray, what: str) -> None:
@@ -110,9 +110,7 @@ def fit_ad(train_features: np.ndarray, k: int, metric: str = "euclidean") -> AdM
     those means.  A degenerate fit (zero spread) is an error suggesting
     a larger k or jittered data.
     """
-    X = np.asarray(train_features, dtype=float)
-    if X.ndim != 2:
-        raise DataError("training features must be 2-D")
+    X = as_matrix(train_features, "train_features")
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "jaccard":
@@ -143,10 +141,7 @@ def fit_ad(train_features: np.ndarray, k: int, metric: str = "euclidean") -> AdM
 
 
 def _query_matrix(model: AdModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    d = model.train_features.shape[1]
-    if X.ndim != 2 or X.shape[1] != d:
-        raise DataError(f"query features must be 2-D with {d} columns, got {X.shape}")
+    X = as_matrix(X, "X", cols=model.train_features.shape[1])
     if model.metric == "jaccard":
         _check_binary(X, "query features")
     return X

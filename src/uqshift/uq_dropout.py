@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import as_matrix
 from .errors import ConfigError, DataError
-from .mlp import MlpModel, inference_masks, predict, standardized
+from .mlp import MlpModel, inference_masks, predict
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,7 @@ def mc_dropout(model: MlpModel, features: np.ndarray,
     sample, so the result collapses to the deterministic prediction with
     uncertainty exactly zero.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("mc_dropout expects a non-empty 2-D feature matrix")
+    X = as_matrix(features, "features", min_rows=1)
 
     if model.dropout_rate == 0.0:
         point = predict(model, X)
@@ -58,7 +57,7 @@ def mc_dropout(model: MlpModel, features: np.ndarray,
     # double, so each pass is bit-identical to ``forward``'s.
     keep = 1.0 - model.dropout_rate
     weights, biases = model.weights, model.biases
-    first = np.matmul(standardized(model, X), weights[0])
+    first = np.matmul(model.scaler.transform(X), weights[0])
     first += biases[0]
     np.maximum(first, 0.0, out=first)
     first /= keep

@@ -35,6 +35,7 @@ from scipy.linalg import LinAlgError, cholesky, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
+from .dataset import as_matrix, as_vector
 from .embedding import sq_distances
 from .errors import ConfigError, DataError, NumericalError
 from .rng import keyed_rng
@@ -188,16 +189,9 @@ def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: floa
 def _training_inputs(train_X, train_yhat, values, name: str):
     """The training features, network outputs and one more per-row
     vector (``name`` in its error message), as float arrays."""
-    X = np.asarray(train_X, dtype=float)
-    yhat = np.asarray(train_yhat, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("training features must be a non-empty 2-D matrix")
-    if yhat.shape != (X.shape[0],):
-        raise DataError("train_yhat must be one value per training row")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (X.shape[0],):
-        raise DataError(f"{name} must be one value per training row")
-    return X, yhat, values
+    X = as_matrix(train_X, "train_X", min_rows=1)
+    n = X.shape[0]
+    return X, as_vector(train_yhat, "train_yhat", n), as_vector(values, name, n)
 
 
 def log_marginal_likelihood(train_X, train_yhat, residuals, config: KernelConfig):
@@ -291,14 +285,8 @@ def rio_predict(model: RioModel, test_X, test_yhat,
     A variance below -1e-10 is an internal error; tiny negatives in
     [-1e-10, 0] clamp to zero, and a NaN is a data error.
     """
-    Xs = np.asarray(test_X, dtype=float)
-    ys = np.asarray(test_yhat, dtype=float)
-    if Xs.ndim != 2 or Xs.shape[1] != model.train_X.shape[1]:
-        raise DataError(
-            f"test features must be 2-D with {model.train_X.shape[1]} columns, got {Xs.shape}"
-        )
-    if ys.shape != (Xs.shape[0],):
-        raise DataError("test_yhat must be one value per test row")
+    Xs = as_matrix(test_X, "test_X", cols=model.train_X.shape[1])
+    ys = as_vector(test_yhat, "test_yhat", Xs.shape[0])
 
     cfg = model.kernel
     Ks, K_out = _kernel_terms(sq_distances(model.train_X, Xs),

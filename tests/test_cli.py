@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -327,7 +328,7 @@ class TestCorruptTree:
         code, err = run("uq", config, "--split-id", "0", "--methods", "rio")
         assert code == 3 and "train/model_0.json: malformed model checkpoint" in err
         # ad needs no model, so eval is the first stage to load this one
-        shutil.rmtree(out / "uq")
+        _forget(out, "uq")
         assert run("uq", config, "--methods", "ad")[0] == 0
         code, err = run("eval", config)
         assert code == 3 and "train/model_0.json: malformed model checkpoint" in err
@@ -448,6 +449,16 @@ def _copy_tree(finished, tmp_path):
     return out
 
 
+def _forget(out, *stages):
+    """Delete the stages' directories and their manifest lines, as if they
+    had never run."""
+    manifest = out / "manifest.jsonl"
+    manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
+                                if json.loads(line)["stage"].partition(":")[0] not in stages))
+    for stage in stages:
+        shutil.rmtree(out / stage)
+
+
 def _stage_runner(out, capsys):
     def run(stage, config, *extra):
         capsys.readouterr()
@@ -519,8 +530,7 @@ class TestReadRule:
     def test_report_checks_the_uq_files_eval_read(self, pipeline, tmp_path, capsys):
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)
-        shutil.rmtree(out / "uq")
-        shutil.rmtree(out / "eval")
+        _forget(out, "uq", "eval")
         run = _stage_runner(out, capsys)
         assert run("uq", config, "--methods", "ad")[0] == 0
         assert run("eval", config)[0] == 0
@@ -625,10 +635,7 @@ class TestStageOrder:
     def test_eval_before_uq_exits_3(self, pipeline, tmp_path, capsys):
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)
-        shutil.rmtree(out / "uq")
-        manifest = out / "manifest.jsonl"
-        manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
-                                    if not json.loads(line)["stage"].startswith("uq:")))
+        _forget(out, "uq")
         capsys.readouterr()
         assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -664,6 +671,24 @@ class TestStageOrder:
         assert [(out / rel).read_bytes() for rel in eval_files] == [
             (finished / rel).read_bytes() for rel in eval_files]
 
+    def test_deleted_csv_of_an_older_uq_line_is_named(self, pipeline, tmp_path, capsys):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        run = _stage_runner(out, capsys)
+        assert run("uq", config, "--methods", "dropout,rio")[0] == 0
+        path = out / "uq" / "split_0" / "uq_ad.csv"  # listed only by the first uq:0 line
+        path.unlink()
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: cannot read {path} (FileNotFoundError)"]
+        assert run("uq", config, "--methods", "ad")[0] == 0
+        assert run("eval", config)[0] == 0
+        eval_files = sorted(p.relative_to(finished) for p in (finished / "eval").rglob("*")
+                            if p.is_file())
+        assert [(out / rel).read_bytes() for rel in eval_files] == [
+            (finished / rel).read_bytes() for rel in eval_files]
+
     def test_uq_table_missing_a_scored_row_names_the_file(self, pipeline, tmp_path, capsys):
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)
@@ -680,10 +705,7 @@ class TestStageOrder:
     def test_report_before_eval_exits_3(self, pipeline, tmp_path, capsys):
         config, finished = pipeline
         out = _copy_tree(finished, tmp_path)
-        shutil.rmtree(out / "eval")
-        manifest = out / "manifest.jsonl"
-        manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
-                                    if not json.loads(line)["stage"].startswith("eval:")))
+        _forget(out, "eval")
         capsys.readouterr()
         assert main(["report", "--config", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -937,6 +959,60 @@ class TestKillResume:
         for rerun in STAGES:
             assert main([rerun, "--config", str(config), "--out", str(out)]) == 0, rerun
         assert _tree_digest(out) == digest
+
+
+def _src_env():
+    """os.environ with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+class TestWriteFailures:
+    """A write that fails, or an output directory that is a file, exits 3
+    with one line naming the file, and leaves no temp file behind."""
+
+    @staticmethod
+    def _assert_one_line_naming(err, out):
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("data error: ")]
+        assert errors == err.splitlines()[-1:]
+        assert errors[0].startswith(f"data error: cannot write {out}/")
+        assert not list(out.rglob("*.tmp"))
+        return errors[0]
+
+    @pytest.mark.parametrize("stage", STAGES[:-1])
+    def test_file_size_limit_exits_3_and_a_rerun_completes(self, stage_prefixes, tmp_path,
+                                                           stage):
+        config, prefixes, _, digest = stage_prefixes
+        out = tmp_path / "o"
+        shutil.copytree(prefixes / stage, out)
+        # the limit is set in the child alone, between fork and exec
+        child = subprocess.run(
+            [sys.executable, "-m", "uqshift.cli", stage, "--config", str(config),
+             "--out", str(out)],
+            env=_src_env(), stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024)))
+        assert child.returncode == 3
+        line = self._assert_one_line_naming(child.stderr, out)
+        assert line.endswith("(OSError: File too large)")
+        for rerun in STAGES[STAGES.index(stage):]:
+            assert main([rerun, "--config", str(config), "--out", str(out)]) == 0, rerun
+        assert _tree_digest(out) == digest
+
+    @pytest.mark.parametrize("stage, rel", [("split", "split"), ("train", "train"),
+                                            ("uq", "uq/split_0"), ("eval", "eval/split_0")])
+    def test_output_directory_that_is_a_file_exits_3(self, pipeline, tmp_path, capsys,
+                                                       stage, rel):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        shutil.rmtree(out / rel)
+        (out / rel).write_text("not a directory\n")
+        capsys.readouterr()
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 3
+        line = self._assert_one_line_naming(capsys.readouterr().err, out)
+        assert line.startswith(f"data error: cannot write {out / rel}/")
+        assert line.endswith("(FileExistsError: File exists)")
 
 
 class TestEachModelLoadedOnce:
@@ -1313,11 +1389,8 @@ class TestCliErrors:
     def test_out_under_a_file_exits_2_from_the_module(self, tmp_path):
         (tmp_path / "f").write_text("")
         out = tmp_path / "f" / "o"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         result = subprocess.run([sys.executable, "-m", "uqshift.cli", "synth", "--out", str(out)],
-                                capture_output=True, text=True, env=env, cwd=tmp_path)
+                                capture_output=True, text=True, env=_src_env(), cwd=tmp_path)
         assert result.returncode == 2
         assert result.stderr == (
             f"config error: cannot create output directory {out} (NotADirectoryError)\n")

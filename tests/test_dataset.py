@@ -3,16 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
+from uqshift.clustering import ClusterLabels, SplitSpec
 from uqshift.config import default_config
 from uqshift.dataset import (
     Dataset,
+    ScalerParams,
+    as_matrix,
+    as_vector,
     fit_scaler,
     generate_synthetic,
     load_dataset,
     rank_correlated_features,
     save_dataset,
 )
+from uqshift.embedding import Embedding
 from uqshift.errors import ConfigError, DataError
+from uqshift.evaluation import boxplot_stats, cross_cluster_table
+from uqshift.mlp import train_mlp
 
 
 def _tiny(n=4, d=2):
@@ -76,6 +83,9 @@ class TestDatasetValidation:
         data = _tiny()
         with pytest.raises(ValueError):
             data.features[0, 0] = 9.0
+        emb = Embedding(np.zeros((3, 2)), {}, np.ones(4))
+        with pytest.raises(ValueError):
+            emb.objective_trace[0] = 9.0
 
 
 class TestCsvRoundTrip:
@@ -256,3 +266,71 @@ class TestSynthetic:
             _synthetic(clusters=2, points_per_cluster=5, dim=1, seed=0)
         with pytest.raises(ConfigError):
             _synthetic(clusters=2, points_per_cluster=5, dim=2, noise=-0.1, seed=0)
+
+
+def _gap_cases():
+    """{case: (call, its DataError message)} for seven inputs, six kinds,
+    that the layers' own shape checks once let through or failed on with
+    an error other than DataError."""
+    rng = np.random.default_rng(1)
+    X, y = rng.normal(size=(10, 3)), rng.normal(size=10)
+    Xv, yv = rng.normal(size=(6, 3)), rng.normal(size=6)
+    train = dict(hidden_sizes=(4,), dropout_rate=0.0, learning_rate=0.01, epochs=1, seed=0)
+    labels = ClusterLabels(labels=np.array([0, 0, 0, 1, 1, 1]), k=2)
+    splits = [SplitSpec(np.array([0]), np.array([1]), np.array([3, 4, 5]), train_cluster=0),
+              SplitSpec(np.array([3]), np.array([4]), np.array([0, 1, 2]), train_cluster=1)]
+
+    def table(length):
+        return lambda: cross_cluster_table({0: np.zeros(length), 1: np.zeros(6)},
+                                           np.arange(6.0), labels, splits)
+
+    return {
+        "one-entry-train-target": (
+            lambda: train_mlp(X, y[:1], Xv, yv, **train),
+            "train_target must be 1-D of length 10, got shape (1,)"),
+        "one-column-valid-features": (
+            lambda: train_mlp(X, y, Xv[:, :1], yv, **train),
+            "valid_features must be 2-D with at least 2 rows and 3 columns, got shape (6, 1)"),
+        "one-column-scaler-input": (
+            lambda: fit_scaler(X).transform(X[:, :1]),
+            "features must be 2-D with 3 columns, got shape (10, 1)"),
+        "long-predictions": (table(7), "predictions[0] must be 1-D of length 6, got shape (7,)"),
+        "short-predictions": (table(5), "predictions[0] must be 1-D of length 6, got shape (5,)"),
+        "two-dimensional-boxplot-values": (
+            lambda: boxplot_stats(np.ones((2, 2))), "values must be 1-D, got shape (2, 2)"),
+        "two-dimensional-split-indices": (
+            lambda: SplitSpec(np.array([[0, 1]]), np.array([2]), np.array([3]), train_cluster=0),
+            "train_idx must be 1-D, got shape (1, 2)"),
+    }
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("case", sorted(_gap_cases()))
+    def test_gap_is_refused_naming_the_argument_and_its_shape(self, case):
+        call, message = _gap_cases()[case]
+        with pytest.raises(DataError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda: as_matrix([1.0, 2.0], "a"), "a must be 2-D, got shape (2,)"),
+        (lambda: as_matrix(np.ones((1, 2)), "a", min_rows=1, cols=1),
+         "a must be 2-D with at least 1 row and 1 column, got shape (1, 2)"),
+        (lambda: as_matrix(np.ones((1, 2)), "a", cols=3),
+         "a must be 2-D with 3 columns, got shape (1, 2)"),
+        (lambda: as_vector(3.0, "v"), "v must be 1-D, got shape ()"),
+        (lambda: as_vector([1.0], "v", 2), "v must be 1-D of length 2, got shape (1,)"),
+        (lambda: ScalerParams(np.zeros((1, 1)), np.ones(1), np.zeros(1, bool)),
+         "means must be 1-D, got shape (1, 1)"),
+        (lambda: Embedding(np.zeros((3, 2)), {}, np.zeros((1, 2))),
+         "objective_trace must be 1-D, got shape (1, 2)"),
+    ])
+    def test_message_names_the_need_and_the_shape(self, check, message):
+        with pytest.raises(DataError) as caught:
+            check()
+        assert str(caught.value) == message
+
+    def test_a_good_shape_comes_back_as_floats(self):
+        X = as_matrix([[1, 2], [3, 4]], "a", min_rows=2, cols=2)
+        v = as_vector((1, 2), "v", 2)
+        assert X.dtype == v.dtype == float and X.shape == (2, 2) and v.shape == (2,)

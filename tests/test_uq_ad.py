@@ -74,7 +74,7 @@ class TestQueryShape:
     @pytest.mark.parametrize("query", [np.array(2.0), np.array([2.0]), np.ones((3, 2)),
                                        np.ones((1, 1, 1))])
     def test_anything_but_a_matrix_of_the_training_width_is_refused(self, score, query):
-        with pytest.raises(DataError, match=r"must be 2-D with 1 columns, got \("):
+        with pytest.raises(DataError, match=r"^X must be 2-D with 1 column, got shape \("):
             score(fit_ad(LINE, k=2), query)
 
 
