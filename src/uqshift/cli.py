@@ -2,11 +2,12 @@
 
 Each stage reads files produced by earlier stages from the output
 directory, writes its own outputs there through ``csvio``, and adds one
-manifest line (stage, config hash, input hashes, outputs).  One rule,
-``_vouch``, decides whether a stage may read an upstream file: the newest
-manifest line that lists the file ran under the current configuration
-of its stage, and each input on that line still has its recorded hash
-and passes the same rule.  A file no line lists is the user's own and is
+manifest line (stage, config hash, input hashes, outputs), dropping each
+line that is then the newest writer of no file.  One rule, ``_vouch``,
+decides whether a stage may read an upstream file: the newest manifest
+line that lists the file ran under the current configuration of its
+stage, and each input on that line still has its recorded hash and
+passes the same rule.  A file no line lists is the user's own and is
 taken as it is.  A stage whose manifest line and outputs already exist
 is skipped.  Two runs with the same configuration and seed produce
 byte-identical output trees; wall-clock durations therefore go to
@@ -82,7 +83,7 @@ from .evaluation import (
     uq_summary_stats,
 )
 from .embedding import pca, sq_distances, tsne
-from .mlp import HyperparamGrid, hyperparameter_search, load_model, predict, save_model
+from .mlp import hyperparameter_search, load_model, predict, save_model
 from .rng import derive_seed
 from .uq_ad import ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
 from .uq_dropout import McDropoutConfig, mc_dropout
@@ -225,10 +226,11 @@ def _run_stage(cfg: dict, out: Path, stage: str, inputs: list[str], fn,
     started = time.monotonic()
     written = fn()
     duration = time.monotonic() - started
-    entry = dict(key)
-    entry["outputs"] = sorted(Path(p).relative_to(out).as_posix() for p in written)
+    entries.append(dict(key, outputs=sorted(Path(p).relative_to(out).as_posix()
+                                            for p in written)))
     # rewritten whole, not appended: a kill cannot leave a torn last line
-    lines = [json.dumps(e, sort_keys=True) + "\n" for e in [*entries, entry]]
+    lines = [json.dumps(e, sort_keys=True) + "\n" for e in entries
+             if any(_newest_writer(entries, rel) is e for rel in e["outputs"])]
     write_text(out / "manifest.jsonl", "".join(lines))
     _log(f"[{stage}] done in {duration:.2f}s")
 
@@ -365,29 +367,23 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
 
 
 def cmd_train(cfg: dict, out: Path, args) -> None:
-    section = cfg["train"]
-    grid = HyperparamGrid(tuple(section["layer_counts"]), tuple(section["widths"]),
-                          tuple(section["learning_rates"]), section["dropout_rate"])
     for k in _split_ids(out, args.split_id):
         inputs = ["data/dataset.csv", f"split/split_{k}.csv"]
 
         def fn(k=k):
             data = load_dataset(out / "data" / "dataset.csv")
             split = read_split_csv(out / "split" / f"split_{k}.csv", data.ids, k)
-            batch = section["batch_size"] or None
-            if batch is not None:
-                _log(f"[train:{k}] mini-batches of {batch}")
+            if cfg["train"]["batch_size"]:
+                _log(f"[train:{k}] mini-batches of {cfg['train']['batch_size']}")
             try:
                 model, rows = hyperparameter_search(
                     data.features[split.train_idx],
                     data.target[split.train_idx],
                     data.features[split.valid_idx],
                     data.target[split.valid_idx],
-                    grid,
-                    epochs=section["epochs"],
+                    **cfg["train"],
                     seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["train"], k),
                     jobs=cfg["run"]["jobs"],
-                    batch_size=batch,
                 )
             except BrokenExecutor:
                 raise UqshiftError(f"train:{k}: a worker process of the grid search died; "

@@ -82,14 +82,26 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 
 # (section, key) -> (the rule a value must meet, its test).  A value
-# outside these would stop its stage after the stages before it had run.
+# outside these would fail its stage after earlier ones ran, or pass unseen.
 _RANGES = {
     ("run", "seed"): (">= 0", lambda v: v >= 0),
     ("run", "jobs"): (">= 1", lambda v: v >= 1),
+    ("split", "correlation_threshold"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("split", "pca_components"): (">= 1", lambda v: v >= 1),
+    ("split", "perplexity"): ("> 1", lambda v: v > 1),
     ("split", "tsne_iterations"): (">= 1", lambda v: v >= 1),
+    ("split", "dbscan_eps"): ("auto or > 0", lambda v: v is None or v > 0),
+    ("split", "eps_factor"): ("> 0", lambda v: v > 0),
+    ("split", "min_pts"): (">= 1", lambda v: v >= 1),
     # a model needs two training rows, and validation R^2 two rows
     ("split", "train_n"): (">= 2", lambda v: v >= 2),
     ("split", "valid_n"): (">= 2", lambda v: v >= 2),
+    ("split", "min_cluster_size"): (">= 1", lambda v: v >= 1),
+    ("train", "layer_counts"): ("1, 2 or 3 each", lambda v: all(c in (1, 2, 3) for c in v)),
+    ("train", "widths"): (">= 1 each", lambda v: all(w >= 1 for w in v)),
+    ("train", "learning_rates"): (">= 0 each", lambda v: all(lr >= 0 for lr in v)),
+    ("train", "dropout_rate"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("train", "epochs"): (">= 0", lambda v: v >= 0),
     ("train", "batch_size"): (">= 0", lambda v: v >= 0),
     ("uq", "passes"): (">= 1", lambda v: v >= 1),
     ("uq", "knn_k"): (">= 1", lambda v: v >= 1),
@@ -97,6 +109,7 @@ _RANGES = {
     # must not round to 1
     ("uq", "alpha"): ("in (0, 1), with 1 - alpha < 1", lambda v: 0.0 < 1.0 - v < 1.0),
     ("uq", "rio_starts"): (">= 1", lambda v: v >= 1),
+    ("uq", "rio_max_iter"): (">= 0", lambda v: v >= 0),
     ("eval", "step_fraction"): ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     ("uq", "metric"): (" or ".join(METRICS), lambda v: v in METRICS),
 }

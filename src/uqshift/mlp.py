@@ -57,6 +57,7 @@ parent is gone, so a killed run leaves no process holding its files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -108,10 +109,6 @@ class MlpModel:
     fit: FitConfig
     scaler: ScalerParams
 
-    @property
-    def dim_in(self) -> int:
-        return self.weights[0].shape[0]
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -123,43 +120,6 @@ class TrainResult:
     model: MlpModel
     valid_r2: np.ndarray
     best_epoch: int
-
-
-@dataclass(frozen=True)
-class HyperparamGrid:
-    """Cartesian grid over depth, width, and learning rate.
-
-    Enumeration order is layer_counts outermost, then widths, then
-    learning rates; ties on validation score resolve to the earliest
-    grid index.
-    """
-
-    layer_counts: tuple[int, ...]
-    widths: tuple[int, ...]
-    learning_rates: tuple[float, ...]
-    dropout_rate: float
-
-    def __post_init__(self):
-        if not self.layer_counts or not self.widths or not self.learning_rates:
-            raise ConfigError("hyperparameter grid axes must be non-empty")
-        if any(c not in (1, 2, 3) for c in self.layer_counts):
-            raise ConfigError("layer counts must be 1, 2, or 3")
-        if any(w < 1 for w in self.widths):
-            raise ConfigError("widths must be positive")
-        if any(lr < 0 for lr in self.learning_rates):
-            raise ConfigError("learning rates must be non-negative")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout rate must lie in [0, 1)")
-
-    def points(self) -> list[tuple[int, tuple[int, ...], float]]:
-        out = []
-        index = 0
-        for depth in self.layer_counts:
-            for width in self.widths:
-                for lr in self.learning_rates:
-                    out.append((index, (width,) * depth, lr))
-                    index += 1
-        return out
 
 
 @dataclass(frozen=True)
@@ -563,29 +523,45 @@ def hyperparameter_search(
     train_target: np.ndarray,
     valid_features: np.ndarray,
     valid_target: np.ndarray,
-    grid: HyperparamGrid,
+    *,
+    layer_counts,
+    widths,
+    learning_rates,
+    dropout_rate: float,
     epochs: int,
     seed: int,
+    batch_size: int = 0,
     jobs: int = 1,
-    batch_size: int | None = None,
 ) -> tuple[MlpModel, list[SearchRow]]:
-    """Train every grid point and return the best model plus a report.
+    """Train every point of layer_counts x widths x learning_rates and
+    return the best model plus a report.
 
-    Each candidate trains from an independent stream derived from
-    (seed, grid_index), so results do not depend on evaluation order or
-    on how many workers run.  With ``jobs > 1`` the candidates train in
-    min(jobs, grid points, usable CPUs) forked worker processes, largest
-    network first (see the module docstring); call it so only from a
-    process with one thread, as forking a threaded process can deadlock.
-    A worker that dies raises ``concurrent.futures.process.BrokenProcessPool``.  The best model has
+    Grid index i is the i-th point of that product, layer count outermost,
+    and a point of depth d and width w trains d hidden layers of w units;
+    batch_size 0 is the full batch.  Every point passes ``train_mlp``'s
+    checks before the first fit, so a bad grid raises ConfigError before
+    anything trains or forks.  Each candidate trains from an independent
+    stream derived from (seed, grid_index), so results do not depend on
+    evaluation order or on how many workers run.  With ``jobs > 1`` the
+    candidates train in min(jobs, grid points, usable CPUs) forked worker
+    processes, largest network first (see the module docstring); call it
+    so only from a process with one thread, as forking a threaded process
+    can deadlock.  A worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.  The best model has
     the highest validation R^2, the lowest grid index on a tie, and the
     report lists the rows in grid order.  Diverged candidates are
     recorded and excluded; if every candidate diverges, that is an error.
     """
-    points = grid.points()
-    X = np.asarray(train_features, dtype=float)
+    X = as_matrix(train_features, "train_features", min_rows=2)
+    points = [(index, (width,) * depth, lr) for index, (depth, width, lr)
+              in enumerate(itertools.product(layer_counts, widths, learning_rates))]
+    if not points:
+        raise ConfigError("hyperparameter grid axes must be non-empty")
+    for _, hidden, lr in points:
+        _validate_arch(X.shape[1], hidden, dropout_rate)
+        FitConfig(lr, epochs, seed, batch_size or None)
     search = (X, np.asarray(train_target, dtype=float), valid_features, valid_target,
-              grid.dropout_rate, epochs, seed, batch_size)
+              dropout_rate, epochs, seed, batch_size)
     workers = min(jobs, len(points), usable_cpus())
     rows, best, best_key = [], None, None
     with _forked_pool(search, workers) if workers > 1 else nullcontext() as pool:
@@ -594,7 +570,7 @@ def hyperparameter_search(
         else:
             # most parameters first, so the last fits to start are short and the
             # workers finish together; ties in grid order
-            points.sort(key=lambda p: (-sum(map(math.prod, _param_shapes(X.shape[-1], p[1]))),
+            points.sort(key=lambda p: (-sum(map(math.prod, _param_shapes(X.shape[1], p[1]))),
                                        p[0]))
             results = (done.result() for done in
                        as_completed([pool.submit(_fit_in_worker, p) for p in points]))

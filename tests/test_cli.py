@@ -1060,6 +1060,33 @@ def _assert_same_train(out, want):
     assert _manifest_lines(out, ("train",)) == _manifest_lines(want, ("train",))
 
 
+class TestManifestPruning:
+    """A stage drops each manifest line that is no longer the newest
+    writer of any file."""
+
+    def test_train_under_a_then_b_then_a_is_a_single_run_under_a(self, pipeline, tmp_path):
+        config, finished = pipeline
+        other = tmp_path / "b.ini"
+        other.write_text(SMALL_CONFIG.replace("epochs = 40", "epochs = 20"))
+        once = _split_prefix(finished, tmp_path / "once")
+        assert main(["train", "--config", str(config), "--out", str(once)]) == 0
+        out = _split_prefix(finished, tmp_path / "aba")
+        for run_config in (config, other, config):
+            assert main(["train", "--config", str(run_config), "--out", str(out)]) == 0
+        assert _tree_digest(out) == _tree_digest(once)
+
+    def test_a_line_that_still_wrote_a_file_stays(self, pipeline, tmp_path):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        full = set(_manifest_lines(out, ("uq",)))
+        assert main(["uq", "--config", str(config), "--out", str(out), "--methods", "ad"]) == 0
+        lines = _manifest_lines(out, ("uq",))
+        # the full uq:k lines still wrote the dropout and RIO CSVs
+        assert full <= set(lines) and len(lines) == 2 * len(full)
+        assert all([rel.rpartition("/")[2] for rel in json.loads(line)["outputs"]]
+                   == ["uq_ad.csv"] for line in lines if line not in full)
+
+
 # SMALL_CONFIG on a 2 x 2 grid, whose four candidates (grid indices 0-3 are
 # widths 8 and 16 at depth 1, then at depth 2) go to the worker pool
 GRID_CONFIG = SMALL_CONFIG.replace("layer_counts = 1\nwidths = 16\n",
@@ -1243,6 +1270,15 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"config error: {config}: [train] widths: "
                                     f"cannot parse ',' as int_list"]
+        assert not (tmp_path / "o" / "data").exists()
+
+    def test_eps_factor_zero_exits_2_before_synth_writes(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(SMALL_CONFIG.replace("min_pts = 5", "min_pts = 5\neps_factor = 0"))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: [split] eps_factor = 0.0 must be > 0"]
         assert not (tmp_path / "o" / "data").exists()
 
     def test_missing_input_exits_3(self, tmp_path):

@@ -111,6 +111,24 @@ class TestLoad:
         ("uq", "alpha = 1e-300", "1e-300", "in (0, 1), with 1 - alpha < 1"),
         ("uq", "alpha = 1e-17", "1e-17", "in (0, 1), with 1 - alpha < 1"),
         ("uq", "metric = manhattan", "manhattan", "euclidean or jaccard"),
+        ("split", "correlation_threshold = 1", "1.0", "in [0, 1)"),
+        ("split", "correlation_threshold = -0.1", "-0.1", "in [0, 1)"),
+        ("split", "eps_factor = 0", "0.0", "> 0"),
+        ("split", "eps_factor = -1", "-1.0", "> 0"),
+        ("split", "dbscan_eps = 0", "0.0", "auto or > 0"),
+        ("split", "pca_components = 0", "0", ">= 1"),
+        ("split", "perplexity = 1", "1.0", "> 1"),
+        ("split", "min_pts = 0", "0", ">= 1"),
+        ("split", "min_cluster_size = 0", "0", ">= 1"),
+        ("uq", "rio_max_iter = -1", "-1", ">= 0"),
+        ("train", "layer_counts = 4", "4", "1, 2 or 3 each"),
+        ("train", "layer_counts = 1,0", "1,0", "1, 2 or 3 each"),
+        ("train", "widths = 0", "0", ">= 1 each"),
+        ("train", "widths = 16,-1", "16,-1", ">= 1 each"),
+        ("train", "learning_rates = -1", "-1.0", ">= 0 each"),
+        ("train", "dropout_rate = 1.0", "1.0", "in [0, 1)"),
+        ("train", "dropout_rate = -0.5", "-0.5", "in [0, 1)"),
+        ("train", "epochs = -1", "-1", ">= 0"),
     ])
     def test_value_a_later_stage_would_refuse_rejected_at_load(self, tmp_path, section,
                                                                 line, shown, rule):
@@ -123,8 +141,12 @@ class TestLoad:
 
     def test_range_edges_accepted(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text("[run]\nseed = 0\njobs = 1\n\n[split]\ntrain_n = 2\nvalid_n = 2\n\n"
-                        "[train]\nbatch_size = 0\n\n[uq]\nknn_k = 1\nalpha = 1e-15\n\n"
+        path.write_text("[run]\nseed = 0\njobs = 1\n\n[split]\ntrain_n = 2\nvalid_n = 2\n"
+                        "correlation_threshold = 0\npca_components = 1\nperplexity = 1.0001\n"
+                        "dbscan_eps = 1e-9\neps_factor = 1e-9\nmin_pts = 1\nmin_cluster_size = 1\n\n"
+                        "[train]\nbatch_size = 0\nlayer_counts = 1,2,3\nwidths = 1\n"
+                        "learning_rates = 0\ndropout_rate = 0\nepochs = 0\n\n"
+                        "[uq]\nknn_k = 1\nalpha = 1e-15\nrio_max_iter = 0\n\n"
                         "[eval]\nstep_fraction = 1\n")
         assert load_config(path)["eval"]["step_fraction"] == 1.0
 

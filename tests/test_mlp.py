@@ -14,14 +14,13 @@ import pytest
 
 from uqshift import mlp
 from uqshift.dataset import ScalerParams, fit_scaler
-from uqshift.errors import DataError, NumericalError, TrainingDivergedError
+from uqshift.errors import ConfigError, DataError, NumericalError, TrainingDivergedError
 from uqshift.evaluation import r_squared
 from uqshift.mlp import (
     _SHUFFLE_DOMAIN,
     _TRAIN_MASK_DOMAIN,
     FitConfig,
     _Workspace,
-    HyperparamGrid,
     MlpModel,
     forward,
     hyperparameter_search,
@@ -203,10 +202,10 @@ class TestTraining:
                 learning_rate=1e160, epochs=1, seed=0,
             )
         assert exc_info.value.epoch == 1
-        grid = HyperparamGrid(layer_counts=(1,), widths=(8,),
-                              learning_rates=(0.01, 1e160), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(8,),
+                    learning_rates=(0.01, 1e160), dropout_rate=0.0)
         _, rows = hyperparameter_search(
-            X[:40], y[:40], X[40:], y[40:], grid, epochs=1, seed=0, jobs=1
+            X[:40], y[:40], X[40:], y[40:], **grid, epochs=1, seed=0, jobs=1
         )
         assert [r.diverged for r in rows] == [False, True]
 
@@ -461,21 +460,23 @@ class TestPredictMasks:
 
 class TestHyperparamGrid:
     def test_enumeration_order(self):
-        grid = HyperparamGrid(layer_counts=(1, 2), widths=(8, 16),
-                              learning_rates=(0.1,), dropout_rate=0.0)
-        points = grid.points()
-        assert [p[0] for p in points] == [0, 1, 2, 3]
-        assert points[0][1] == (8,)
-        assert points[1][1] == (16,)
-        assert points[2][1] == (8, 8)
-        assert points[3][1] == (16, 16)
+        X, y = _linear_problem(13, n=60)
+        grid = dict(layer_counts=(1, 2), widths=(8, 16),
+                    learning_rates=(0.1,), dropout_rate=0.0)
+        _, points = hyperparameter_search(X[:40], y[:40], X[40:], y[40:], **grid,
+                                          epochs=0, seed=0)
+        assert [p.grid_index for p in points] == [0, 1, 2, 3]
+        assert points[0].hidden_sizes == (8,)
+        assert points[1].hidden_sizes == (16,)
+        assert points[2].hidden_sizes == (8, 8)
+        assert points[3].hidden_sizes == (16, 16)
 
     def test_search_picks_best_validation(self):
         X, y = _linear_problem(14, n=120)
-        grid = HyperparamGrid(layer_counts=(1,), widths=(4, 32),
-                              learning_rates=(0.01,), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(4, 32),
+                    learning_rates=(0.01,), dropout_rate=0.0)
         model, rows = hyperparameter_search(
-            X[:90], y[:90], X[90:], y[90:], grid, epochs=150, seed=0, jobs=1
+            X[:90], y[:90], X[90:], y[90:], **grid, epochs=150, seed=0, jobs=1
         )
         assert len(rows) == 2
         best = max((r for r in rows if not r.diverged), key=lambda r: r.valid_r2)
@@ -484,10 +485,10 @@ class TestHyperparamGrid:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_candidates_recorded_and_skipped(self):
         X, y = _linear_problem(15, n=80)
-        grid = HyperparamGrid(layer_counts=(1,), widths=(8,),
-                              learning_rates=(1e160, 0.01), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(8,),
+                    learning_rates=(1e160, 0.01), dropout_rate=0.0)
         model, rows = hyperparameter_search(
-            X[:60], y[:60], X[60:], y[60:], grid, epochs=60, seed=0, jobs=1
+            X[:60], y[:60], X[60:], y[60:], **grid, epochs=60, seed=0, jobs=1
         )
         diverged = [r for r in rows if r.diverged]
         assert len(diverged) == 1
@@ -497,22 +498,22 @@ class TestHyperparamGrid:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_diverged_raises(self):
         X, y = _linear_problem(16, n=60)
-        grid = HyperparamGrid(layer_counts=(1,), widths=(8,),
-                              learning_rates=(1e160,), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(8,),
+                    learning_rates=(1e160,), dropout_rate=0.0)
         with pytest.raises(NumericalError):
             hyperparameter_search(
-                X[:40], y[:40], X[40:], y[40:], grid, epochs=30, seed=0, jobs=1
+                X[:40], y[:40], X[40:], y[40:], **grid, epochs=30, seed=0, jobs=1
             )
 
     def test_parallel_matches_serial(self):
         X, y = _linear_problem(17, n=100)
-        grid = HyperparamGrid(layer_counts=(1,), widths=(4, 8),
-                              learning_rates=(0.01, 0.001), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(4, 8),
+                    learning_rates=(0.01, 0.001), dropout_rate=0.0)
         m1, rows1 = hyperparameter_search(
-            X[:80], y[:80], X[80:], y[80:], grid, epochs=40, seed=3, jobs=1
+            X[:80], y[:80], X[80:], y[80:], **grid, epochs=40, seed=3, jobs=1
         )
         m2, rows2 = hyperparameter_search(
-            X[:80], y[:80], X[80:], y[80:], grid, epochs=40, seed=3, jobs=3
+            X[:80], y[:80], X[80:], y[80:], **grid, epochs=40, seed=3, jobs=3
         )
         assert [r.valid_r2 for r in rows1] == [r.valid_r2 for r in rows2]
         for wa, wb in zip(m1.weights, m2.weights):
@@ -524,8 +525,8 @@ class TestHyperparamGrid:
         # Both candidates score the same R^2.  The pool takes the larger
         # net, index 1, first, and index 0 finishes last.
         X, y = _linear_problem(22, n=60)
-        grid = HyperparamGrid(layer_counts=(1,), widths=(4, 8),
-                              learning_rates=(0.01,), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(4, 8),
+                    learning_rates=(0.01,), dropout_rate=0.0)
         real_train, parent = mlp.train_mlp, os.getpid()
 
         def tied(*args):
@@ -536,7 +537,7 @@ class TestHyperparamGrid:
 
         monkeypatch.setattr(mlp, "train_mlp", tied)
         monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)  # the pool on any machine
-        model, rows = hyperparameter_search(X[:40], y[:40], X[40:], y[40:], grid,
+        model, rows = hyperparameter_search(X[:40], y[:40], X[40:], y[40:], **grid,
                                             epochs=5, seed=3, jobs=jobs)
         assert model.hidden_sizes == (4,)
         assert [row.grid_index for row in rows] == [0, 1]
@@ -544,8 +545,8 @@ class TestHyperparamGrid:
 
     def test_a_killed_worker_breaks_the_search_and_leaves_no_process(self, monkeypatch):
         X, y = _linear_problem(23, n=60)
-        grid = HyperparamGrid(layer_counts=(1,), widths=(4, 8),
-                              learning_rates=(0.01, 0.001), dropout_rate=0.0)
+        grid = dict(layer_counts=(1,), widths=(4, 8),
+                    learning_rates=(0.01, 0.001), dropout_rate=0.0)
         real_train = mlp.train_mlp
         parent = os.getpid()
 
@@ -557,7 +558,7 @@ class TestHyperparamGrid:
         monkeypatch.setattr(mlp, "train_mlp", dies_at_index_2)
         monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
         with pytest.raises(BrokenProcessPool):
-            hyperparameter_search(X[:40], y[:40], X[40:], y[40:], grid,
+            hyperparameter_search(X[:40], y[:40], X[40:], y[40:], **grid,
                                   epochs=20, seed=4, jobs=2)
         assert multiprocessing.active_children() == []
 
@@ -572,18 +573,37 @@ class TestHyperparamGrid:
         monkeypatch.setattr(mlp, "usable_cpus", lambda: 3)
         X, y = _linear_problem(24, n=30)
         for widths, jobs in (((4, 8, 16, 32), 10 ** 5), ((4, 8), 10 ** 5), ((4, 8, 16, 32), 2)):
-            grid = HyperparamGrid(layer_counts=(1,), widths=widths,
-                                  learning_rates=(0.01,), dropout_rate=0.0)
+            grid = dict(layer_counts=(1,), widths=widths,
+                        learning_rates=(0.01,), dropout_rate=0.0)
             with pytest.raises(RuntimeError, match="stop before forking"):
-                hyperparameter_search(X[:20], y[:20], X[20:], y[20:], grid,
+                hyperparameter_search(X[:20], y[:20], X[20:], y[20:], **grid,
                                       epochs=1, seed=0, jobs=jobs)
         assert sizes == [3, 2, 2]
         # one candidate never forks
-        grid = HyperparamGrid(layer_counts=(1,), widths=(4,), learning_rates=(0.01,),
-                              dropout_rate=0.0)
-        hyperparameter_search(X[:20], y[:20], X[20:], y[20:], grid, epochs=1, seed=0,
+        grid = dict(layer_counts=(1,), widths=(4,), learning_rates=(0.01,),
+                    dropout_rate=0.0)
+        hyperparameter_search(X[:20], y[:20], X[20:], y[20:], **grid, epochs=1, seed=0,
                               jobs=10 ** 5)
         assert sizes == [3, 2, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("bad", [
+        dict(layer_counts=(1, 4)), dict(widths=(8, 0)), dict(learning_rates=(0.01, -1.0)),
+        dict(dropout_rate=1.0), dict(epochs=-1), dict(widths=()),
+    ])
+    def test_bad_grid_refused_before_anything_trains_or_forks(self, monkeypatch, jobs, bad):
+        def fails(*args):
+            pytest.fail("the search trained or forked")
+
+        monkeypatch.setattr(mlp, "train_mlp", fails)
+        monkeypatch.setattr(mlp, "_forked_pool", fails)
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
+        X, y = _linear_problem(25, n=30)
+        grid = {**dict(layer_counts=(1,), widths=(4, 8), learning_rates=(0.01,),
+                       dropout_rate=0.0, epochs=1), **bad}
+        with pytest.raises(ConfigError):
+            hyperparameter_search(X[:20], y[:20], X[20:], y[20:], **grid, seed=0, jobs=jobs)
+        assert multiprocessing.active_children() == []
 
     def test_search_holds_one_model_beside_the_fit(self):
         # A search keeps its rows and the best model so far, so two more
@@ -592,11 +612,11 @@ class TestHyperparamGrid:
         X, y = _linear_problem(21, n=120, d=10)
 
         def search(learning_rates):
-            grid = HyperparamGrid(layer_counts=(2,), widths=(128,),
-                                  learning_rates=learning_rates, dropout_rate=0.3)
+            grid = dict(layer_counts=(2,), widths=(128,),
+                        learning_rates=learning_rates, dropout_rate=0.3)
             found = []
             peak = _peak_bytes(lambda: found.append(hyperparameter_search(
-                X[:100], y[:100], X[100:], y[100:], grid, epochs=3, seed=0)))
+                X[:100], y[:100], X[100:], y[100:], **grid, epochs=3, seed=0)))
             return peak, found[0][0]
 
         one, model = search((0.01,))
