@@ -22,11 +22,12 @@ those tables.  ``eval`` writes what it returns.
 ``report`` calls it on the persisted sources (the dataset, the split
 files, the ``pred_<j>`` column of cross_predictions.csv for each current
 split j, and the uq CSVs that the newest eval:k manifest line records as
-inputs) under the current configuration and compares every file,
-summary.json and the per-point tables included; a file that differs by
-more than 1e-12 in any number exits 4 and is named.  Every per-row
-source is read by its ``id`` column through ``csvio.keyed_cells``: a
-missing column, an id not in the dataset or an id on two rows exits 3.
+inputs) under the current configuration, renders every file as ``eval``
+writes it, summary.json and the per-point tables included, and compares
+that text with the file on disk; a file that differs in any byte exits 4
+and is named.  Every per-row source is read by its ``id`` column through
+``csvio.keyed_cells``: a missing column, an id not in the dataset or an
+id on two rows exits 3.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ from .clustering import (
 )
 from .config import config_hash, load_config, stage_config_text
 from .csvio import (
+    csv_text,
     keyed_cells,
     parse_floats,
     read_csv,
-    read_json,
     read_json_lines,
+    read_text,
     write_csv,
     write_text,
 )
@@ -550,10 +552,10 @@ def _uq_scores(data: Dataset, scored: np.ndarray, k: int,
 
 
 def _summary(cfg: dict, split, scored: np.ndarray, in_cluster: np.ndarray,
-             scores: dict[str, np.ndarray]) -> dict:
-    """summary.json: the run's identity, the methods, the row counts and
-    the novelty rates of the ad_dd column over the scored rows, a heldout
-    row being in-cluster."""
+             scores: dict[str, np.ndarray]) -> str:
+    """The text of summary.json: the run's identity, the methods, the row
+    counts and the novelty rates of the ad_dd column over the scored rows,
+    a heldout row being in-cluster."""
     novelty = None
     if "ad_dd" in scores:
         alpha = cfg["uq"]["alpha"]
@@ -564,7 +566,7 @@ def _summary(cfg: dict, split, scored: np.ndarray, in_cluster: np.ndarray,
             "in_cluster_rate": in_rate,
             "out_of_cluster_rate": out_rate,
         }
-    return {
+    summary = {
         "config_hash": config_hash(cfg),
         "seed": cfg["run"]["seed"],
         "split": split.train_cluster,
@@ -576,12 +578,13 @@ def _summary(cfg: dict, split, scored: np.ndarray, in_cluster: np.ndarray,
         "n_test": int(split.test_idx.size),
         "novelty": novelty,
     }
+    return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
 def _eval_artifacts(cfg: dict, data: Dataset, labels: ClusterLabels, splits: dict,
                     predictions: dict, k: int, uq_files: dict[str, Path]):
     """Every file of eval/split_<k>: {CSV name: (header, rows)} and the
-    summary.json dict.
+    text of summary.json.
 
     The sources are the dataset, the full-data predictions {split id:
     vector} and split k's uq CSVs.  They give the per-point tables
@@ -670,48 +673,16 @@ def cmd_eval(cfg: dict, out: Path, args) -> None:
                 outputs.append(base / name)
                 write_csv(outputs[-1], header, rows)
             summary_path = base / "summary.json"
-            write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+            write_text(summary_path, summary)
             outputs.append(summary_path)
             return outputs
 
         _run_stage(cfg, out, f"eval:{k}", inputs, fn)
 
 
-def _matches(path: Path, header: list[str], rows: list) -> bool:
-    """True when the file holds this header and these rows.  Column by
-    column, the cell of a text value must be that text, and the cell of a
-    number must hold a number equal to it or within 1e-12; the text cells
-    are compared first, and a number's cell that is not a number raises
-    DataError naming its row."""
-    stored_header, stored_rows = read_csv(path)
-    if stored_header != header or len(stored_rows) != len(rows):
-        return False
-    for cells, values in zip(zip(*stored_rows), zip(*rows)):
-        if any(cell != value for cell, value in zip(cells, values) if isinstance(value, str)):
-            return False
-        numbers = [r for r, value in enumerate(values) if not isinstance(value, str)]
-        stored = parse_floats([cells[r] for r in numbers],
-                              lambda i: f"{path}: row {numbers[i] + 1}")
-        derived = np.array([values[r] for r in numbers], dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            if not np.all((stored == derived) | (np.abs(stored - derived) <= 1e-12)):
-                return False
-    return True
-
-
-def _same_json(stored, derived) -> bool:
-    """True when a parsed JSON value equals the derived one, numbers within 1e-12."""
-    if isinstance(derived, dict):
-        return (isinstance(stored, dict) and stored.keys() == derived.keys()
-                and all(_same_json(stored[key], value) for key, value in derived.items()))
-    if isinstance(derived, float):
-        return type(stored) in (int, float) and abs(stored - derived) <= 1e-12
-    return type(stored) is type(derived) and stored == derived
-
-
 def cmd_report(cfg: dict, out: Path, args) -> None:
     """Re-derive every file of eval/split_<k> from the persisted sources
-    and check it against the written one (numbers within 1e-12)."""
+    and check that the written one holds the same bytes."""
     ids = _split_ids(out)
     entries = _manifest_entries(out)
     uq_files = {}
@@ -729,11 +700,10 @@ def cmd_report(cfg: dict, out: Path, args) -> None:
         predictions = dict(zip(ids, _read_columns(base / "cross_predictions.csv", data.ids,
                                                   [f"pred_{j}" for j in ids])))
         tables, summary = _eval_artifacts(cfg, data, labels, splits, predictions, k, present)
-        checks = [(name, _matches(base / name, header, rows))
-                  for name, (header, rows) in tables.items()]
-        checks.append(("summary.json", _same_json(read_json(base / "summary.json"), summary)))
-        for name, ok in checks:
-            if ok:
+        texts = {name: csv_text(header, rows) for name, (header, rows) in tables.items()}
+        texts["summary.json"] = summary
+        for name, text in texts.items():
+            if read_text(base / name) == text:
                 _log(f"[report:{k}] {name} OK")
             else:
                 failures.append(f"split {k}: {name} does not match")
@@ -802,7 +772,7 @@ def main(argv=None) -> int:
         _log(f"error: {exc}")
         return 1
     except MemoryError as exc:
-        _log(f"out of memory: {exc}")
+        _log(f"out of memory: {exc}" if str(exc) else f"out of memory in {args.command}")
         return 1
     return 0
 

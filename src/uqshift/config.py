@@ -86,6 +86,12 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 _RANGES = {
     ("run", "seed"): (">= 0", lambda v: v >= 0),
     ("run", "jobs"): (">= 1", lambda v: v >= 1),
+    ("synth", "clusters"): (">= 1", lambda v: v >= 1),
+    ("synth", "points_per_cluster"): (">= 1", lambda v: v >= 1),
+    ("synth", "dim"): (">= 2", lambda v: v >= 2),
+    ("synth", "separation"): ("> 0", lambda v: v > 0),
+    ("synth", "coef_scale"): ("> 0", lambda v: v > 0),
+    ("synth", "noise"): (">= 0", lambda v: v >= 0),
     ("split", "correlation_threshold"): ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("split", "pca_components"): (">= 1", lambda v: v >= 1),
     ("split", "perplexity"): ("> 1", lambda v: v > 1),
@@ -153,7 +159,7 @@ def _parse_value(kind: str, raw: str, where: str):
     raise ConfigError(f"unknown schema kind {kind!r}")
 
 
-def _format_value(kind: str, value) -> str:
+def _value_text(kind: str, value) -> str:
     if kind == "bool":
         return "true" if value else "false"
     if kind == "int_list":
@@ -207,7 +213,7 @@ def _validate(values: dict) -> None:
     for (section, key), (rule, ok) in _RANGES.items():
         value = values[section][key]
         if not ok(value):
-            shown = _format_value(SCHEMA[section][key][0], value)
+            shown = _value_text(SCHEMA[section][key][0], value)
             raise ConfigError(f"[{section}] {key} = {shown} must be {rule}")
     split = values["split"]
     if split["dbscan_eps"] is None and split["min_pts"] < 2 and not split["external_labels"]:
@@ -218,6 +224,13 @@ def _validate(values: dict) -> None:
             f"split.external_labels: dbscan_eps = auto would take each point's distance "
             f"to itself as eps"
         )
+    knn_k, train_n = values["uq"]["knn_k"], split["train_n"]
+    if knn_k >= train_n:
+        raise ConfigError(
+            f"[uq] knn_k = {knn_k} must be below [split] train_n = {train_n}: the "
+            f"applicability domain compares each training row with its knn_k nearest "
+            f"other training rows"
+        )
 
 
 def canonical_text(config: dict, skip: tuple[tuple[str, str], ...] = ()) -> str:
@@ -227,7 +240,7 @@ def canonical_text(config: dict, skip: tuple[tuple[str, str], ...] = ()) -> str:
         for key, (kind, _) in keys.items():
             if (section, key) in skip:
                 continue
-            emitted.append(f"{key} = {_format_value(kind, config[section][key])}")
+            emitted.append(f"{key} = {_value_text(kind, config[section][key])}")
         if emitted:
             lines.append(f"[{section}]")
             lines.extend(emitted)
@@ -248,5 +261,5 @@ def stage_config_text(config: dict, sections: tuple[str, ...]) -> str:
     for section in sections:
         parts.append(f"[{section}]")
         for key, (kind, _) in SCHEMA[section].items():
-            parts.append(f"{key} = {_format_value(kind, config[section][key])}")
+            parts.append(f"{key} = {_value_text(kind, config[section][key])}")
     return "\n".join(parts)

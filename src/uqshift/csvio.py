@@ -1,9 +1,11 @@
 """The one module that reads and writes the files of the output tree.
 
 Every CSV and JSON file of the tree goes through the functions here.
-Floats are written with ``repr`` so that a load of a save reproduces the
-exact same doubles; that is what makes rerun output trees byte-identical
-and lets the report verifier recompute metrics to machine precision.
+A CSV cell is what ``csv.writer`` makes of its value: ``repr`` for a
+float (``np.float64`` included), ``str`` for anything else.  So a load of
+a save reproduces the exact same doubles, rerun output trees are
+byte-identical, and the report verifier can compare a re-derived file
+with the written one byte for byte through ``csv_text``.
 
 A write lands atomically: the text goes to a sibling ``<name>.tmp``,
 which is then renamed over the target, so a run killed part-way leaves
@@ -29,18 +31,6 @@ import numpy as np
 from .errors import DataError
 
 
-def format_value(value) -> str:
-    if type(value) is float:  # the common cell, before the attribute probe below
-        return repr(value)
-    # numpy scalars first: np.float64 passes isinstance(..., float) but
-    # repr()s as "np.float64(...)" under numpy 2
-    if hasattr(value, "item"):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _replace(path: str | Path, write) -> None:
     """write(fh) into a sibling <name>.tmp, then rename it over path.
 
@@ -63,14 +53,21 @@ def _replace(path: str | Path, write) -> None:
         raise DataError(f"cannot write {path} ({type(exc).__name__}: {exc.strerror})") from None
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+def _write_rows(fh, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
-    _replace(path, write)
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    _replace(path, lambda fh: _write_rows(fh, header, rows))
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text ``write_csv(path, header, rows)`` writes to path."""
+    buffer = io.StringIO(newline="")
+    _write_rows(buffer, header, rows)
+    return buffer.getvalue()
 
 
 def write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
@@ -82,7 +79,7 @@ def write_text(path: str | Path, text: str) -> None:
     write_chunks(path, (text,))
 
 
-def _read_text(path: str | Path) -> str:
+def read_text(path: str | Path) -> str:
     """The text of path, line endings untranslated."""
     try:
         with open(path, newline="") as fh:
@@ -93,7 +90,7 @@ def _read_text(path: str | Path) -> str:
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Header and non-empty rows; every row must be as wide as the header."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file")
@@ -137,7 +134,7 @@ def keyed_cells(path: str | Path, header: Sequence[str], rows: Sequence[Sequence
 
 def read_json(path: str | Path):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(read_text(path))
     except ValueError:
         raise DataError(f"{path}: not valid JSON") from None
 
@@ -145,7 +142,7 @@ def read_json(path: str | Path):
 def read_json_lines(path: str | Path) -> list[dict]:
     """The JSON object on each non-blank line of path."""
     entries = []
-    for n, line in enumerate(_read_text(path).splitlines(), start=1):
+    for n, line in enumerate(read_text(path).splitlines(), start=1):
         if line.strip():
             try:
                 entry = json.loads(line)

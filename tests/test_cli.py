@@ -4,6 +4,7 @@ import fcntl
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import resource
@@ -25,7 +26,6 @@ from uqshift.cli import _STAGE_SEEDS, main
 from uqshift.clustering import read_split_csv
 from uqshift.csvio import read_csv, write_csv
 from uqshift.dataset import load_dataset, rank_correlated_features
-from uqshift.errors import DataError
 from uqshift.mlp import load_model, train_mlp, usable_cpus
 from uqshift.rng import derive_seed
 
@@ -268,12 +268,6 @@ CORRUPTIONS = {
     "non-integer-pred-column": (
         "report", "eval/split_*/cross_predictions.csv",
         lambda p: _edit_csv(p, lambda h, rows: h.__setitem__(3, "pred_x"))),
-    "non-numeric-boxplot-cell": (
-        "report", "eval/split_*/boxplot_stats.csv",
-        lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(1, "abc"))),
-    "one-cell-removal-curve-row": (
-        "report", "eval/split_*/removal_curve_dropout.csv",
-        lambda p: _edit_csv(p, _truncate_row)),
     "one-cell-split-row": (
         "report", "split/split_*.csv", lambda p: _edit_csv(p, _truncate_row)),
     "bad-manifest-line": (
@@ -371,7 +365,17 @@ def _add_pred_column(header, rows):
         row.append("0.0")
 
 
-# (file glob in the finished tree, tampering that leaves the file well formed)
+def _first_number(edit):
+    """An _edit_csv edit that sets the first number past the label column
+    to edit(its value)."""
+    def apply(header, rows):
+        r, c = next((r, c) for r, row in enumerate(rows)
+                    for c, cell in enumerate(row) if c and cell)
+        rows[r][c] = edit(float(rows[r][c]))
+    return apply
+
+
+# (file glob in the finished tree, tampering that report must refuse with exit 4)
 TAMPERINGS = {
     "summary-in-cluster-rate": (
         "eval/split_*/summary.json", lambda p: _edit_summary(p, "in_cluster_rate", 0.9)),
@@ -383,6 +387,21 @@ TAMPERINGS = {
         "eval/split_*/uq_scores.csv", lambda p: _edit_csv(p, _set_heldout_predicted)),
     "cross-predictions-extra-split-column": (
         "eval/split_*/cross_predictions.csv", lambda p: _edit_csv(p, _add_pred_column)),
+    "non-numeric-boxplot-cell": (
+        "eval/split_*/boxplot_stats.csv",
+        lambda p: _edit_csv(p, lambda h, rows: rows[0].__setitem__(1, "abc"))),
+    "one-cell-removal-curve-row": (
+        "eval/split_*/removal_curve_dropout.csv", lambda p: _edit_csv(p, _truncate_row)),
+    # the same double, written another way
+    "r2-matrix-cell-respelled": (
+        "eval/split_*/r2_matrix.csv",
+        lambda p: _edit_csv(p, _first_number(lambda x: format(x, ".17e")))),
+    # the next double up: an edit well within 1e-12
+    "removal-curve-cell-next-double": (
+        "eval/split_*/removal_curve_rio.csv",
+        lambda p: _edit_csv(p, _first_number(lambda x: repr(math.nextafter(x, math.inf))))),
+    "summary-trailing-space": (
+        "eval/split_*/summary.json", lambda p: p.write_text(p.read_text() + " ")),
 }
 
 
@@ -400,6 +419,8 @@ class TestReportChecksSources:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         last = err.splitlines()[-1]
+        assert [line for line in err.splitlines()
+                if line.startswith(("data error: ", "numerical failure: "))] == [last]
         assert last.startswith("numerical failure: ")
         assert f"{path.name} does not match" in last
 
@@ -1281,6 +1302,16 @@ class TestCliErrors:
         assert err.splitlines() == ["config error: [split] eps_factor = 0.0 must be > 0"]
         assert not (tmp_path / "o" / "data").exists()
 
+    def test_knn_k_of_train_n_exits_2_before_anything_is_written(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(SMALL_CONFIG.replace("knn_k = 4", "knn_k = 30"))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: [uq] knn_k = 30 must be below "
+                               "[split] train_n = 30")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_exits_3(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_CONFIG)
@@ -1407,6 +1438,18 @@ class TestCliErrors:
         assert [p.name for p in out.rglob("*") if p.suffix in (".lock", ".tmp")] == []
         assert not (out / "manifest.jsonl").exists()
 
+    def test_out_of_memory_without_text_names_the_stage(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_CONFIG)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["out of memory in synth"]
+        assert [p.name for p in out.rglob("*") if p.suffix in (".lock", ".tmp")] == []
+
     def test_empty_methods_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_CONFIG)
@@ -1475,39 +1518,6 @@ class TestParser:
             assert {"--config", "--seed", "--out", "--jobs"} <= flags
             assert ("--split-id" in flags) == (name in ("train", "uq", "eval", "report"))
             assert ("--methods" in flags) == (name == "uq")
-
-
-class TestMatches:
-    """report's comparison of a stored table with the derived one."""
-
-    HEADER = ["name", "x"]
-    ROWS = [("a", 0.1), ("b", float("inf")), ("c", "")]  # a column mixing numbers and text
-
-    def _matches(self, tmp_path, text):
-        path = tmp_path / "t.csv"
-        path.write_text("name,x\n" + text)
-        return cli._matches(path, self.HEADER, self.ROWS)
-
-    @pytest.mark.parametrize("text,want", [
-        ("a,0.1\nb,inf\nc,\n", True),  # the same text
-        ("a,0.1000000000009\nb,inf\nc,\n", True),  # within 1e-12
-        ("a,0.100000000002\nb,inf\nc,\n", False),  # beyond 1e-12
-        ("a,0.1\nb,Infinity\nc,\n", True),  # another spelling of inf
-        ("a,0.1\nb,-inf\nc,\n", False),
-        ("z,0.1\nb,inf\nc,\n", False),  # a changed string
-        ("a,0.1\nb,inf\nc,0\n", False),  # a changed string in the mixed column
-    ])
-    def test_verdict(self, tmp_path, text, want):
-        assert self._matches(tmp_path, text) is want
-
-    def test_cell_that_is_not_a_number_names_its_row(self, tmp_path):
-        with pytest.raises(DataError, match=r"t\.csv: row 2: non-numeric value 'abc'"):
-            self._matches(tmp_path, "a,0.1\nb,abc\nc,\n")
-
-    def test_non_number_beside_a_wrong_number_is_named(self, tmp_path):
-        # the number cells of a column are parsed before they are compared
-        with pytest.raises(DataError, match=r"t\.csv: row 2: non-numeric value 'abc'"):
-            self._matches(tmp_path, "a,0.5\nb,abc\nc,\n")
 
 
 class TestMethodSubsets:

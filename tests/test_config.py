@@ -102,6 +102,12 @@ class TestLoad:
         ("run", "seed = -3", "-3", ">= 0"),
         ("run", "jobs = 0", "0", ">= 1"),
         ("run", "jobs = -2", "-2", ">= 1"),
+        ("synth", "clusters = 0", "0", ">= 1"),
+        ("synth", "points_per_cluster = 0", "0", ">= 1"),
+        ("synth", "dim = 1", "1", ">= 2"),
+        ("synth", "separation = 0", "0.0", "> 0"),
+        ("synth", "coef_scale = 0", "0.0", "> 0"),
+        ("synth", "noise = -1", "-1.0", ">= 0"),
         ("split", "train_n = 1", "1", ">= 2"),
         ("split", "train_n = 0", "0", ">= 2"),
         ("split", "valid_n = 1", "1", ">= 2"),
@@ -141,7 +147,9 @@ class TestLoad:
 
     def test_range_edges_accepted(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text("[run]\nseed = 0\njobs = 1\n\n[split]\ntrain_n = 2\nvalid_n = 2\n"
+        path.write_text("[run]\nseed = 0\njobs = 1\n\n[synth]\nclusters = 1\n"
+                        "points_per_cluster = 1\ndim = 2\nseparation = 1e-9\n"
+                        "coef_scale = 1e-9\nnoise = 0\n\n[split]\ntrain_n = 2\nvalid_n = 2\n"
                         "correlation_threshold = 0\npca_components = 1\nperplexity = 1.0001\n"
                         "dbscan_eps = 1e-9\neps_factor = 1e-9\nmin_pts = 1\nmin_cluster_size = 1\n\n"
                         "[train]\nbatch_size = 0\nlayer_counts = 1,2,3\nwidths = 1\n"
@@ -149,6 +157,15 @@ class TestLoad:
                         "[uq]\nknn_k = 1\nalpha = 1e-15\nrio_max_iter = 0\n\n"
                         "[eval]\nstep_fraction = 1\n")
         assert load_config(path)["eval"]["step_fraction"] == 1.0
+
+    @pytest.mark.parametrize("knn_k", [30, 31])
+    def test_knn_k_of_train_n_or_more_rejected_naming_both(self, tmp_path, knn_k):
+        train_n = 30
+        path = tmp_path / "run.ini"
+        path.write_text(f"[split]\ntrain_n = {train_n}\n\n[uq]\nknn_k = {knn_k}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[uq] knn_k = {knn_k} must be below [split] train_n = {train_n}")):
+            load_config(path)
 
     def test_jobs_defaults_to_the_usable_cpus(self):
         assert load_config(None)["run"]["jobs"] == usable_cpus() >= 1

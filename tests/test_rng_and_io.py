@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqshift.csvio import format_value, keyed_cells, parse_floats, read_csv, write_csv
+from uqshift.csvio import csv_text, keyed_cells, parse_floats, read_csv, write_csv
 from uqshift.errors import ConfigError, DataError
 from uqshift.rng import derive_seed, keyed_rng
 
@@ -45,11 +45,20 @@ class TestCsvRoundTrip:
         for v, b in zip(values, back):
             assert v == b
 
-    def test_numpy_scalar_formatting(self):
+    def test_numpy_scalar_formatting(self, tmp_path):
         # np.float64 subclasses float; its repr must not leak the type name
-        assert format_value(np.float64(0.25)) == "0.25"
-        assert format_value(np.int64(3)) == "3"
-        assert "np." not in format_value(np.float64(1.0 / 3.0))
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], [(np.float64(0.25), np.int64(3), np.float64(1.0 / 3.0))])
+        _, rows = read_csv(path)
+        assert rows[0][:2] == ["0.25", "3"]
+        assert not any("np." in cell for cell in rows[0])
+
+    def test_csv_text_is_the_text_written(self, tmp_path):
+        header = ["id", "x", "note"]
+        rows = [("p0", 0.1, ""), ("p1", np.float64(-2.5e-17), "a,b"), ("p2", 3, 'say "hi"\r\n')]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        assert csv_text(header, rows).encode() == path.read_bytes()
 
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "t.csv"
