@@ -55,6 +55,7 @@ from .clustering import (
     load_external_labels,
     make_cluster_splits,
     read_split_csv,
+    write_labels_csv,
     write_split_csv,
 )
 from .config import config_hash, load_config, stage_config_text
@@ -75,7 +76,6 @@ from .dataset import (
     load_dataset,
     rank_correlated_features,
     save_dataset,
-    write_labels_csv,
 )
 from .errors import ConfigError, DataError, NumericalError, UqshiftError
 from .evaluation import (
@@ -84,7 +84,7 @@ from .evaluation import (
     removal_curve,
     uq_summary_stats,
 )
-from .embedding import pca, sq_distances, tsne
+from .embedding import pca, tsne
 from .mlp import hyperparameter_search, load_model, predict, save_model
 from .rng import derive_seed
 from .uq_ad import ad_dd_scores, ad_ld_scores, fit_ad, standard_normal_quantile
@@ -269,18 +269,6 @@ def cmd_synth(cfg: dict, out: Path, args) -> None:
     _run_stage(cfg, out, "synth", [], fn)
 
 
-def _auto_eps(coords: np.ndarray, min_pts: int, factor: float) -> float:
-    """eps from the data: factor times the median distance to the
-    neighbor that would make a point core."""
-    d2 = sq_distances(coords)
-    rank = min(min_pts - 1, coords.shape[0] - 1)
-    d2.partition(rank, axis=1)
-    eps = factor * float(np.median(np.sqrt(d2[:, rank])))
-    if eps <= 0:
-        raise NumericalError("auto eps came out non-positive; data may be degenerate")
-    return eps
-
-
 def cmd_split(cfg: dict, out: Path, args) -> None:
     section = cfg["split"]
     inputs = ["data/dataset.csv"]
@@ -333,11 +321,10 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
         if external:
             labels = load_external_labels(Path(external), data)
         else:
-            eps = section["dbscan_eps"]
-            if eps is None:
-                eps = _auto_eps(coords, section["min_pts"], section["eps_factor"])
-                _log(f"[split] auto eps = {eps!r}")
-            labels = dbscan(coords, eps, section["min_pts"])
+            labels = dbscan(coords, section["dbscan_eps"], section["min_pts"],
+                            eps_factor=section["eps_factor"])
+            if section["dbscan_eps"] is None:
+                _log(f"[split] auto eps = {labels.eps!r}")
             noise = int((labels.labels == -1).sum())
             _log(f"[split] dbscan found {labels.k} clusters, {noise} noise rows")
 
@@ -393,22 +380,11 @@ def cmd_train(cfg: dict, out: Path, args) -> None:
             model_path = out / "train" / f"model_{k}.json"
             save_model(model, model_path)
             report_path = out / "train" / f"search_report_{k}.csv"
-            write_csv(
-                report_path,
-                ["grid_index", "layers", "width", "lr", "train_r2", "valid_r2", "status"],
-                [
-                    (
-                        row.grid_index,
-                        len(row.hidden_sizes),
-                        row.hidden_sizes[0],
-                        row.learning_rate,
-                        "" if row.train_r2 is None else row.train_r2,
-                        "" if row.valid_r2 is None else row.valid_r2,
-                        "diverged" if row.diverged else "trained",
-                    )
-                    for row in rows
-                ],
-            )
+            header = ["grid_index", "layers", "width", "lr", "train_r2", "valid_r2", "status"]
+            write_csv(report_path, header, [
+                (row.grid_index, len(row.hidden_sizes), row.hidden_sizes[0], row.learning_rate,
+                 row.train_r2, row.valid_r2, "diverged" if row.diverged else "trained")
+                for row in rows])
             return [model_path, report_path]
 
         _run_stage(cfg, out, f"train:{k}", inputs, fn)

@@ -1,9 +1,13 @@
-"""Density clustering and cluster-held-out split construction.
+"""Density clustering, the cluster labels file, and cluster-held-out splits.
 
-The DBSCAN here is deterministic by construction: clusters are numbered
-in the order of their lowest row, and a border point reachable from
-several clusters goes to the lowest-numbered one.  Noise rows get the
-label -1 and never participate in splits.
+The DBSCAN here (Ester et al. 1996) is deterministic by construction:
+clusters are numbered in the order of their lowest row, and a border
+point reachable from several clusters goes to the lowest-numbered one.
+Noise rows get the label -1 and never participate in splits.  Without a
+given eps, ``dbscan`` takes eps_factor times the median distance to each
+point's (min_pts - 1)-th nearest other point from the one distance
+matrix it builds, and ``ClusterLabels.eps`` records the radius used.
+The labels file (``id``, ``cluster``) is written and read here.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .csvio import keyed_cells, read_csv, write_csv
 from .dataset import Dataset, as_matrix, freeze
-from .embedding import sq_distances
-from .errors import ConfigError, DataError
+from .embedding import _SEARCH_ROWS, sq_distances
+from .errors import ConfigError, DataError, NumericalError
 from .rng import keyed_rng
 
 
@@ -26,6 +30,7 @@ from .rng import keyed_rng
 class ClusterLabels:
     labels: np.ndarray
     k: int
+    eps: float | None = None  # the DBSCAN radius used; None for labels read from a file
 
     def __post_init__(self):
         labels = freeze(self, "labels", int, ndim=1)
@@ -70,24 +75,41 @@ class SplitSpec:
         return heldout, np.sort(np.concatenate([heldout, self.test_idx]))
 
 
-def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
+def dbscan(coordinates: np.ndarray, eps: float | None, min_pts: int,
+           eps_factor: float | None = None) -> ClusterLabels:
     """Density-based clustering with deterministic label assignment.
 
     A point is core when its closed eps-ball contains at least min_pts
     points (itself included).  Clusters are connected components of core
     points; border points attach to the lowest-numbered claiming
-    cluster; everything else is noise (-1).
+    cluster; everything else is noise (-1).  eps = None is the automatic
+    rule: eps_factor times the median over rows of the square root of
+    the min(min_pts - 1, n - 1)-th smallest (0-based) squared distance in
+    the row, its own distance counted, so min_pts = 1 would give zero.
     """
     X = as_matrix(coordinates, "coordinates", min_rows=1)
-    if eps <= 0:
+    if eps is None and eps_factor is None:
+        raise ConfigError("eps = None (the automatic rule) needs an eps_factor")
+    if eps is not None and eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ConfigError(f"min_pts must be >= 1, got {min_pts}")
-    within = sq_distances(X) <= eps * eps
+    d2 = sq_distances(X)
+    if eps is None:
+        n, rank = X.shape[0], min(min_pts - 1, X.shape[0] - 1)
+        kth = np.empty(n)  # copied out per block: a kept view would keep its whole block
+        for start in range(0, n, _SEARCH_ROWS):
+            block = np.partition(d2[start:start + _SEARCH_ROWS], rank, axis=1)
+            kth[start:start + _SEARCH_ROWS] = block[:, rank]
+        eps = eps_factor * float(np.median(np.sqrt(kth)))
+        if eps <= 0:
+            raise NumericalError("auto eps came out non-positive; data may be degenerate")
+    within = d2 <= eps * eps
+    del d2
     core = np.flatnonzero(within.sum(axis=1) >= min_pts)
     labels = np.full(X.shape[0], -1, dtype=int)
     if core.size == 0:
-        return ClusterLabels(labels=labels, k=0)
+        return ClusterLabels(labels=labels, k=0, eps=eps)
     # undirected components are numbered by their lowest row: row-scan order.
     # The relation is symmetric, so its upper triangle is the whole graph.
     k, labels[core] = connected_components(csr_array(np.triu(within[np.ix_(core, core)])),
@@ -100,7 +122,7 @@ def dbscan(coordinates: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
     first = hits.argmax(axis=1)
     claimed = hits[np.arange(border.size), first]
     labels[border[claimed]] = labels[by_id[first[claimed]]]
-    return ClusterLabels(labels=labels, k=k)
+    return ClusterLabels(labels=labels, k=k, eps=eps)
 
 
 def make_cluster_splits(
@@ -149,6 +171,10 @@ def make_cluster_splits(
         )
         splits.append(SplitSpec(train_idx, valid_idx, test_idx, train_cluster=c))
     return splits
+
+
+def write_labels_csv(ids, labels, path: str | Path) -> None:
+    write_csv(path, ["id", "cluster"], zip(ids, np.asarray(labels).tolist()))
 
 
 def load_external_labels(path: str | Path, data: Dataset) -> ClusterLabels:

@@ -220,8 +220,8 @@ def _validate(values: dict) -> None:
         # auto eps is the median distance to the (min_pts - 1)-th neighbour,
         # which for min_pts = 1 is each point itself: eps would be 0
         raise ConfigError(
-            f"split.min_pts = {split['min_pts']} needs a numeric split.dbscan_eps or "
-            f"split.external_labels: dbscan_eps = auto would take each point's distance "
+            f"[split] min_pts = {split['min_pts']} needs a numeric [split] dbscan_eps or "
+            f"[split] external_labels: dbscan_eps = auto would take each point's distance "
             f"to itself as eps"
         )
     knn_k, train_n = values["uq"]["knn_k"], split["train_n"]

@@ -215,10 +215,6 @@ def save_dataset(data: Dataset, path: str | Path) -> None:
     write_csv(path, ["id", "target", *data.feature_names], ([rid, t, *f] for rid, t, f in rows))
 
 
-def write_labels_csv(ids, labels, path: str | Path) -> None:
-    write_csv(path, ["id", "cluster"], zip(ids, np.asarray(labels).tolist()))
-
-
 def generate_synthetic(*, clusters: int, points_per_cluster: int, dim: int,
                        separation: float, coef_scale: float, noise: float,
                        seed: int) -> tuple[Dataset, np.ndarray]:

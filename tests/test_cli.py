@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import fcntl
 import hashlib
 import io
@@ -76,18 +77,6 @@ def pipeline(tmp_path_factory):
         code = main([stage, "--config", str(config), "--out", str(out)])
         assert code == 0, f"stage {stage} failed"
     return config, out
-
-
-class TestAutoEps:
-    def test_matches_full_sort(self):
-        rng = np.random.default_rng(48)
-        coords = np.round(rng.normal(size=(80, 2)), 1)  # rounded: many tied distances
-        coords[10:20] = coords[0]  # coincident points: ties at zero
-        for min_pts in (2, 5, 12, 200):  # 200 > n: the farthest point
-            d2 = cli.sq_distances(coords)
-            rank = min(min_pts - 1, coords.shape[0] - 1)
-            want = 1.5 * float(np.median(np.sqrt(np.sort(d2, axis=1))[:, rank]))
-            assert cli._auto_eps(coords, min_pts, 1.5) == want
 
 
 class TestPipelineOutputs:
@@ -218,6 +207,23 @@ class TestPipelineOutputs:
         code = main(["report", "--config", str(config), "--out", str(out)])
         assert code == 0
         assert "verified" in capsys.readouterr().out
+
+
+class TestOneDistanceMatrix:
+    def test_split_computes_the_coordinates_distances_once(self, tmp_path, monkeypatch):
+        config, out = tmp_path / "run.ini", tmp_path / "out"
+        config.write_text(SMALL_CONFIG)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        shapes = []
+        for name, module in list(sys.modules.items()):
+            real = getattr(module, "sq_distances", None) if name.startswith("uqshift.") else None
+            if real is not None:
+                def counted(A, B=None, real=real):
+                    shapes.append((np.shape(A), None if B is None else np.shape(B)))
+                    return real(A, B)
+                monkeypatch.setattr(module, "sq_distances", counted)
+        assert main(["split", "--config", str(config), "--out", str(out)]) == 0
+        assert shapes.count(((180, 2), None)) == 1, shapes
 
 
 def _first(out, pattern):
@@ -874,6 +880,17 @@ print(digest.hexdigest())
 
 
 class TestBlasThreads:
+    def test_this_process_runs_one_blas_thread(self):
+        # conftest imports uqshift before numpy loads, whatever the
+        # environment says; the count is read from numpy's bundled OpenBLAS
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        getters = [getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+                   for lib in sorted(libs.glob("*openblas*"))]
+        getters = [getter for getter in getters if getter is not None]
+        if not getters:
+            pytest.skip(f"no scipy_openblas_get_num_threads64_ in {libs}")
+        assert [getter() for getter in getters] == [1] * len(getters)
+
     def test_same_tree_at_any_openblas_thread_count(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_CONFIG)
@@ -1256,6 +1273,44 @@ class TestImports:
                 or m == "concurrent.futures.process"] == []
 
 
+class TestSearchReport:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_candidate_has_empty_scores(self, pipeline, tmp_path):
+        _, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        config = tmp_path / "diverging.ini"
+        config.write_text(SMALL_CONFIG.replace("learning_rates = 0.01",
+                                               "learning_rates = 0.01,1e30"))
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--split-id", "0", "--jobs", "1"]) == 0
+        header, rows = read_csv(out / "train" / "search_report_0.csv")
+        assert header == ["grid_index", "layers", "width", "lr", "train_r2", "valid_r2", "status"]
+        assert [row[0] for row in rows] == ["0", "1"]
+        assert rows[0][6] == "trained" and rows[0][4] and rows[0][5]
+        assert rows[1][3:] == ["1e+30", "", "", "diverged"]
+
+
+class TestRioIncludeNoise:
+    def test_off_shrinks_only_the_std(self, pipeline, tmp_path):
+        _, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        config = tmp_path / "no_noise.ini"
+        config.write_text(SMALL_CONFIG.replace("rio_max_iter = 40",
+                                               "rio_max_iter = 40\nrio_include_noise = false"))
+        assert main(["uq", "--config", str(config), "--out", str(out), "--methods", "rio"]) == 0
+        shrunk = 0
+        for path in sorted(finished.glob("uq/split_*/uq_rio.csv")):
+            header, noisy = read_csv(path)
+            assert read_csv(out / path.relative_to(finished))[0] == header
+            quiet = read_csv(out / path.relative_to(finished))[1]
+            assert len(quiet) == len(noisy)
+            for a, b in zip(noisy, quiet):
+                assert (a[:3], a[4]) == (b[:3], b[4])  # id, yhat, residual_mean; corrected_pred
+                assert float(b[3]) <= float(a[3])
+                shrunk += float(b[3]) < float(a[3])
+        assert shrunk > 0
+
+
 class TestTrainBatchSize:
     def test_batch_size_reaches_the_fit(self, pipeline, tmp_path):
         _, finished = pipeline
@@ -1583,7 +1638,10 @@ class TestMinPtsOne:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert "split.min_pts" in err[0] and "split.dbscan_eps" in err[0]
+        assert err[0] == (
+            "config error: [split] min_pts = 1 needs a numeric [split] dbscan_eps "
+            "or [split] external_labels: dbscan_eps = auto would take each point's "
+            "distance to itself as eps")
         assert not (tmp_path / "o" / "data").exists()
 
     def test_numeric_eps_splits(self, tmp_path):
@@ -1637,6 +1695,29 @@ class TestExternalLabels:
         clusters = {r[1] for r in label_rows}
         assert clusters == {"0", "1", "2"}
         assert len(sorted((out / "split").glob("split_*.csv"))) == 3
+
+    def test_forced_embedding_leaves_labels_and_splits(self, tmp_path):
+        out = tmp_path / "o"
+        base = tmp_path / "base.ini"
+        base.write_text(SMALL_CONFIG)
+        assert main(["synth", "--config", str(base), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "data" / "dataset.csv")
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("id,cluster\n" + "".join(
+            f"{row[0]},{i // 60}\n" for i, row in enumerate(rows)))
+        trees = {}
+        for force in ("false", "true"):
+            tree = tmp_path / force
+            shutil.copytree(out, tree)
+            config = tmp_path / f"{force}.ini"
+            config.write_text(SMALL_CONFIG.replace("[train]", f"external_labels = {labels_path}\n"
+                                                   f"force_embedding = {force}\n\n[train]"))
+            assert main(["split", "--config", str(config), "--out", str(tree)]) == 0
+            trees[force] = {p.name: p.read_bytes() for p in (tree / "split").iterdir()}
+        assert sorted(trees["true"]) == sorted([*trees["false"], "embedding.csv", "kl_trace.csv"])
+        assert len([name for name in trees["false"] if name.startswith("split_")]) == 3
+        for name, data in trees["false"].items():
+            assert trees["true"][name] == data, name
 
     def test_one_cluster_stops_split(self, tmp_path, capsys):
         out = tmp_path / "o"

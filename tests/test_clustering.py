@@ -9,11 +9,12 @@ from uqshift.clustering import (
     load_external_labels,
     make_cluster_splits,
     read_split_csv,
+    write_labels_csv,
     write_split_csv,
 )
 from uqshift.dataset import Dataset
 from uqshift.embedding import sq_distances
-from uqshift.errors import DataError
+from uqshift.errors import ConfigError, DataError, NumericalError
 from uqshift.rng import keyed_rng
 
 
@@ -159,10 +160,13 @@ class TestDbscan:
             assert got.k == want_k, (trial, eps, min_pts)
             np.testing.assert_array_equal(got.labels, want_labels, err_msg=f"trial {trial}")
 
-    def test_one_cluster_peak_memory_is_the_distance_temporary(self):
+    @pytest.mark.parametrize("eps", [100.0, None])
+    def test_one_cluster_peak_memory_is_the_distance_temporary(self, eps):
         # eps joins every row, so the core x core graph is full: scipy's
         # sparse copies of both triangles outgrew sq_distances' two n x n
-        # floats (30 bytes per n^2 against 16 at n = 1200)
+        # floats (30 bytes per n^2 against 16 at n = 1200).  The automatic
+        # eps (factor 1000: far above 100) partitions blocks of the same
+        # matrix, never a copy of it.
         import tracemalloc
 
         n = 600
@@ -170,7 +174,7 @@ class TestDbscan:
         X = np.vstack([rng.normal(size=(n // 4, 2)) + 10.0 * c for c in range(4)])
         tracemalloc.start()
         try:
-            labels = dbscan(X, eps=100.0, min_pts=10)
+            labels = dbscan(X, eps=eps, min_pts=10, eps_factor=1000.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,6 +186,59 @@ class TestDbscan:
         labels = dbscan(X, eps=1.0, min_pts=2)
         assert labels.k == 0
         np.testing.assert_array_equal(labels.labels, [-1, -1, -1])
+
+
+class TestAutoEps:
+    COORDS = np.round(keyed_rng(48).normal(size=(80, 2)), 1)  # rounded: many tied distances
+    COORDS[10:20] = COORDS[0]  # coincident points: ties at zero
+
+    @pytest.mark.parametrize("min_pts", [2, 5, 12, 200])  # 200 > n: the farthest point
+    def test_matches_full_sort(self, min_pts):
+        d2 = sq_distances(self.COORDS)
+        rank = min(min_pts - 1, self.COORDS.shape[0] - 1)
+        want = 1.5 * float(np.median(np.sqrt(np.sort(d2, axis=1))[:, rank]))
+        got = dbscan(self.COORDS, None, min_pts, eps_factor=1.5)
+        assert got.eps == want
+        fixed = dbscan(self.COORDS, want, min_pts)
+        assert fixed.eps == want and fixed.k == got.k
+        np.testing.assert_array_equal(got.labels, fixed.labels)
+
+    def test_no_second_distance_matrix(self):
+        # four tight groups keep the eps-graph small, so the peak is the one
+        # distance matrix (1.2 n^2 floats here); holding every partitioned
+        # block until the median would make it 2.0 n^2
+        import tracemalloc
+
+        n = 600
+        rng = keyed_rng(79)
+        X = np.vstack([rng.normal(size=(n // 4, 2)) + 10.0 * c for c in range(4)])
+        tracemalloc.start()
+        try:
+            labels = dbscan(X, None, 10, eps_factor=1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.k == 4
+        assert peak <= 1.5 * n * n * 8
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ConfigError, match="eps_factor"):
+            dbscan(self.COORDS, None, 5)
+
+    def test_zero_is_refused(self):
+        # min_pts = 2 and every point doubled: each nearest other point is at 0
+        X = np.repeat(self.COORDS, 2, axis=0)
+        with pytest.raises(NumericalError, match="^auto eps came out non-positive; "
+                                                 "data may be degenerate$"):
+            dbscan(X, None, 2, eps_factor=1.5)
+
+    def test_labels_from_a_file_carry_no_eps(self, tmp_path):
+        data = _dataset_of_size(4)
+        path = tmp_path / "labels.csv"
+        write_labels_csv(data.ids, [0, 0, 1, -1], path)
+        labels = load_external_labels(path, data)
+        assert labels.eps is None
+        np.testing.assert_array_equal(labels.labels, [0, 0, 1, -1])
 
 
 def _dataset_of_size(n):

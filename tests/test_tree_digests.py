@@ -8,9 +8,9 @@ was made in (numpy, scipy, the BLAS, numpy's SIMD extensions, the
 machine); in any other the test skips, naming both, since the bytes are
 promised only in one.
 
-The tree is built in a child process that imports uqshift before numpy,
-so the package's one BLAS thread holds whatever the test process loaded.
-After a declared byte change, regenerate the table with
+The tree is built in the test process, at one BLAS thread: conftest.py
+imports uqshift before anything loads numpy, and so does this file when
+run as a script.  After a declared byte change, regenerate the table with
 
     PYTHONPATH=src python tests/test_tree_digests.py --write
 """
@@ -20,7 +20,6 @@ import uqshift  # noqa: F401  first: one BLAS thread, set before numpy loads
 import hashlib
 import json
 import platform
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 import pytest
 import scipy
 
-from test_cli import SMALL_CONFIG, _src_env
+from test_cli import SMALL_CONFIG
 from uqshift.cli import main
 
 TABLE = Path(__file__).with_name("small_tree_digests.json")
@@ -73,10 +72,7 @@ def test_small_tree_has_the_recorded_bytes(tmp_path):
     here = environment()
     if table["environment"] != here:
         pytest.skip(f"the digests were recorded in {table['environment']}; this is {here}")
-    result = subprocess.run([sys.executable, __file__, "--print", str(tmp_path)],
-                            capture_output=True, text=True, env=_src_env())
-    assert result.returncode == 0, result.stderr
-    built = json.loads(result.stdout.splitlines()[-1])
+    built = build_tree(tmp_path)
     files, recorded = dict(built["files"]), dict(table["files"])
     moved = [rel for rel in dict.fromkeys([*files, *recorded])
              if files.get(rel) != recorded.get(rel)]
@@ -85,9 +81,7 @@ def test_small_tree_has_the_recorded_bytes(tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--print"] and len(sys.argv) == 3:
-        print(json.dumps(build_tree(Path(sys.argv[2]))))
-    elif sys.argv[1:] == ["--write"]:
+    if sys.argv[1:] == ["--write"]:
         with tempfile.TemporaryDirectory() as tmp:
             built = build_tree(Path(tmp))
         TABLE.write_text(json.dumps({"environment": environment(), **built}, indent=1) + "\n")
