@@ -380,11 +380,22 @@ def cmd_train(cfg: dict, out: Path, args) -> None:
             model_path = out / "train" / f"model_{k}.json"
             save_model(model, model_path)
             report_path = out / "train" / f"search_report_{k}.csv"
-            header = ["grid_index", "layers", "width", "lr", "train_r2", "valid_r2", "status"]
-            write_csv(report_path, header, [
-                (row.grid_index, len(row.hidden_sizes), row.hidden_sizes[0], row.learning_rate,
-                 row.train_r2, row.valid_r2, "diverged" if row.diverged else "trained")
-                for row in rows])
+            write_csv(
+                report_path,
+                ["grid_index", "layers", "width", "lr", "train_r2", "valid_r2", "status"],
+                [
+                    (
+                        row.grid_index,
+                        len(row.hidden_sizes),
+                        row.hidden_sizes[0],
+                        row.learning_rate,
+                        row.train_r2,
+                        row.valid_r2,
+                        "diverged" if row.diverged else "trained",
+                    )
+                    for row in rows
+                ],
+            )
             return [model_path, report_path]
 
         _run_stage(cfg, out, f"train:{k}", inputs, fn)

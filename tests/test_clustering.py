@@ -189,7 +189,7 @@ class TestDbscan:
 
 
 class TestAutoEps:
-    COORDS = np.round(keyed_rng(48).normal(size=(80, 2)), 1)  # rounded: many tied distances
+    COORDS = np.round(np.random.default_rng(48).normal(size=(80, 2)), 1)  # rounded: many tied distances
     COORDS[10:20] = COORDS[0]  # coincident points: ties at zero
 
     @pytest.mark.parametrize("min_pts", [2, 5, 12, 200])  # 200 > n: the farthest point
