@@ -58,7 +58,7 @@ from .clustering import (
     write_labels_csv,
     write_split_csv,
 )
-from .config import config_hash, load_config, stage_config_text
+from .config import load_config, stage_config_text
 from .csvio import (
     csv_text,
     keyed_cells,
@@ -540,9 +540,11 @@ def _uq_scores(data: Dataset, scored: np.ndarray, k: int,
 
 def _summary(cfg: dict, split, scored: np.ndarray, in_cluster: np.ndarray,
              scores: dict[str, np.ndarray]) -> str:
-    """The text of summary.json: the run's identity, the methods, the row
+    """The text of summary.json: the config hash of the split's eval
+    manifest line, the seed, the package version, the methods, the row
     counts and the novelty rates of the ad_dd column over the scored rows,
-    a heldout row being in-cluster."""
+    a heldout row being in-cluster.  Nothing in it depends on a section
+    that line does not hash."""
     novelty = None
     if "ad_dd" in scores:
         alpha = cfg["uq"]["alpha"]
@@ -554,7 +556,7 @@ def _summary(cfg: dict, split, scored: np.ndarray, in_cluster: np.ndarray,
             "out_of_cluster_rate": out_rate,
         }
     summary = {
-        "config_hash": config_hash(cfg),
+        "config_hash": _stage_hash(cfg, f"eval:{split.train_cluster}"),
         "seed": cfg["run"]["seed"],
         "split": split.train_cluster,
         "package_version": __version__,

@@ -2,11 +2,12 @@
 
 Every run is described by one file with fixed sections and keys, read
 into a plain dict {section: {key: value}}.  The parser rejects unknown
-sections and keys, and non-finite numbers, outright.  ``canonical_text``
-always emits sections and keys in schema order with round-trippable
-values, so hashing that text identifies a configuration.  The semantic
-hash excludes ``run.out`` and ``run.jobs``: where results are written
-and how many workers compute them does not change what is computed.
+sections and keys, and non-finite numbers, outright.
+``stage_config_text`` renders the seed and a stage's sections, keys in
+schema order with round-trippable values: the one text of the
+configuration that is hashed, once per manifest line.  ``run.out`` and
+``run.jobs`` enter no stage's text: where results are written and how
+many workers compute them does not change what is computed.
 ``run.jobs`` defaults to the number of CPUs this process may use.
 
 ``load_config`` refuses, with exit 2 and a message naming
@@ -17,7 +18,6 @@ could not run on, before any stage starts.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from pathlib import Path
 
@@ -231,27 +231,6 @@ def _validate(values: dict) -> None:
             f"applicability domain compares each training row with its knn_k nearest "
             f"other training rows"
         )
-
-
-def canonical_text(config: dict, skip: tuple[tuple[str, str], ...] = ()) -> str:
-    lines = []
-    for section, keys in SCHEMA.items():
-        emitted = []
-        for key, (kind, _) in keys.items():
-            if (section, key) in skip:
-                continue
-            emitted.append(f"{key} = {_value_text(kind, config[section][key])}")
-        if emitted:
-            lines.append(f"[{section}]")
-            lines.extend(emitted)
-            lines.append("")
-    return "\n".join(lines)
-
-
-def config_hash(config: dict) -> str:
-    """Semantic identity of the run: canonical text minus out/jobs."""
-    text = canonical_text(config, skip=(("run", "out"), ("run", "jobs")))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def stage_config_text(config: dict, sections: tuple[str, ...]) -> str:

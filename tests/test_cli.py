@@ -1125,6 +1125,43 @@ class TestManifestPruning:
                    == ["uq_ad.csv"] for line in lines if line not in full)
 
 
+def _files(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+class TestIncrementalRerun:
+    """The six stages rerun on a finished tree under an edited config leave
+    the tree a fresh run under that config builds."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("[train]", "correlation_threshold = 0.3\n\n[train]"),  # the filter is off
+        ("learning_rates = 0.01", "learning_rates = 0.01,1e-6"),
+        ("passes = 10", "passes = 12"),
+        ("step_fraction = 0.1", "step_fraction = 0.2"),
+    ], ids=["correlation_threshold", "learning_rates", "passes", "step_fraction"])
+    def test_equals_a_fresh_run(self, pipeline, tmp_path, capsys, old, new):
+        _, finished = pipeline
+        config = tmp_path / "b.ini"
+        config.write_text(SMALL_CONFIG.replace(old, new))
+        rerun, fresh = _copy_tree(finished, tmp_path), tmp_path / "fresh"
+        for out in (rerun, fresh):
+            for stage in STAGES:
+                assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+            assert "report: all evaluation artifacts verified" in capsys.readouterr().out
+        assert _files(rerun) == _files(fresh)
+        for rel in _files(fresh):
+            if rel != "manifest.jsonl":
+                assert (rerun / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+        lines = (rerun / "manifest.jsonl").read_text().splitlines()
+        assert set(lines) == set((fresh / "manifest.jsonl").read_text().splitlines())
+        evals = [e for e in map(json.loads, lines) if e["stage"].startswith("eval:")]
+        assert len(evals) == 3
+        for line in evals:
+            k = line["stage"].partition(":")[2]
+            summary = json.loads((rerun / "eval" / f"split_{k}" / "summary.json").read_text())
+            assert summary["config_hash"] == line["config_hash"]
+
+
 # SMALL_CONFIG on a 2 x 2 grid, whose four candidates (grid indices 0-3 are
 # widths 8 and 16 at depth 1, then at depth 2) go to the worker pool
 GRID_CONFIG = SMALL_CONFIG.replace("layer_counts = 1\nwidths = 16\n",

@@ -2,13 +2,8 @@ import re
 
 import pytest
 
-from uqshift.config import (
-    canonical_text,
-    config_hash,
-    default_config,
-    load_config,
-    stage_config_text,
-)
+from uqshift.cli import _STAGES
+from uqshift.config import default_config, load_config, stage_config_text
 from uqshift.errors import ConfigError
 from uqshift.mlp import usable_cpus
 
@@ -183,26 +178,30 @@ class TestLoad:
             load_config(tmp_path / "absent.ini")
 
 
+# stage: the sections its manifest lines hash, for each stage that writes one
+STAGE_SECTIONS = {name: sections for name, (_, _, sections, _) in _STAGES.items() if sections}
+
+
+def _stage_texts(overrides=None) -> dict[str, str]:
+    cfg = load_config(None, overrides)
+    return {name: stage_config_text(cfg, sections) for name, sections in STAGE_SECTIONS.items()}
+
+
 class TestHashing:
-    def test_hash_stable(self):
-        assert config_hash(default_config()) == config_hash(default_config())
+    def test_out_and_jobs_enter_no_stage_text(self):
+        a = _stage_texts({("run", "out"): "/tmp/x", ("run", "jobs"): 1})
+        b = _stage_texts({("run", "out"): "/tmp/y", ("run", "jobs"): 8})
+        assert a == b
 
-    def test_out_and_jobs_excluded(self, tmp_path):
-        a = load_config(None, {("run", "out"): "/tmp/x", ("run", "jobs"): 1})
-        b = load_config(None, {("run", "out"): "/tmp/y", ("run", "jobs"): 8})
-        assert config_hash(a) == config_hash(b)
+    def test_seed_changes_every_stage_text(self):
+        a, b = _stage_texts(), _stage_texts({("run", "seed"): 17})
+        assert a == _stage_texts()
+        assert set(a) == {"synth", "split", "train", "uq", "eval"}
+        assert all(a[name] != b[name] for name in a)
 
-    def test_any_other_key_changes_hash(self):
-        a = load_config(None)
-        b = load_config(None, {("uq", "passes"): 17})
-        assert config_hash(a) != config_hash(b)
-
-    def test_canonical_text_round_trips(self, tmp_path):
-        cfg = load_config(None, {("run", "seed"): 5, ("synth", "noise"): 0.25})
-        path = tmp_path / "saved.ini"
-        path.write_text(canonical_text(cfg))
-        back = load_config(path)
-        assert canonical_text(back) == canonical_text(cfg)
+    def test_uq_passes_changes_uq_and_eval_only(self):
+        a, b = _stage_texts(), _stage_texts({("uq", "passes"): 17})
+        assert {name for name in a if a[name] != b[name]} == {"uq", "eval"}
 
     def test_stage_text_scopes_sections(self):
         cfg = default_config()
