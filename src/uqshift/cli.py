@@ -296,6 +296,11 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
         need_embedding = not external or section["force_embedding"]
         coords = None
         if need_embedding:
+            perplexity = section["perplexity"]
+            if not data.n > 3 * perplexity:
+                raise ConfigError(f"[split] perplexity = {perplexity!r} needs more than "
+                                  f"3 * perplexity = {3 * perplexity:g} rows for t-SNE; "
+                                  f"the dataset has {data.n}")
             selected = data.features[:, feature_idx]
             scaler = fit_scaler(selected)
             standardized = scaler.transform(selected)
@@ -304,7 +309,7 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
                 _log(f"[split] capping pca components to {n_comp}")
             emb = tsne(
                 pca(standardized, n_comp)[0],
-                perplexity=section["perplexity"],
+                perplexity=perplexity,
                 iterations=section["tsne_iterations"],
                 seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["split_embed"]),
             )
@@ -442,7 +447,14 @@ def cmd_uq(cfg: dict, out: Path, args) -> None:
             X_query = data.features[scored]
             outputs: list[Path] = []
             base = out / "uq" / f"split_{k}"
-            model = load_model(out / "train" / f"model_{k}.json") if needs_model else None
+            if needs_model:
+                model_path = out / "train" / f"model_{k}.json"
+                model = load_model(model_path)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    yhat_train, yhat_query = predict(model, X_train), predict(model, X_query)
+                if not (np.isfinite(yhat_train).all() and np.isfinite(yhat_query).all()):
+                    raise NumericalError(f"{model_path}: the predictions on split {k}'s "
+                                         f"training or scored rows are not finite")
 
             if "dropout" in methods:
                 means, stds = mc_dropout(
@@ -475,8 +487,6 @@ def cmd_uq(cfg: dict, out: Path, args) -> None:
                 outputs.append(path)
 
             if "rio" in methods:
-                yhat_train = predict(model, X_train)
-                yhat_query = predict(model, X_query)
                 rio_model = fit_rio(
                     model.scaler.transform(X_train),
                     yhat_train,

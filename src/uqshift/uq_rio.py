@@ -14,13 +14,14 @@ yhat + residual_mean.
 Memory: a fit holds the two n x n squared-distance matrices (inputs and
 network outputs) and a workspace of five more n x n buffers: the two
 kernel terms, the covariance, its Cholesky factor and the gradient's
-weight matrix.  LAPACK's ``potri`` turns the Cholesky factor into the
-lower triangle of the inverse in place, and one pass mirrors it over
+weight matrix.  The linear algebra is four LAPACK routines: ``potrf``
+factors the covariance in place, ``potrs`` solves with the factor,
+``potri`` turns it into the lower triangle of the inverse in place and
+``trtrs`` makes the predictive solve.  One pass mirrors the inverse over
 the covariance, which the factor has made free; each kernel term's
-product with the weight matrix is written over that term, its last
-use.  The buffers are
-allocated once per fit and reused by every likelihood evaluation of
-every start, so an evaluation allocates no n x n array;
+product with the weight matrix is written over that term, its last use.
+The buffers are allocated once per fit and reused by every likelihood
+evaluation of every start, so an evaluation allocates no n x n array;
 ``log_marginal_likelihood`` builds the same workspace for its single
 evaluation.
 """
@@ -31,8 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from .dataset import as_matrix, as_vector
@@ -70,12 +70,6 @@ class KernelConfig:
         values = np.exp(np.asarray(theta, dtype=float))
         return KernelConfig(*[float(v) for v in values], jitter=jitter)
 
-    def base_jitter(self) -> float:
-        """The jitter a factorization starts from."""
-        if self.jitter is not None:
-            return self.jitter
-        return 1e-8 * (self.signal_variance_in + self.signal_variance_out)
-
 
 @dataclass
 class RioModel:
@@ -93,9 +87,9 @@ class _Workspace:
     """The squared distances and the n x n buffers of one fit's
     likelihood evaluations.
 
-    ``L`` is Fortran-ordered so LAPACK factors it, and then inverts it
-    with ``potri``, in place; ``A`` receives the mirrored inverse once
-    the covariance is factored.  The others are C-ordered, and the
+    ``L`` is Fortran-ordered so ``potrf`` factors it, and ``potri`` then
+    inverts it, in place; ``A`` receives the mirrored inverse once the
+    covariance is factored.  The others are C-ordered, and the
     gradient's summed products ``M * K`` must stay so, because a sum
     walks memory in layout order and a different walk changes the
     gradient's bits.
@@ -122,51 +116,46 @@ def _kernel_terms(D2x: np.ndarray, D2y: np.ndarray, cfg: KernelConfig, out=None)
     for K, D2, sv, ls in zip(out, (D2x, D2y),
                              (cfg.signal_variance_in, cfg.signal_variance_out),
                              (cfg.length_scale_in, cfg.length_scale_out)):
-        np.negative(D2, out=K)
-        K /= 2.0 * ls * ls
+        np.divide(D2, -2.0 * ls * ls, out=K)
         np.exp(K, out=K)
         K *= sv
     return out
 
 
-def _chol_with_escalation(A: np.ndarray, L: np.ndarray,
-                          base_jitter: float) -> tuple[np.ndarray, float]:
-    """Cholesky of A + jitter*I into L, escalating jitter tenfold at most 3 times."""
-    jitter = base_jitter
-    for _ in range(4):
-        np.copyto(L, A)  # a failed attempt leaves L half factored
-        _diagonal(L)[:] += jitter
-        try:
-            return cholesky(L, lower=True, overwrite_a=True), jitter
-        except LinAlgError:
-            jitter *= 10.0
-    raise NumericalError(
-        f"covariance factorization failed even with jitter {jitter / 10.0:.3e}"
-    )
-
-
 def _factor(ws: _Workspace, cfg: KernelConfig) -> tuple[np.ndarray, float]:
     """Fill ws's kernel terms and covariance A = K_in + K_out + noise * I,
-    and factor A into ws.L from cfg's base jitter."""
+    and factor A + jitter * I into ws.L, escalating the jitter tenfold
+    at most 3 times; potrf's last failure is a NumericalError."""
     _kernel_terms(ws.D2x, ws.D2y, cfg, out=(ws.K_in, ws.K_out))
     np.add(ws.K_in, ws.K_out, out=ws.A)
     _diagonal(ws.A)[:] += cfg.noise_variance
-    return _chol_with_escalation(ws.A, ws.L, cfg.base_jitter())
+    jitter = cfg.jitter or 1e-8 * (cfg.signal_variance_in + cfg.signal_variance_out)
+    for _ in range(4):
+        np.copyto(ws.L.T, ws.A)  # A is symmetric bit for bit; a failure leaves L half factored
+        _diagonal(ws.L)[:] += jitter
+        L, info = dpotrf(ws.L, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return L, jitter
+        jitter *= 10.0
+    raise NumericalError(f"covariance factorization failed even with jitter "
+                         f"{jitter / 10.0:.3e}")
 
 
 def _lml_and_grad(ws: _Workspace, r: np.ndarray, theta: np.ndarray, jitter: float | None):
     cfg = KernelConfig.from_log_vector(theta, jitter)
     n = r.shape[0]
     L, _ = _factor(ws, cfg)
-    alpha = cho_solve((L, True), r)
+    # potrs (and trtrs) report only an illegal argument (or a zero on the
+    # factor's diagonal, which potrf never leaves): info is not checked
+    alpha, _ = dpotrs(L, r, lower=1)
     value = (
         -0.5 * float(r @ alpha)
         - float(np.sum(np.log(np.diag(L))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
     # L is spent: potri overwrites its lower triangle with that of A^-1.
-    # Its upper triangle stays zero (cholesky cleans it), so L + L^T is
-    # the whole inverse with the diagonal counted twice.  The factor
+    # Its upper triangle stays zero (potrf's clean=1 zeroes it), so L + L^T
+    # is the whole inverse with the diagonal counted twice.  The factor
     # copied A, so A is free to hold it.
     L_inv, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
@@ -219,8 +208,8 @@ def fit_rio(
     The first start is the provided (or default) configuration; the
     remaining starts draw every log parameter uniformly from [-2, 2].
     The best final LML wins, with exact ties going to the lowest start
-    index.  Starts whose factorization fails are skipped; all starts
-    failing is an error.
+    index.  Starts whose factorization fails, or whose likelihood is not
+    finite (a non-finite covariance), are skipped; all failing is an error.
     """
     X, yhat, y = _training_inputs(train_X, train_yhat, train_y, "train_y")
     if n_starts < 1:
@@ -265,7 +254,7 @@ def fit_rio(
 
     kernel = KernelConfig.from_log_vector(best_theta, jitter=init.jitter)
     L, jitter_used = _factor(ws, kernel)
-    alpha = cho_solve((L, True), r)
+    alpha, _ = dpotrs(L, r, lower=1)
     return RioModel(
         train_X=X,
         train_yhat=yhat,
@@ -294,7 +283,7 @@ def rio_predict(model: RioModel, test_X, test_yhat,
     np.add(Ks, K_out, out=Ks)
     del K_out
     residual_mean = Ks.T @ model.alpha
-    v = solve_triangular(model.chol, Ks, lower=True)
+    v, _ = dtrtrs(model.chol, Ks, lower=1)
     del Ks
     self_kernel = cfg.signal_variance_in + cfg.signal_variance_out
     np.multiply(v, v, out=v)

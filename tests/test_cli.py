@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import fcntl
 import hashlib
 import io
@@ -1403,6 +1404,48 @@ class TestCliErrors:
         assert line.startswith("config error: [uq] knn_k = 30 must be below "
                                "[split] train_n = 30")
         assert not (tmp_path / "o").exists()
+
+    def test_perplexity_of_a_third_of_the_rows_exits_2_naming_the_key(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(SMALL_CONFIG.replace("perplexity = 10", "perplexity = 60"))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["split", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [split] perplexity = 60.0 needs more than 3 * perplexity = 180 "
+            "rows for t-SNE; the dataset has 180"]
+        assert not (out / "split").exists()
+
+    def test_model_with_non_finite_predictions_exits_4_before_uq_writes(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        config, finished = pipeline
+        out = _copy_tree(finished, tmp_path)
+        _forget(out, "train", "uq", "eval")
+        search = cli.hyperparameter_search
+
+        def overflowing(*args, **kwargs):
+            # finite weights, so load_model accepts the file, whose
+            # outputs overflow
+            model, rows = search(*args, **kwargs)
+            last = model.weights[-1] * 1e308
+            assert np.isfinite(last).all()
+            return dataclasses.replace(model, weights=[*model.weights[:-1], last]), rows
+
+        monkeypatch.setattr(cli, "hyperparameter_search", overflowing)
+        assert main(["train", "--config", str(config), "--out", str(out),
+                     "--split-id", "0", "--jobs", "1"]) == 0
+        for methods in (["--methods", "ad,rio"], []):
+            capsys.readouterr()
+            assert main(["uq", "--config", str(config), "--out", str(out),
+                         "--split-id", "0", *methods]) == 4
+            assert capsys.readouterr().err.splitlines() == [
+                f"numerical failure: {out / 'train' / 'model_0.json'}: the predictions on "
+                f"split 0's training or scored rows are not finite"]
+            assert not (out / "uq" / "split_0").exists()
+        # the applicability domain reads no model
+        assert main(["uq", "--config", str(config), "--out", str(out),
+                     "--split-id", "0", "--methods", "ad"]) == 0
 
     def test_missing_input_exits_3(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from uqshift import uq_rio
 from uqshift.embedding import sq_distances
 from uqshift.errors import ConfigError, NumericalError
 from uqshift.rng import keyed_rng
@@ -121,6 +122,13 @@ class TestFit:
         b = fit_rio(X, yhat, y, n_starts=3, max_iter=50, seed=4)
         assert a.kernel.to_log_vector().tolist() == b.kernel.to_log_vector().tolist()
 
+    def test_infinite_network_output_fails_every_start(self):
+        X, y, yhat = _problem(51, n=15)
+        yhat[3] = np.inf
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="every marginal-likelihood"):
+                fit_rio(X, yhat, y, n_starts=2, max_iter=5, seed=0)
+
 
 class TestPredict:
     def test_matches_naive_gp_oracle(self):
@@ -176,8 +184,8 @@ class TestPredict:
 
 class TestCholeskyEscalation:
     def test_near_singular_matrix_still_fits(self):
-        # duplicated rows make the kernel matrix rank-deficient at tiny
-        # noise; jitter escalation has to rescue the factorization
+        # duplicated rows make the kernel matrix rank-deficient; the fit
+        # clips the initial noise to e^-12, which keeps it factorable
         rng = keyed_rng(43)
         base = rng.normal(size=(10, 2))
         X = np.vstack([base, base])
@@ -186,6 +194,26 @@ class TestCholeskyEscalation:
         config = KernelConfig(noise_variance=1e-12, jitter=1e-12)
         model = fit_rio(X, yhat, y, init=config, n_starts=1, max_iter=5, seed=0)
         assert np.all(np.isfinite(model.alpha))
+
+    def test_escalated_factor_is_the_cholesky_at_its_jitter(self):
+        rng = keyed_rng(43)
+        base = rng.normal(size=(10, 2))
+        ws = _Workspace(np.vstack([base, base]), np.concatenate([base[:, 0], base[:, 0]]))
+        L, jitter_used = uq_rio._factor(ws, KernelConfig(noise_variance=1e-16, jitter=1e-16))
+        assert jitter_used > 1e-16
+        assert np.array_equal(L, scipy.linalg.cholesky(ws.A + jitter_used * np.eye(20),
+                                                       lower=True))
+
+    def test_failure_at_every_jitter_raises(self):
+        # no point set has these squared distances: rows 0 and 2 are far
+        # apart but each coincides with row 1, so the input kernel has the
+        # eigenvalue 1 - sqrt(2)
+        ws = _Workspace(np.zeros((3, 1)), np.zeros(3))
+        ws.D2x[0, 2] = ws.D2x[2, 0] = 1e6
+        cfg = KernelConfig(signal_variance_out=1e-12, noise_variance=1e-12, jitter=1e-12)
+        with pytest.raises(NumericalError,
+                           match=r"factorization failed even with jitter 1\.000e-09"):
+            uq_rio._factor(ws, cfg)
 
 
 def _factor(D2x, D2y, theta, jitter):
@@ -282,6 +310,33 @@ class TestPredictBitIdentity:
         Xt, _, yhat_t = _problem(47, n=70, d=4)
         mean, std = rio_predict(model, Xt, yhat_t, include_noise=include_noise)
         want_mean, want_std = _allocating_rio_predict(model, Xt, yhat_t, include_noise)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(std, want_std)
+
+
+class TestLapackOracle:
+    """fit_rio's factor and weights and rio_predict's solve equal those of
+    scipy.linalg's checked wrappers bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        X, y, yhat = _problem(52, n=37, d=4)
+        return X, y, yhat, fit_rio(X, yhat, y, n_starts=2, max_iter=30, seed=3)
+
+    def test_factor_and_weights(self, fitted):
+        X, y, yhat, model = fitted
+        ws = _Workspace(X, yhat)
+        uq_rio._factor(ws, model.kernel)  # fills ws.A
+        chol = scipy.linalg.cholesky(ws.A + model.jitter_used * np.eye(37), lower=True)
+        assert np.array_equal(model.chol, chol)
+        assert np.array_equal(model.alpha, scipy.linalg.cho_solve((chol, True), y - yhat))
+
+    @pytest.mark.parametrize("rows", [5, 60])
+    def test_predict(self, fitted, rows):
+        _, _, _, model = fitted
+        Xt, _, yhat_t = _problem(53, n=rows, d=4)
+        mean, std = rio_predict(model, Xt, yhat_t)
+        want_mean, want_std = _allocating_rio_predict(model, Xt, yhat_t, include_noise=True)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(std, want_std)
 
