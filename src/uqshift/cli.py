@@ -296,24 +296,20 @@ def cmd_split(cfg: dict, out: Path, args) -> None:
         need_embedding = not external or section["force_embedding"]
         coords = None
         if need_embedding:
-            perplexity = section["perplexity"]
-            if not data.n > 3 * perplexity:
-                raise ConfigError(f"[split] perplexity = {perplexity!r} needs more than "
-                                  f"3 * perplexity = {3 * perplexity:g} rows for t-SNE; "
-                                  f"the dataset has {data.n}")
             selected = data.features[:, feature_idx]
             scaler = fit_scaler(selected)
             standardized = scaler.transform(selected)
             n_comp = min(section["pca_components"], standardized.shape[1], standardized.shape[0])
-            if n_comp < section["pca_components"]:
-                _log(f"[split] capping pca components to {n_comp}")
             emb = tsne(
                 pca(standardized, n_comp)[0],
-                perplexity=perplexity,
+                perplexity=section["perplexity"],
                 iterations=section["tsne_iterations"],
                 seed=derive_seed(cfg["run"]["seed"], _STAGE_SEEDS["split_embed"]),
             )
             coords = emb.coordinates
+            # logged after tsne, so a perplexity it refuses prints its error alone
+            if n_comp < section["pca_components"]:
+                _log(f"[split] capping pca components to {n_comp}")
             _log(f"[split] perplexity search: {emb.params['perplexity_capped_rows']} of "
                  f"{data.n} rows hit max_iter, largest entropy error "
                  f"{emb.params['perplexity_max_error_bits']:.3g} bits")

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
+from .config import require
 from .csvio import keyed_cells, read_csv, write_csv
 from .dataset import Dataset, as_matrix, freeze
 from .embedding import _SEARCH_ROWS, sq_distances
@@ -90,10 +91,10 @@ def dbscan(coordinates: np.ndarray, eps: float | None, min_pts: int,
     X = as_matrix(coordinates, "coordinates", min_rows=1)
     if eps is None and eps_factor is None:
         raise ConfigError("eps = None (the automatic rule) needs an eps_factor")
-    if eps is not None and eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise ConfigError(f"min_pts must be >= 1, got {min_pts}")
+    require("split", "dbscan_eps", eps)
+    if eps_factor is not None:
+        require("split", "eps_factor", eps_factor)
+    require("split", "min_pts", min_pts)
     d2 = sq_distances(X)
     if eps is None:
         n, rank = X.shape[0], min(min_pts - 1, X.shape[0] - 1)
@@ -143,10 +144,9 @@ def make_cluster_splits(
     """
     if len(labels.labels) != data.n:
         raise DataError("cluster labels are not aligned with the dataset rows")
-    if train_n < 1 or valid_n < 0:
-        raise ConfigError("train_n must be >= 1 and valid_n >= 0")
-    if min_cluster_size < 1:
-        raise ConfigError("min_cluster_size must be >= 1")
+    for key, value in (("train_n", train_n), ("valid_n", valid_n),
+                       ("min_cluster_size", min_cluster_size)):
+        require("split", key, value)
 
     sizes = np.bincount(labels.labels[labels.labels >= 0], minlength=labels.k)
     eligible = [c for c in range(labels.k) if sizes[c] >= min_cluster_size]

@@ -10,22 +10,32 @@ configuration that is hashed, once per manifest line.  ``run.out`` and
 many workers compute them does not change what is computed.
 ``run.jobs`` defaults to the number of CPUs this process may use.
 
-``load_config`` refuses, with exit 2 and a message naming
-``[section] key = value``, every value in ``_RANGES`` that a stage
-could not run on, before any stage starts.
+``_RANGES`` holds the one copy of each value rule.  ``load_config``
+refuses, with exit 2 and a message naming ``[section] key = value``,
+every value a stage could not run on, before any stage starts; a
+library function whose parameter is a config key refuses it through
+``require``, with the same one-line text.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import os
 from pathlib import Path
 
 from .errors import ConfigError
-from .mlp import usable_cpus
-from .uq_ad import METRICS
 
 _AUTO = "auto"
+METRICS = ("euclidean", "jaccard")
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 # section -> key -> (kind, default)
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
@@ -209,12 +219,18 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return values
 
 
+def require(section: str, key: str, value) -> None:
+    """Raise ConfigError ``[section] key = value must be <rule>`` unless
+    ``value`` meets the rule of ``_RANGES[(section, key)]``."""
+    rule, ok = _RANGES[section, key]
+    if not ok(value):
+        shown = _value_text(SCHEMA[section][key][0], value)
+        raise ConfigError(f"[{section}] {key} = {shown} must be {rule}")
+
+
 def _validate(values: dict) -> None:
-    for (section, key), (rule, ok) in _RANGES.items():
-        value = values[section][key]
-        if not ok(value):
-            shown = _value_text(SCHEMA[section][key][0], value)
-            raise ConfigError(f"[{section}] {key} = {shown} must be {rule}")
+    for section, key in _RANGES:
+        require(section, key, values[section][key])
     split = values["split"]
     if split["dbscan_eps"] is None and split["min_pts"] < 2 and not split["external_labels"]:
         # auto eps is the median distance to the (min_pts - 1)-th neighbour,

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import require
 from .csvio import parse_floats, read_csv, write_csv
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .rng import keyed_rng
 
 
@@ -121,7 +122,7 @@ class ScalerParams:
 
 def fit_scaler(X: np.ndarray) -> ScalerParams:
     """Population-statistics scaler fitted on the rows of X."""
-    X = as_matrix(X, "X", min_rows=2)
+    X = as_matrix(X, "X", min_rows=1)
     constant = np.all(X == X[0, :], axis=0)
     means = X.mean(axis=0)
     stds = X.std(axis=0)  # population std, ddof=0
@@ -145,8 +146,7 @@ def rank_correlated_features(data: Dataset, threshold: float) -> list[tuple[str,
     feature columns are skipped with a warning, and a constant target is
     an error because the correlation is undefined there.
     """
-    if not 0.0 <= threshold < 1.0:
-        raise ConfigError(f"correlation threshold must be in [0, 1), got {threshold}")
+    require("split", "correlation_threshold", threshold)
     y = data.target
     if np.all(y == y[0]):
         raise DataError("target column is constant; correlations are undefined")
@@ -227,14 +227,10 @@ def generate_synthetic(*, clusters: int, points_per_cluster: int, dim: int,
     fixed at 1).  Each cluster gets its own affine target map plus
     Gaussian observation noise.
     """
-    if dim < 2:
-        raise ConfigError(f"synthetic dimension must be >= 2, got {dim}")
-    if clusters < 1 or points_per_cluster < 1:
-        raise ConfigError("cluster count and points per cluster must be positive")
-    if separation <= 0 or coef_scale <= 0:
-        raise ConfigError("separation and coef_scale must be positive")
-    if noise < 0:
-        raise ConfigError("noise level must be non-negative")
+    for key, value in (("clusters", clusters), ("points_per_cluster", points_per_cluster),
+                       ("dim", dim), ("separation", separation), ("coef_scale", coef_scale),
+                       ("noise", noise)):
+        require("synth", key, value)
     rng = keyed_rng(seed)
     k, m, d = clusters, points_per_cluster, dim
     centers = np.zeros((k, d))

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from .config import require
 from .dataset import as_matrix, freeze
 from .errors import ConfigError, DataError
 from .rng import keyed_rng
@@ -236,12 +237,12 @@ def tsne(
     """
     X = as_matrix(features, "features")
     n = X.shape[0]
-    if perplexity <= 1.0:
-        raise ConfigError(f"perplexity must be > 1, got {perplexity}")
-    if n <= 3 * perplexity:
-        raise ConfigError(f"tsne needs n > 3 * perplexity; n={n}, perplexity={perplexity}")
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
+    require("split", "perplexity", perplexity)
+    if not n > 3 * perplexity:
+        raise ConfigError(f"[split] perplexity = {float(perplexity)!r} needs more than "
+                          f"3 * perplexity = {3 * perplexity:g} rows for t-SNE; "
+                          f"the dataset has {n}")
+    require("split", "tsne_iterations", iterations)
     if not np.all(np.isfinite(X)):
         raise DataError("tsne input contains non-finite values")
 

@@ -15,8 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterLabels, SplitSpec
+from .config import require
 from .dataset import as_vector
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .uq_ad import standard_normal_quantile
 
 
@@ -101,8 +102,7 @@ def removal_curve(
     u = as_vector(uncertainty, "uncertainty")
     a = as_vector(actual, "actual", u.size)
     p = as_vector(predicted, "predicted", u.size)
-    if not 0.0 < step_fraction <= 1.0:
-        raise ConfigError(f"step_fraction must lie in (0, 1], got {step_fraction}")
+    require("eval", "step_fraction", step_fraction)
     n0 = u.size
     if n0 < 2:
         raise DataError("removal curve requires at least two points")
@@ -186,8 +186,7 @@ def novelty_separation(
     """
     scores = as_vector(ad_scores, "ad_scores")
     mask = as_vector(in_cluster, "in_cluster", scores.size).astype(bool)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    require("uq", "alpha", alpha)
     threshold = standard_normal_quantile(1.0 - alpha)
 
     def rate(group: np.ndarray) -> float | None:

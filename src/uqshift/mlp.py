@@ -71,6 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import require, usable_cpus
 from .csvio import read_json, write_chunks
 from .dataset import ScalerParams, as_matrix, as_vector, fit_scaler
 from .errors import ConfigError, DataError, NumericalError, TrainingDivergedError
@@ -90,10 +91,8 @@ class FitConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        require("train", "learning_rates", (self.learning_rate,))
+        require("train", "epochs", self.epochs)
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1 when given")
 
@@ -134,14 +133,11 @@ class SearchRow:
 
 def _validate_arch(dim_in: int, hidden_sizes, dropout_rate: float) -> tuple[int, ...]:
     hidden = tuple(int(h) for h in hidden_sizes)
-    if not 1 <= len(hidden) <= 3:
-        raise ConfigError(f"hidden layer count must be 1..3, got {len(hidden)}")
-    if any(h < 1 for h in hidden):
-        raise ConfigError("hidden sizes must be positive")
+    require("train", "layer_counts", (len(hidden),))
+    require("train", "widths", hidden)
     if dim_in < 1:
         raise ConfigError("input dimension must be positive")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
+    require("train", "dropout_rate", dropout_rate)
     return hidden
 
 
@@ -441,13 +437,6 @@ def train_mlp(
         scaler=scaler,
     )
     return TrainResult(model=model, valid_r2=np.array(valid_r2), best_epoch=best_epoch)
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fit_candidate(search, point) -> tuple[MlpModel | None, SearchRow]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import require
 
 
 def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    require("run", "seed", seed)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 

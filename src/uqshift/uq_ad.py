@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .config import require
 from .dataset import as_matrix, freeze
 from .errors import ConfigError, DataError, NumericalError
-
-METRICS = ("euclidean", "jaccard")
 
 
 def standard_normal_quantile(p: float) -> float:
@@ -111,13 +110,11 @@ def fit_ad(train_features: np.ndarray, k: int, metric: str = "euclidean") -> AdM
     a larger k or jittered data.
     """
     X = as_matrix(train_features, "train_features")
-    if metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
+    require("uq", "metric", metric)
     if metric == "jaccard":
         _check_binary(X, "training features")
     n = X.shape[0]
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    require("uq", "knn_k", k)
     if n < k + 1:
         raise DataError(f"need at least k + 1 = {k + 1} training rows, got {n}")
 

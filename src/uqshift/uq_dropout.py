@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import require
 from .dataset import as_matrix
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .mlp import MlpModel, inference_masks, predict
 
 
@@ -34,8 +35,7 @@ class McDropoutConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.passes < 1:
-            raise ConfigError(f"passes must be >= 1, got {self.passes}")
+        require("uq", "passes", self.passes)
 
 
 def mc_dropout(model: MlpModel, features: np.ndarray,

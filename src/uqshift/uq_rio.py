@@ -35,6 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
+from .config import require
 from .dataset import as_matrix, as_vector
 from .embedding import sq_distances
 from .errors import ConfigError, DataError, NumericalError
@@ -212,8 +213,8 @@ def fit_rio(
     finite (a non-finite covariance), are skipped; all failing is an error.
     """
     X, yhat, y = _training_inputs(train_X, train_yhat, train_y, "train_y")
-    if n_starts < 1:
-        raise ConfigError("n_starts must be >= 1")
+    require("uq", "rio_starts", n_starts)
+    require("uq", "rio_max_iter", max_iter)
     init = init or KernelConfig()
     r = y - yhat
     ws = _Workspace(X, yhat)

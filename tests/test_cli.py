@@ -1417,6 +1417,14 @@ class TestCliErrors:
             "rows for t-SNE; the dataset has 180"]
         assert not (out / "split").exists()
 
+    def test_one_row_dataset_exits_2_naming_the_perplexity(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        write_csv(out / "data" / "dataset.csv", ["id", "target", "a", "b"], [["x1", 1.0, 2.0, 3.0]])
+        assert main(["split", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [split] perplexity = 30.0 needs more than 3 * perplexity = 90 "
+            "rows for t-SNE; the dataset has 1"]
+
     def test_model_with_non_finite_predictions_exits_4_before_uq_writes(
             self, pipeline, tmp_path, capsys, monkeypatch):
         config, finished = pipeline
@@ -1798,6 +1806,30 @@ class TestExternalLabels:
         assert len([name for name in trees["false"] if name.startswith("split_")]) == 3
         for name, data in trees["false"].items():
             assert trees["true"][name] == data, name
+
+    def test_binary_dataset_runs_every_stage_under_the_jaccard_metric(self, tmp_path, capsys):
+        # three clusters of 40 rows: each its own 8-bit pattern with bits
+        # flipped at 15%, and a target linear in the bits
+        rng = np.random.default_rng(36)
+        patterns = rng.random((3, 8)) < 0.5
+        bits = patterns.repeat(40, axis=0) ^ (rng.random((120, 8)) < 0.15)
+        target = bits @ rng.normal(size=8) + 0.1 * rng.normal(size=120)
+        ids = [f"m{i:03d}" for i in range(120)]
+        out = tmp_path / "o"
+        write_csv(out / "data" / "dataset.csv", ["id", "target", *(f"b{j}" for j in range(8))],
+                  ([i, y, *row] for i, y, row in zip(ids, target.tolist(),
+                                                      bits.astype(float).tolist())))
+        labels_path = tmp_path / "labels.csv"
+        write_csv(labels_path, ["id", "cluster"], ((i, n // 40) for n, i in enumerate(ids)))
+        config = tmp_path / "jaccard.ini"
+        config.write_text(SMALL_CONFIG.replace("train_n = 30", "train_n = 20")
+                          .replace("[train]", f"external_labels = {labels_path}\n\n[train]")
+                          .replace("[uq]", "[uq]\nmetric = jaccard"))
+        # the dataset is the user's own: the run starts at split
+        for stage in ("split", "train", "uq", "eval", "report"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+        assert "report: all evaluation artifacts verified" in capsys.readouterr().out
+        assert len(list((out / "eval").glob("split_*/summary.json"))) == 3
 
     def test_one_cluster_stops_split(self, tmp_path, capsys):
         out = tmp_path / "o"

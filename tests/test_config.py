@@ -1,11 +1,20 @@
 import re
 
+import numpy as np
 import pytest
 
 from uqshift.cli import _STAGES
-from uqshift.config import default_config, load_config, stage_config_text
+from uqshift.clustering import ClusterLabels, dbscan, make_cluster_splits
+from uqshift.config import _RANGES, default_config, load_config, stage_config_text
+from uqshift.dataset import generate_synthetic, rank_correlated_features
+from uqshift.embedding import tsne
 from uqshift.errors import ConfigError
-from uqshift.mlp import usable_cpus
+from uqshift.evaluation import novelty_separation, removal_curve
+from uqshift.mlp import FitConfig, train_mlp, usable_cpus
+from uqshift.rng import derive_seed, keyed_rng
+from uqshift.uq_ad import fit_ad
+from uqshift.uq_dropout import McDropoutConfig
+from uqshift.uq_rio import fit_rio
 
 
 class TestLoad:
@@ -220,3 +229,91 @@ class TestHashing:
         c = stage_config_text(load_config(None, {("eval", "step_fraction"): 0.2}),
                               ("train",))
         assert a == c
+
+
+_X = np.arange(48.0).reshape(16, 3) % 7.0
+
+
+def _synthetic(**keys):
+    return generate_synthetic(**{**default_config()["synth"], "seed": 0, **keys})
+
+
+def _splits(**keys):
+    data, labels = _synthetic(clusters=2, points_per_cluster=10)
+    args = {"train_n": 4, "valid_n": 2, "min_cluster_size": 5, **keys}
+    return make_cluster_splits(data, ClusterLabels(labels, 2), seed=0, **args)
+
+
+def _train(**keys):
+    y = _X.sum(axis=1)
+    args = {"hidden_sizes": (4,), "dropout_rate": 0.3, "learning_rate": 0.01, **keys}
+    return train_mlp(_X[:10], y[:10], _X[10:], y[10:], epochs=1, seed=0, **args)
+
+
+def _rio(**keys):
+    return fit_rio(_X, _X[:, 0], _X[:, 1], **{"n_starts": 1, "max_iter": 5, **keys})
+
+
+# (section, key, the library's function and parameter, a value the rule
+# refuses, a call that passes the library that value).  The grid keys hold
+# a tuple, one entry per candidate: a call passes the library its entry.
+LIBRARY_KEYS = [
+    ("run", "seed", "keyed_rng-seed", -1, lambda v: keyed_rng(v, 1)),
+    ("run", "seed", "derive_seed-seed", -1, lambda v: derive_seed(v)),
+    *[("synth", key, f"generate_synthetic-{key}", v, lambda v, key=key: _synthetic(**{key: v}))
+      for key, v in [("clusters", 0), ("points_per_cluster", 0), ("dim", 1),
+                     ("separation", 0.0), ("coef_scale", -1.0), ("noise", -0.1)]],
+    ("split", "correlation_threshold", "rank_correlated_features-threshold", 1.0,
+     lambda v: rank_correlated_features(_synthetic()[0], v)),
+    ("split", "perplexity", "tsne-perplexity", 1.0, lambda v: tsne(_X, perplexity=v)),
+    ("split", "tsne_iterations", "tsne-iterations", 0,
+     lambda v: tsne(_X, perplexity=2.0, iterations=v)),
+    ("split", "dbscan_eps", "dbscan-eps", 0.0, lambda v: dbscan(_X, v, 2)),
+    ("split", "eps_factor", "dbscan-eps_factor", -1.0,
+     lambda v: dbscan(_X, None, 2, eps_factor=v)),
+    ("split", "eps_factor", "dbscan-eps_factor", 0.0,
+     lambda v: dbscan(_X, None, 2, eps_factor=v)),
+    ("split", "min_pts", "dbscan-min_pts", 0, lambda v: dbscan(_X, 1.0, v)),
+    ("split", "train_n", "make_cluster_splits-train_n", 1, lambda v: _splits(train_n=v)),
+    ("split", "valid_n", "make_cluster_splits-valid_n", 0, lambda v: _splits(valid_n=v)),
+    ("split", "min_cluster_size", "make_cluster_splits-min_cluster_size", 0,
+     lambda v: _splits(min_cluster_size=v)),
+    ("train", "layer_counts", "train_mlp-len(hidden_sizes)", (4,),
+     lambda v: _train(hidden_sizes=(4,) * v[0])),
+    ("train", "widths", "train_mlp-hidden_sizes", (4, 0), lambda v: _train(hidden_sizes=v)),
+    ("train", "dropout_rate", "train_mlp-dropout_rate", 1.0,
+     lambda v: _train(dropout_rate=v)),
+    ("train", "learning_rates", "FitConfig-learning_rate", (-1.0,),
+     lambda v: FitConfig(learning_rate=v[0], epochs=1, seed=0)),
+    ("train", "epochs", "FitConfig-epochs", -1,
+     lambda v: FitConfig(learning_rate=0.01, epochs=v, seed=0)),
+    ("uq", "metric", "fit_ad-metric", "cosine", lambda v: fit_ad(_X, k=2, metric=v)),
+    ("uq", "knn_k", "fit_ad-k", 0, lambda v: fit_ad(_X, k=v)),
+    ("uq", "passes", "McDropoutConfig-passes", 0, lambda v: McDropoutConfig(passes=v)),
+    ("uq", "rio_starts", "fit_rio-n_starts", 0, lambda v: _rio(n_starts=v)),
+    ("uq", "rio_max_iter", "fit_rio-max_iter", -1, lambda v: _rio(max_iter=v)),
+    ("uq", "alpha", "novelty_separation-alpha", 1e-17,
+     lambda v: novelty_separation(_X[:, 0], _X[:, 1] > 2, v)),
+    ("uq", "alpha", "novelty_separation-alpha", 1.0,
+     lambda v: novelty_separation(_X[:, 0], _X[:, 1] > 2, v)),
+    ("eval", "step_fraction", "removal_curve-step_fraction", 0.0,
+     lambda v: removal_curve(_X[:, 0], _X[:, 1], _X[:, 2], v)),
+]
+
+
+class TestLibraryRefusesThroughTheRule:
+    @pytest.mark.parametrize("section, key, parameter, value, call", LIBRARY_KEYS,
+                             ids=[f"{case[2]}={case[3]}" for case in LIBRARY_KEYS])
+    def test_refused_with_the_load_text(self, section, key, parameter, value, call):
+        with pytest.raises(ConfigError) as at_load:
+            load_config(None, {(section, key): value})
+        with pytest.raises(ConfigError) as in_library:
+            call(value)
+        assert str(in_library.value) == str(at_load.value)
+        assert str(at_load.value).startswith(f"[{section}] {key} = ")
+
+    def test_every_rule_but_three_has_a_library_case(self):
+        # jobs and pca_components map to no library parameter as they are,
+        # and the library's batch_size None is the config's 0
+        assert set(_RANGES) - {(s, k) for s, k, *_ in LIBRARY_KEYS} == {
+            ("run", "jobs"), ("split", "pca_components"), ("train", "batch_size")}
